@@ -1,28 +1,27 @@
 #!/usr/bin/env python
-"""Macro-benchmark: row-interpreted vs batched vectorized execution.
+"""Macro-benchmark of the batched execution pipeline (legacy tracked bench).
 
-Runs the Yelp-style, TPC-H and Symantec-style workloads twice — once with the
-row-at-a-time interpreter (``vectorized_execution=False``) and once with the
-batched pipeline — on identically configured fresh engines, and additionally
-measures six cache-hit fast paths in isolation: repeated selective range
-queries against a warm relational columnar cache (the scan shape ReCache's
-reuse argument rests on), repeated flat-field scans against a warm *parquet*
-cache (striped-column batch slicing + NumPy masks, no row assembly), repeated
-*nested-field* range scans against the same warm parquet cache (the
-nested-predicate vectorizer: entry-granular masks over raw striped levels,
-``np.logical_or.reduceat`` to record granularity), repeated
-grouped aggregation against a warm columnar cache (the NumPy-backed group-by
-versus per-row dict grouping), a repeated cache-hit equi-join (the factorized
-NumPy probe versus the interpreted row-at-a-time probe), and a rows-heavy
+Runs the Yelp-style, TPC-H and Symantec-style workloads on fresh engines and
+additionally measures six cache-hit fast paths in isolation: repeated
+selective range queries against a warm relational columnar cache (the scan
+shape ReCache's reuse argument rests on), repeated flat-field scans against a
+warm *parquet* cache (striped-column batch slicing + NumPy masks, no row
+assembly), repeated *nested-field* range scans against the same warm parquet
+cache (the nested-predicate vectorizer: entry-granular masks over raw striped
+levels, ``np.logical_or.reduceat`` to record granularity), repeated grouped
+aggregation against a warm columnar cache (the NumPy-backed group-by), a
+repeated cache-hit equi-join (the factorized NumPy probe), and a rows-heavy
 select served with ``result_format="rows"`` versus ``"columnar"`` (the
 columnar pipeline exit that skips per-row dict materialization).
 
 Results are written to ``BENCH_batch_pipeline.json``: queries/sec per workload
-and mode, the per-operator time breakdown (operator / caching / cache-scan /
-lookup), and the measured batched-over-interpreted speedups.  This file is the
-repo's tracked perf-trajectory baseline — CI runs the benchmark in ``--smoke``
-mode (tiny datasets) and archives the JSON as a workflow artifact, so the
-numbers are *measured* on every change, not asserted.
+and section (under the ``"batched"`` key, so the numbers line up with
+recordings made while a row interpreter still ran beside the pipeline; its
+last measured ratios are in CHANGES.md, PR 12) and the per-operator time
+breakdown (operator / caching / cache-scan / lookup).  CI runs the benchmark
+in ``--smoke`` mode (tiny datasets) and archives the JSON as a workflow
+artifact.  The benchmark PRs are judged by is ``benchmarks/e2e`` +
+``BENCHMARK.json``, not this file.
 
 Usage::
 
@@ -56,63 +55,69 @@ from repro.workloads.queries import (
     yelp_spa_workload,
 )
 
-MODES = ("interpreted", "batched")
+#: deterministic eager admission, layout pinned: what every isolated section uses
+PINNED = {"adaptive_admission": False, "layout_selection": False}
 
 
-def _workload_config(**overrides) -> ReCacheConfig:
-    return ReCacheConfig(**overrides)
+def run_workload(name: str, engine: QueryEngine, queries: list[Query]) -> dict:
+    """Run one query sequence on a fresh engine."""
+    started = time.perf_counter()
+    operator = caching = cache_scan = lookup = 0.0
+    rows = 0
+    for query in queries:
+        report = engine.execute(query)
+        operator += report.operator_time
+        caching += report.caching_time
+        cache_scan += report.cache_scan_time
+        lookup += report.lookup_time
+        rows += report.rows_returned
+    wall = time.perf_counter() - started
+    stats = engine.cache_stats
+    result = {
+        "queries": len(queries),
+        "wall_time_s": wall,
+        "queries_per_sec": len(queries) / wall if wall > 0 else 0.0,
+        "rows_returned": rows,
+        "operator_time_s": operator,
+        "caching_time_s": caching,
+        "cache_scan_time_s": cache_scan,
+        "lookup_time_s": lookup,
+        "cache_hits": stats.hits,
+        "cache_misses": stats.misses,
+    }
+    print(f"[{name}] {result['queries_per_sec']:.1f} q/s")
+    return {"batched": result}
 
 
-def run_workload(name: str, make_engine, queries: list[Query]) -> dict:
-    """Run one query sequence in both modes on identically fresh engines."""
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        engine: QueryEngine = make_engine(vectorized)
-        started = time.perf_counter()
-        operator = caching = cache_scan = lookup = 0.0
-        rows = 0
-        for query in queries:
-            report = engine.execute(query)
-            operator += report.operator_time
-            caching += report.caching_time
-            cache_scan += report.cache_scan_time
-            lookup += report.lookup_time
-            rows += report.rows_returned
-        wall = time.perf_counter() - started
-        stats = engine.cache_stats
-        results[mode] = {
-            "queries": len(queries),
-            "wall_time_s": wall,
-            "queries_per_sec": len(queries) / wall if wall > 0 else 0.0,
-            "rows_returned": rows,
-            "operator_time_s": operator,
-            "caching_time_s": caching,
-            "cache_scan_time_s": cache_scan,
-            "lookup_time_s": lookup,
-            "cache_hits": stats.hits,
-            "cache_misses": stats.misses,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[{name}] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+def _time_hits(name: str, engine: QueryEngine, query: Query, repeats: int, tables: int = 1):
+    """Warm ``query``'s cache with one cold execution, then time ``repeats`` hits.
+
+    Returns ``(warm report, last hit report, timing dict)``; only the hit phase
+    is timed.
+    """
+    warm = engine.execute(query)
+    assert warm.misses == tables, "warm-up should miss on every input"
+    started = time.perf_counter()
+    for _ in range(repeats):
+        report = engine.execute(query)
+    wall = time.perf_counter() - started
+    assert report.exact_hits == tables, "hit phase should be served from cache"
+    timing = {
+        "repeats": repeats,
+        "wall_time_s": wall,
+        "queries_per_sec": repeats / wall if wall > 0 else 0.0,
+    }
+    print(f"[{name}] {timing['queries_per_sec']:.1f} q/s")
+    return warm, report, timing
 
 
 def run_columnar_cache_hit(scale_factor: float, repeats: int) -> dict:
     """Cache-hit columnar scans with a selective numeric predicate, isolated.
 
-    Both engines warm the same eagerly admitted relational columnar cache over
-    TPC-H lineitem, then serve ``repeats`` identical selective range queries
-    from it; only the hit phase is timed.  This is the path the batched
-    pipeline optimizes hardest (full-column NumPy mask + column gather instead
-    of per-row dictionaries), and the acceptance target: >= 3x over the
-    interpreter.
+    The engine warms an eagerly admitted relational columnar cache over TPC-H
+    lineitem, then serves ``repeats`` identical selective range queries from
+    it.  This is the path the pipeline optimizes hardest: a full-column NumPy
+    mask plus a column gather.
     """
     query = Query.select_aggregate(
         "lineitem",
@@ -124,52 +129,30 @@ def run_columnar_cache_hit(scale_factor: float, repeats: int) -> dict:
         ],
         label="columnar-cache-hit",
     )
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        config = _workload_config(
-            vectorized_execution=vectorized,
-            adaptive_admission=False,  # deterministic eager admission
-            layout_selection=False,  # keep the cache columnar throughout
-            default_flat_layout="columnar",
-        )
-        engine = tpch_engine(config, scale_factor=scale_factor)
-        warm = engine.execute(query)
-        assert warm.misses == 1, "warm-up should miss"
-        started = time.perf_counter()
-        for _ in range(repeats):
-            report = engine.execute(query)
-        wall = time.perf_counter() - started
-        assert report.exact_hits == 1, "hit phase should be served from cache"
-        results[mode] = {
-            "repeats": repeats,
-            "wall_time_s": wall,
-            "queries_per_sec": repeats / wall if wall > 0 else 0.0,
-            "rows_scanned_per_query": engine.recache.entries()[0].layout.flattened_row_count,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[columnar-cache-hit] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+    config = ReCacheConfig(default_flat_layout="columnar", **PINNED)
+    engine = tpch_engine(config, scale_factor=scale_factor)
+    _, _, timing = _time_hits("columnar-cache-hit", engine, query, repeats)
+    timing["rows_scanned_per_query"] = engine.recache.entries()[0].layout.flattened_row_count
+    return {"batched": timing}
+
+
+def _parquet_hit_section(name: str, query: Query, orders_scale: float, repeats: int) -> dict:
+    config = ReCacheConfig(default_nested_layout="parquet", **PINNED)
+    engine = order_lineitems_engine(config, scale_factor=orders_scale)
+    _, _, timing = _time_hits(name, engine, query, repeats)
+    entry = engine.recache.entries()[0]
+    assert entry.layout.layout_name == "parquet"
+    timing["records_scanned_per_query"] = entry.layout.record_count
+    return {"batched": timing}
 
 
 def run_parquet_cache_hit(orders_scale: float, repeats: int) -> dict:
     """Cache-hit parquet scans over flat (parent-level) fields, isolated.
 
-    Both engines warm the same eagerly admitted parquet cache over the nested
-    orderLineitems JSON file, then serve ``repeats`` identical queries whose
-    predicate is an Or of ranges — deliberately *not* a pure conjunctive
-    range, so the scan takes the general batched path: the batched pipeline
-    streams `scan_batches` column slices straight out of the stripes (no
-    assembly) and evaluates one NumPy mask per batch over the pre-seeded
-    float64 views, while the interpreter walks per-record row dictionaries.
-    Acceptance target: >= 1.5x; the smoke run gates on >= 1.0 (the batched
-    scan must never regress below the interpreted path).
+    The predicate is an Or of ranges — deliberately *not* a pure conjunctive
+    range, so the scan takes the general path: ``scan_batches`` column slices
+    stream straight out of the stripes (no assembly) and one NumPy mask per
+    batch evaluates over the pre-seeded float64 views.
     """
     predicate = Or(
         [
@@ -187,40 +170,7 @@ def run_parquet_cache_hit(orders_scale: float, repeats: int) -> dict:
         ],
         label="parquet-cache-hit",
     )
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        config = _workload_config(
-            vectorized_execution=vectorized,
-            adaptive_admission=False,  # deterministic eager admission
-            layout_selection=False,  # keep the cache parquet throughout
-            default_nested_layout="parquet",
-        )
-        engine = order_lineitems_engine(config, scale_factor=orders_scale)
-        warm = engine.execute(query)
-        assert warm.misses == 1, "warm-up should miss"
-        started = time.perf_counter()
-        for _ in range(repeats):
-            report = engine.execute(query)
-        wall = time.perf_counter() - started
-        assert report.exact_hits == 1, "hit phase should be served from cache"
-        entry = engine.recache.entries()[0]
-        assert entry.layout.layout_name == "parquet"
-        results[mode] = {
-            "repeats": repeats,
-            "wall_time_s": wall,
-            "queries_per_sec": repeats / wall if wall > 0 else 0.0,
-            "records_scanned_per_query": entry.layout.record_count,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[parquet-cache-hit] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+    return _parquet_hit_section("parquet-cache-hit", query, orders_scale, repeats)
 
 
 def run_nested_predicate(orders_scale: float, repeats: int) -> dict:
@@ -228,18 +178,15 @@ def run_nested_predicate(orders_scale: float, repeats: int) -> dict:
 
     The predicate is a closed conjunctive range over ``lineitems.l_quantity``
     — a leaf below the repeated level — so this measures the nested-predicate
-    vectorizer directly: the batched pipeline evaluates one NumPy mask over
-    the raw striped entry arrays (validity from the definition levels, no
-    per-record level walk) and reduces entry hits to record hits with
-    ``np.logical_or.reduceat``, while the interpreter assembles per-record
-    rows from the stripes and tests them one dictionary at a time.  This is
-    the exact shape that used to force the whole Symantec workload onto the
-    per-row fallback.  Full-run acceptance target: >= 1.2x.
+    vectorizer directly: one NumPy mask over the raw striped entry arrays
+    (validity from the definition levels, no per-record level walk), entry
+    hits reduced to record hits with ``np.logical_or.reduceat``.  This is the
+    exact shape that used to force the whole Symantec workload onto the
+    per-row fallback.
     """
-    predicate = RangePredicate("lineitems.l_quantity", 10.0, 35.0)
     query = Query.select_aggregate(
         "orderLineitems",
-        predicate,
+        RangePredicate("lineitems.l_quantity", 10.0, 35.0),
         [
             AggregateSpec("sum", FieldRef("lineitems.l_extendedprice")),
             AggregateSpec("avg", FieldRef("lineitems.l_quantity")),
@@ -247,49 +194,15 @@ def run_nested_predicate(orders_scale: float, repeats: int) -> dict:
         ],
         label="nested-predicate-cache-hit",
     )
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        config = _workload_config(
-            vectorized_execution=vectorized,
-            adaptive_admission=False,  # deterministic eager admission
-            layout_selection=False,  # keep the cache parquet throughout
-            default_nested_layout="parquet",
-        )
-        engine = order_lineitems_engine(config, scale_factor=orders_scale)
-        warm = engine.execute(query)
-        assert warm.misses == 1, "warm-up should miss"
-        started = time.perf_counter()
-        for _ in range(repeats):
-            report = engine.execute(query)
-        wall = time.perf_counter() - started
-        assert report.exact_hits == 1, "hit phase should be served from cache"
-        entry = engine.recache.entries()[0]
-        assert entry.layout.layout_name == "parquet"
-        results[mode] = {
-            "repeats": repeats,
-            "wall_time_s": wall,
-            "queries_per_sec": repeats / wall if wall > 0 else 0.0,
-            "records_scanned_per_query": entry.layout.record_count,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[nested-predicate] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+    return _parquet_hit_section("nested-predicate", query, orders_scale, repeats)
 
 
 def run_groupby_cache_hit(scale_factor: float, repeats: int) -> dict:
     """Grouped aggregation over a warm relational columnar cache, isolated.
 
     The predicate is a wide closed range (nearly every row passes) so the
-    measurement is dominated by the group-by itself: the batched pipeline's
-    NumPy-backed factorize + per-group slice reductions versus the
-    interpreter's per-row dict grouping.  Acceptance target: >= 1.5x.
+    measurement is dominated by the group-by itself: the NumPy-backed
+    factorize + per-group slice reductions.
     """
     query = Query(
         tables=[TableRef("lineitem", RangePredicate("l_quantity", 1.0, 50.0))],
@@ -302,52 +215,21 @@ def run_groupby_cache_hit(scale_factor: float, repeats: int) -> dict:
         group_by=["l_suppkey"],
         label="groupby-cache-hit",
     )
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        config = _workload_config(
-            vectorized_execution=vectorized,
-            adaptive_admission=False,
-            layout_selection=False,
-            default_flat_layout="columnar",
-        )
-        engine = tpch_engine(config, scale_factor=scale_factor)
-        warm = engine.execute(query)
-        assert warm.misses == 1, "warm-up should miss"
-        started = time.perf_counter()
-        for _ in range(repeats):
-            report = engine.execute(query)
-        wall = time.perf_counter() - started
-        assert report.exact_hits == 1, "hit phase should be served from cache"
-        results[mode] = {
-            "repeats": repeats,
-            "wall_time_s": wall,
-            "queries_per_sec": repeats / wall if wall > 0 else 0.0,
-            "groups_per_query": report.rows_returned,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[groupby-cache-hit] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+    config = ReCacheConfig(default_flat_layout="columnar", **PINNED)
+    engine = tpch_engine(config, scale_factor=scale_factor)
+    _, report, timing = _time_hits("groupby-cache-hit", engine, query, repeats)
+    timing["groups_per_query"] = report.rows_returned
+    return {"batched": timing}
 
 
 def run_join_cache_hit(scale_factor: float, repeats: int) -> dict:
     """Cache-hit equi-join (orders x lineitem), isolated.
 
-    Both engines warm eagerly admitted columnar caches over *both* join
-    inputs with one cold query (two misses), then serve ``repeats``
-    identical join queries entirely from cache; only the hit phase is timed.
-    This isolates the join operator itself: the interpreted path probes its
-    hash table one row dictionary at a time, while the batched path runs the
+    The engine warms eagerly admitted columnar caches over *both* join inputs
+    with one cold query (two misses), then serves ``repeats`` identical join
+    queries entirely from cache.  This isolates the join operator itself: the
     factorized probe — build keys grouped once, whole probe key columns
     resolved via NumPy ``searchsorted``, matches expanded as index arrays.
-    The smoke run gates on >= 1.0x (the factorized join must never regress
-    below the interpreted join); the full run targets >= 1.2x.
     """
     query = Query(
         tables=[
@@ -364,45 +246,18 @@ def run_join_cache_hit(scale_factor: float, repeats: int) -> dict:
         ],
         label="join-cache-hit",
     )
-    results: dict[str, dict] = {}
-    for mode in MODES:
-        vectorized = mode == "batched"
-        config = _workload_config(
-            vectorized_execution=vectorized,
-            adaptive_admission=False,  # deterministic eager admission
-            layout_selection=False,  # keep both caches columnar throughout
-            default_flat_layout="columnar",
-        )
-        engine = tpch_engine(config, scale_factor=scale_factor)
-        warm = engine.execute(query)
-        assert warm.misses == 2, "warm-up should miss on both join inputs"
-        started = time.perf_counter()
-        for _ in range(repeats):
-            report = engine.execute(query)
-        wall = time.perf_counter() - started
-        assert report.exact_hits == 2, "hit phase should be served from both caches"
-        results[mode] = {
-            "repeats": repeats,
-            "wall_time_s": wall,
-            "queries_per_sec": repeats / wall if wall > 0 else 0.0,
-            "join_output_rows": warm.results[0]["join_rows"],
-            "operator_time_s_per_query": report.operator_time,
-        }
-    interpreted = results["interpreted"]["wall_time_s"]
-    batched = results["batched"]["wall_time_s"]
-    results["speedup"] = interpreted / batched if batched > 0 else 0.0
-    print(
-        f"[join-cache-hit] interpreted {results['interpreted']['queries_per_sec']:.1f} q/s, "
-        f"batched {results['batched']['queries_per_sec']:.1f} q/s "
-        f"(speedup {results['speedup']:.2f}x)"
-    )
-    return results
+    config = ReCacheConfig(default_flat_layout="columnar", **PINNED)
+    engine = tpch_engine(config, scale_factor=scale_factor)
+    warm, report, timing = _time_hits("join-cache-hit", engine, query, repeats, tables=2)
+    timing["join_output_rows"] = warm.results[0]["join_rows"]
+    timing["operator_time_s_per_query"] = report.operator_time
+    return {"batched": timing}
 
 
 def run_columnar_exit(scale_factor: float, repeats: int) -> dict:
     """Rows-heavy select served from a warm columnar cache: rows vs columnar exit.
 
-    One batched engine, one warm cache, two timed hit phases over the same
+    One engine, one warm cache, two timed hit phases over the same
     query — the only difference is the pipeline exit: ``result_format="rows"``
     materializes one Python dict per output row, ``"columnar"`` hands the
     pipeline's record batches to the caller as-is.  The query keeps most rows
@@ -420,12 +275,7 @@ def run_columnar_exit(scale_factor: float, repeats: int) -> dict:
         ],
         label="columnar-exit",
     )
-    config = _workload_config(
-        vectorized_execution=True,
-        adaptive_admission=False,
-        layout_selection=False,
-        default_flat_layout="columnar",
-    )
+    config = ReCacheConfig(default_flat_layout="columnar", **PINNED)
     engine = tpch_engine(config, scale_factor=scale_factor)
     warm = engine.execute(query)
     assert warm.misses == 1, "warm-up should miss"
@@ -476,12 +326,7 @@ def run_fault_hook_overhead(scale_factor: float, repeats: int) -> dict:
         [AggregateSpec("sum", FieldRef("l_extendedprice"))],
         label="fault-hook-overhead",
     )
-    config = _workload_config(
-        vectorized_execution=True,
-        adaptive_admission=False,
-        layout_selection=False,
-        default_flat_layout="columnar",
-    )
+    config = ReCacheConfig(default_flat_layout="columnar", **PINNED)
     engine = tpch_engine(config, scale_factor=scale_factor)
     engine.execute(query)  # warm the cache
     started = time.perf_counter()
@@ -528,7 +373,7 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny datasets for CI: verifies both pipelines are measured, asserts nothing about ratios",
+        help="tiny datasets for CI: verifies every section is measured; gates only the fault-hook overhead",
     )
     parser.add_argument("--out", default="BENCH_batch_pipeline.json", help="output JSON path")
     args = parser.parse_args()
@@ -547,23 +392,17 @@ def main() -> None:
     workloads = {
         "yelp": run_workload(
             "yelp",
-            lambda vectorized: yelp_engine(
-                _workload_config(vectorized_execution=vectorized), total_records=yelp_records
-            ),
+            yelp_engine(ReCacheConfig(), total_records=yelp_records),
             yelp_spa_workload(num_queries, seed=19),
         ),
         "tpch": run_workload(
             "tpch",
-            lambda vectorized: tpch_engine(
-                _workload_config(vectorized_execution=vectorized), scale_factor=tpch_scale
-            ),
+            tpch_engine(ReCacheConfig(), scale_factor=tpch_scale),
             spj_tpch_workload(num_queries, seed=13),
         ),
         "symantec": run_workload(
             "symantec",
-            lambda vectorized: symantec_engine(
-                _workload_config(vectorized_execution=vectorized), json_records=symantec_json
-            ),
+            symantec_engine(ReCacheConfig(), json_records=symantec_json),
             symantec_mixed_workload(num_queries, seed=17),
         ),
     }
@@ -593,11 +432,9 @@ def main() -> None:
     out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
 
-    # The smoke run verifies that throughput was *measured* for both pipelines
-    # (ratios on tiny CI datasets are mostly noise) plus three regression
-    # gates: the batched parquet cache-hit scan, the nested-predicate-heavy
-    # Symantec workload and the factorized cache-hit join must not fall below
-    # the interpreted path.  Full runs check the acceptance targets.
+    # Every section must have been *measured*; the one gate is the disabled
+    # fault-hook budget.  The columnar-exit floor (full runs only) compares two
+    # exits of the same engine, so it survives without a second executor.
     isolated = {
         "columnar_cache_hit": cache_hit,
         "parquet_cache_hit": parquet_hit,
@@ -606,49 +443,20 @@ def main() -> None:
         "join_cache_hit": join_hit,
     }
     for name, result in {**workloads, **isolated}.items():
-        for mode in MODES:
-            assert result[mode]["queries_per_sec"] > 0.0, f"{name}/{mode} not measured"
+        assert result["batched"]["queries_per_sec"] > 0.0, f"{name} not measured"
     for result_format in ("rows", "columnar"):
         assert columnar_exit[result_format]["queries_per_sec"] > 0.0, (
             f"columnar_exit/{result_format} not measured"
-        )
-    if parquet_hit["speedup"] < 1.0:
-        raise SystemExit(
-            f"parquet cache-hit speedup {parquet_hit['speedup']:.2f}x: batched scan "
-            "regressed below the interpreted path"
-        )
-    if workloads["symantec"]["speedup"] < 1.0:
-        raise SystemExit(
-            f"symantec workload speedup {workloads['symantec']['speedup']:.2f}x: the "
-            "nested-predicate vectorizer regressed — the batched pipeline must not "
-            "lose to the interpreter on the nested-heavy workload"
-        )
-    if join_hit["speedup"] < 1.0:
-        raise SystemExit(
-            f"join cache-hit speedup {join_hit['speedup']:.2f}x: factorized join "
-            "regressed below the interpreted join"
         )
     if fault_hooks["overhead_fraction"] > 0.02:
         raise SystemExit(
             f"disabled fault hooks cost {fault_hooks['overhead_fraction'] * 100:.2f}% "
             "of a batched cache-hit query (budget: 2%)"
         )
-    if not args.smoke:
-        targets = {
-            "columnar_cache_hit": (cache_hit, 3.0),
-            "parquet_cache_hit": (parquet_hit, 1.5),
-            "nested_predicate": (nested_hit, 1.2),
-            "groupby_cache_hit": (groupby_hit, 1.5),
-            "join_cache_hit": (join_hit, 1.2),
-            "columnar_exit": (columnar_exit, 1.2),
-            "symantec": (workloads["symantec"], 1.2),
-        }
-        for name, (result, floor) in targets.items():
-            if result["speedup"] < floor:
-                raise SystemExit(
-                    f"{name} speedup {result['speedup']:.2f}x below the {floor}x target"
-                )
-
+    if not args.smoke and columnar_exit["speedup"] < 1.2:
+        raise SystemExit(
+            f"columnar_exit speedup {columnar_exit['speedup']:.2f}x below the 1.2x target"
+        )
 
 if __name__ == "__main__":
     main()

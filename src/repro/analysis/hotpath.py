@@ -20,7 +20,7 @@ function that:
   evaluates the entry arrays wholesale, so a per-record level walk on the hot
   path means a nested column fell off the vectorized plan.
 
-Audited interpreter-parity paths opt out with ``# rowwise-fallback: reason``:
+Audited per-row paths opt out with ``# rowwise-fallback: reason``:
 on a ``def`` line it prunes the function *and everything only reachable
 through it* from the walk; on a flagged line it blesses that one site.
 ``# recheck-lint: allow(hotpath)`` works site-level as well.

@@ -10,9 +10,9 @@ exception — one of:
   convert the fault into a degraded-but-correct result or a typed client
   failure (``_fail_execution``/``set_exception`` resolve futures
   exceptionally, ``quarantine``/``_quarantine_entry`` evict a poisoned
-  cache entry, ``_degraded_raw_rows``/``_degraded_raw_batches`` re-serve
-  from the raw source, ``note_skipped_admission`` records a declined
-  admission, ``record_failure`` feeds the circuit breaker).
+  cache entry, ``_degraded_raw_batches`` re-serves from the raw source,
+  ``note_skipped_admission`` records a declined admission,
+  ``record_failure`` feeds the circuit breaker).
 
 A handler with neither is a swallowed fault: the failure-containment
 design of this tree (retry / degrade / quarantine / shed, all typed) only
@@ -40,7 +40,6 @@ SINKS: frozenset[str] = frozenset(
         "set_exception",
         "quarantine",
         "_quarantine_entry",
-        "_degraded_raw_rows",
         "_degraded_raw_batches",
         "note_skipped_admission",
         "record_failure",

@@ -59,7 +59,6 @@ HEAVY_CALL_ATTRS: frozenset[str] = frozenset(
         "convert",
         "scan",
         "scan_batches",
-        "scan_range_filtered",
         "range_filtered_batch",
         "read_record_rows",
         "sleep",

@@ -103,9 +103,6 @@ class ReCacheConfig:
     #: "Parquet" / "Rel. Columnar" baselines of Figures 9, 10 and 15).
     layout_selection: bool = True
 
-    #: if False row-vs-column selection for flat data is skipped.
-    row_column_selection: bool = True
-
     #: fraction of records on which timing system calls are issued
     #: (Section 5.1 recommends < 1%).
     timing_sample_rate: float = 0.01
@@ -124,18 +121,13 @@ class ReCacheConfig:
     #: upgrade a lazy cache to an eager one the first time it is reused.
     upgrade_lazy_on_reuse: bool = True
 
-    #: execute plans over :class:`~repro.engine.batch.RecordBatch` chunks with
-    #: NumPy predicate masks; False falls back to the row-at-a-time
-    #: interpreter (the parity baseline the batch-pipeline bench compares).
-    vectorized_execution: bool = True
-
     #: number of records per :class:`~repro.engine.batch.RecordBatch` produced
-    #: by scans in the vectorized pipeline.
+    #: by scans.
     batch_size: int = 1024
 
     #: query-output representation: ``"rows"`` returns the classic list of row
     #: dictionaries, ``"columnar"`` returns a
-    #: :class:`~repro.engine.types.ColumnarResult` backed by the batched
+    #: :class:`~repro.engine.types.ColumnarResult` backed by the
     #: pipeline's record batches (no per-row dict assembly at the pipeline
     #: exit).  Overridable per query via ``Query.result_format`` or
     #: ``QueryEngine.execute(..., result_format=...)``; execution, reports and
@@ -217,11 +209,9 @@ class ReCacheConfig:
     #: pressure is measured.
     shed_pressure_window: int = 64
 
-    #: deterministic seed for the sampling RNG used by timers.
+    #: seed of the fault plan installed from ``faults`` (nothing else reads
+    #: it: timers draw from their own generator).
     seed: int = 7
-
-    #: free-form labels attached by benchmarks (not interpreted by the cache).
-    tags: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.eviction_policy not in EVICTION_POLICIES:

@@ -32,9 +32,9 @@ def numeric_column_array(values) -> np.ndarray | None:
     """A float64 array for a column of numbers/``None``, else ``None``.
 
     Only genuinely numeric values qualify: NumPy would happily parse digit
-    *strings* into floats, silently succeeding where the row interpreter's
+    *strings* into floats, silently succeeding where ``Expression.evaluate``'s
     comparison raises TypeError.  ``None`` becomes NaN, which fails every
-    ordered comparison exactly like the interpreter's null semantics.  The
+    ordered comparison exactly like the expression language's null rule.  The
     float64 coercion means vectorized predicates treat a genuine NaN data
     value as a null and integers beyond 2**53 lose precision; the repo's
     CSV/JSON workloads produce neither.
@@ -50,10 +50,9 @@ def numeric_column_array(values) -> np.ndarray | None:
 def object_validity_mask(values) -> np.ndarray:
     """A boolean array marking the non-``None`` positions of a value list.
 
-    This is exactly the interpreter's aggregate-input rule (``value is not
-    None``): unlike an ``isnan`` test on a float64 view, it keeps a genuine
-    NaN data value valid, so the NumPy group-by's skip-null behaviour matches
-    the row interpreter value for value.
+    This is exactly the aggregate-input rule (``value is not None``): unlike
+    an ``isnan`` test on a float64 view, it keeps a genuine NaN data value
+    valid, so the NumPy group-by skips nulls and only nulls.
     """
     return np.fromiter((value is not None for value in values), dtype=bool, count=len(values))  # rowwise-fallback: None-validity of object columns is a per-value identity test by definition
 
@@ -151,7 +150,7 @@ class RecordBatch:
     # ------------------------------------------------------------------
     def column(self, name: str) -> list:
         """One column's values; a missing column reads as all-``None``
-        (mirroring the row interpreter's ``row.get`` semantics)."""
+        (``row.get`` semantics)."""
         if name in self.columns:
             return self.columns[name]
         return [None] * self._row_count
@@ -216,7 +215,7 @@ class RecordBatch:
 
         ``np.logical_or.reduceat`` over the record row offsets answers "did
         any flattened row of this record satisfy the mask", bit-identical to
-        the interpreter's per-record existence answer.
+        a per-record existence test over the rows.
         """
         mask = np.asarray(mask, dtype=bool)
         if self.record_row_counts is None:
@@ -320,7 +319,7 @@ class RecordBatch:
         return f"RecordBatch(rows={self._row_count}, fields={len(self.columns)})"
 
 
-def rows_from_batches(batches: Sequence[RecordBatch]) -> list[dict]:  # rowwise-fallback: the audited rows exit — parity-tested against the interpreter
+def rows_from_batches(batches: Sequence[RecordBatch]) -> list[dict]:  # rowwise-fallback: the audited rows exit — parity-tested against the reference oracle
     """Materialize a batch stream into the row dictionaries reports carry."""
     rows: list[dict] = []
     for batch in batches:

@@ -135,23 +135,6 @@ class CompiledAggregate:
         self._min: float | None = None
         self._max: float | None = None
 
-    def update(self, row: dict) -> None:
-        value = self._value_of(row)
-        if value is None:
-            return
-        self.update_value(value)
-
-    def update_value(self, value) -> None:
-        """Fold one non-``None`` value into the running state."""
-        self._count += 1
-        func = self.spec.func
-        if func in ("sum", "avg"):
-            self._sum += value
-        elif func == "min":
-            self._min = value if self._min is None else min(self._min, value)
-        elif func == "max":
-            self._max = value if self._max is None else max(self._max, value)
-
     def batch_values(self, batch: RecordBatch) -> list:
         """The aggregate's input values for every row of a batch.
 
@@ -173,9 +156,9 @@ class CompiledAggregate:
     def update_batch(self, batch: RecordBatch) -> None:
         """Fold a whole batch into the running state.
 
-        Accumulation walks the column in row order with the same skip-``None``
-        rule as :meth:`update`, so batched and interpreted execution produce
-        bitwise-identical floating-point results.
+        Accumulation walks the column in row order, skipping ``None``, so the
+        floating-point result is that of a plain left-to-right fold whatever
+        the batch boundaries.
         """
         values = self.batch_values(batch)
         func = self.spec.func

@@ -1,27 +1,20 @@
 """Physical execution of cache-aware logical plans.
 
-Two execution pipelines share this module:
+Plans execute over :class:`~repro.engine.batch.RecordBatch` chunks: batches
+flow from the scans up through select/project/join, predicates evaluate as
+NumPy masks, and record granularity is touched only where ReCache's semantics
+demand it (admission sampling, record-level dedup, lazy-offset re-reads).
+Row dictionaries are built once, at the query boundary, for the ``"rows"``
+result format.
 
-* the **batched vectorized pipeline** (default, ``config.vectorized_execution``)
-  moves :class:`~repro.engine.batch.RecordBatch` chunks from the scans up
-  through select/project/join, evaluating predicates as NumPy masks and
-  touching record granularity only where ReCache's semantics demand it
-  (admission sampling, record-level dedup);
-* the **row interpreter** walks the same plans one Python dict at a time — it
-  is the parity baseline the batch-pipeline bench and the parity test suite
-  compare against, and remains available via
-  ``config.vectorized_execution=False``.
-
-Both pipelines produce identical results, reports and cache behaviour.  The
-most involved piece is the materializer, which reproduces ReCache's reactive
-admission behaviour (Section 5.2): it caches the first records of a scan both
-eagerly and lazily while measuring the time spent on caching work, extrapolates
-the caching overhead to the end of the file, and downgrades to lazy
-(offsets-only) caching when the projected overhead exceeds the configured
-threshold.  The batched materializer samples those admission costs per batch
-instead of per record.  Cache scans measure the data/compute costs that feed
-the layout selector, and lazy caches are upgraded to eager ones on their first
-reuse.
+The most involved piece is the materializer, which reproduces ReCache's
+reactive admission behaviour (Section 5.2): it caches the first records of a
+scan both eagerly and lazily while measuring the time spent on caching work
+(sampled per batch), extrapolates the caching overhead to the end of the
+file, and downgrades to lazy (offsets-only) caching when the projected
+overhead exceeds the configured threshold.  Cache scans measure the
+data/compute costs that feed the layout selector, and lazy caches are upgraded
+to eager ones on their first reuse.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from repro.engine.algebra import (
     ScanNode,
     SelectNode,
 )
-from repro.engine.batch import RecordBatch, approx_record_bytes, rows_from_batches
+from repro.engine.batch import RecordBatch, rows_from_batches
 from repro.engine.calibration import split_scan_cost
 from repro.engine.compiler import (
     compile_aggregates,
@@ -59,12 +52,9 @@ from repro.engine.compiler import (
 )
 from repro.engine.operators import (
     aggregate_batches,
-    aggregate_rows,
     filter_batches,
-    hash_join,
     hash_join_batches,
     project_batches,
-    project_rows,
 )
 from repro.engine.procpool import ScanTask
 from repro.engine.types import ColumnarResult, flatten_record
@@ -167,7 +157,7 @@ class QueryReport:
 
 @dataclass
 class ExecutionContext:
-    """Everything the executor needs while interpreting one plan.
+    """Everything the executor needs while executing one plan.
 
     One context is created per query execution (the engine never shares a
     context between threads), so the report and timing fields need no locking;
@@ -200,95 +190,31 @@ def _check_deadline(ctx: ExecutionContext) -> None:
 
 
 def execute_plan(plan: PlanNode, ctx: ExecutionContext) -> list[dict]:
-    """Execute a logical plan, returning its output rows.
+    """Execute a logical plan over record batches, returning its output rows.
 
-    Dispatches between the batched vectorized pipeline and the row
-    interpreter according to ``ctx.config.vectorized_execution``.
+    Row dictionaries are materialized once, here at the query boundary.
     """
-    if ctx.config.vectorized_execution:
-        return _execute_plan_batched(plan, ctx)
-    return _execute_plan_rows(plan, ctx)
+    if isinstance(plan, AggregateNode):
+        batches = _execute_batches(plan.child, ctx)
+        aggregates = compile_aggregates(plan.aggregates)
+        return aggregate_batches(batches, aggregates, plan.group_by)
+    return rows_from_batches(_execute_batches(plan, ctx))  # rowwise-fallback: rows result format materializes Python rows once at the query boundary
 
 
 def execute_plan_columnar(plan: PlanNode, ctx: ExecutionContext) -> ColumnarResult:
     """Execute a logical plan, returning its output as a :class:`ColumnarResult`.
 
-    The ``result_format="columnar"`` exit: under the batched pipeline the
-    operator tree's :class:`RecordBatch` stream is handed to the caller as-is
-    — no per-row dictionary assembly happens at all.  Aggregate roots (a
-    handful of group rows) and the row interpreter wrap their row output
-    instead, so the knob is valid under either pipeline.  Execution, report
-    counters and cache accounting are byte-identical to the rows exit; only
-    the output representation differs, and ``ColumnarResult.to_rows()``
-    reproduces the rows exit bit for bit.
+    The ``result_format="columnar"`` exit: the operator tree's
+    :class:`RecordBatch` stream is handed to the caller as-is — no per-row
+    dictionary assembly happens at all.  Aggregate roots (a handful of group
+    rows) wrap their row output instead.  Execution, report counters and
+    cache accounting are byte-identical to the rows exit; only the output
+    representation differs, and ``ColumnarResult.to_rows()`` reproduces the
+    rows exit bit for bit.
     """
-    if not ctx.config.vectorized_execution:
-        return ColumnarResult.from_rows(_execute_plan_rows(plan, ctx))
     if isinstance(plan, AggregateNode):
-        return ColumnarResult.from_rows(_execute_plan_batched(plan, ctx))
+        return ColumnarResult.from_rows(execute_plan(plan, ctx))
     return ColumnarResult(_execute_batches(plan, ctx))
-
-
-# ===========================================================================
-# Row-at-a-time interpreter (parity baseline)
-# ===========================================================================
-def _execute_plan_rows(plan: PlanNode, ctx: ExecutionContext) -> list[dict]:
-    """Interpret a logical plan bottom-up, one row dictionary at a time."""
-    if isinstance(plan, AggregateNode):
-        rows = _execute_plan_rows(plan.child, ctx)
-        aggregates = compile_aggregates(plan.aggregates)
-        return aggregate_rows(rows, aggregates, plan.group_by)
-    if isinstance(plan, JoinNode):
-        left = _execute_plan_rows(plan.left, ctx)
-        right = _execute_plan_rows(plan.right, ctx)
-        started = time.perf_counter()
-        joined = hash_join(left, right, plan.left_key, plan.right_key)
-        ctx.report.operator_time += time.perf_counter() - started
-        return joined
-    if isinstance(plan, ProjectNode):
-        return project_rows(_execute_plan_rows(plan.child, ctx), plan.fields)
-    if isinstance(plan, CacheScanNode):
-        return _execute_cache_scan(plan, ctx)
-    if isinstance(plan, MaterializeNode):
-        return _execute_materialize(plan, ctx)
-    if isinstance(plan, SelectNode):
-        return _execute_select(plan, ctx)
-    if isinstance(plan, ScanNode):
-        return _scan_source_rows(ctx.catalog.get(plan.source), plan.fields)
-    raise TypeError(f"cannot execute plan node of type {type(plan).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Raw scans without caching
-# ---------------------------------------------------------------------------
-def _scan_source_rows(source: DataSource, fields: list[str]) -> list[dict]:
-    return list(source.scan(fields or None))
-
-
-def _execute_select(node: SelectNode, ctx: ExecutionContext) -> list[dict]:
-    """Select over a raw scan with no materializer (caching disabled)."""
-    if not isinstance(node.child, ScanNode):
-        rows = _execute_plan_rows(node.child, ctx)
-        predicate = compile_predicate(node.predicate)
-        return [row for row in rows if predicate(row)]
-    source = ctx.catalog.get(node.child.source)
-    fields = node.child.fields
-    predicate = compile_predicate(node.predicate)
-    dedupe = _record_level_semantics(source, fields)
-    started = time.perf_counter()
-    rows: list[dict] = []
-    for group_index, (_, record_rows, _) in enumerate(_iter_record_groups(source, fields)):
-        if (group_index & 0xFF) == 0:
-            _check_deadline(ctx)
-        satisfying = [row for row in record_rows if predicate(row)]
-        if not satisfying:
-            continue
-        if dedupe:
-            rows.append(satisfying[0])
-        else:
-            rows.extend(satisfying)
-    ctx.report.operator_time += time.perf_counter() - started
-    return rows
 
 
 def _record_level_semantics(source: DataSource, fields: list[str]) -> bool:
@@ -303,90 +229,6 @@ def _record_level_semantics(source: DataSource, fields: list[str]) -> bool:
     schema = source.schema
     known = set(schema.leaf_paths())
     return not any(schema.is_nested_path(path) for path in fields if path in known)
-
-
-# ---------------------------------------------------------------------------
-# Cache reuse
-# ---------------------------------------------------------------------------
-def _execute_cache_scan(node: CacheScanNode, ctx: ExecutionContext) -> list[dict]:
-    entry = node.entry
-    recache = ctx.recache
-    assert recache is not None
-    ctx.report.lookup_time += node.lookup_time
-    if node.exact:
-        ctx.report.exact_hits += 1
-    else:
-        ctx.report.subsumption_hits += 1
-
-    # Snapshot the entry's mutable state once: a concurrent lazy upgrade or
-    # layout switch writes the new layout before clearing the offsets, so a
-    # non-None offsets list is always usable and a None one implies the layout
-    # reference is already valid.  Scans then run entirely on local references,
-    # outside any cache lock.
-    offsets = entry.lazy_offsets
-    if offsets is not None:
-        try:
-            return _execute_lazy_cache_scan(node, ctx, offsets)
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            _quarantine_entry(node, ctx)
-            return _degraded_raw_rows(node, ctx)
-
-    layout = entry.layout
-    assert layout is not None
-    wanted = node.fields
-    schema = layout.schema
-    accessed_nested = any(
-        schema.is_nested_path(path) for path in wanted if path in set(schema.leaf_paths())
-    )
-    # Queries that touch no nested attribute follow record-level (nested
-    # algebra) semantics: parent attributes must not be double counted just
-    # because the cache stores the flattened view.
-    dedupe = bool(schema.nested_paths()) and not accessed_nested
-
-    started = time.perf_counter()
-    layout_name = layout.layout_name
-    try:
-        ranges = _vectorizable_ranges(node.residual_predicate, layout, wanted)
-        if ranges is not None:
-            # The cached data is binary and columnar: evaluate the residual range
-            # predicate vectorized and materialize only the matching rows.
-            if layout_name == "parquet":
-                rows = list(layout.scan_range_filtered(ranges, fields=wanted))
-                scanned_rows = layout.record_count
-            else:
-                rows = list(
-                    layout.scan_range_filtered(ranges, fields=wanted, dedupe_records=dedupe)
-                )
-                scanned_rows = layout.flattened_row_count
-        else:
-            predicate = compile_predicate(node.residual_predicate)
-            scanned_rows = 0
-            rows = []
-            scan_kwargs = {}
-            if dedupe and layout_name in ("columnar", "row"):
-                scan_kwargs["dedupe_records"] = True
-            for row in layout.scan(fields=wanted, **scan_kwargs):
-                scanned_rows += 1
-                if predicate(row):
-                    rows.append(row)
-            if layout_name in ("columnar", "row") and dedupe:
-                # The dedup scan still walks every flattened row internally.
-                scanned_rows = layout.flattened_row_count
-    except DeadlineExceeded:
-        raise
-    except Exception:
-        ctx.report.cache_scan_time += time.perf_counter() - started
-        _quarantine_entry(node, ctx)
-        return _degraded_raw_rows(node, ctx)
-    scan_time = time.perf_counter() - started
-    ctx.report.cache_scan_time += scan_time
-
-    _record_cache_scan_reuse(
-        node, ctx, layout_name, scan_time, scanned_rows, wanted, accessed_nested
-    )
-    return rows
 
 
 def _record_cache_scan_reuse(
@@ -434,30 +276,13 @@ def _quarantine_entry(node: CacheScanNode, ctx: ExecutionContext) -> None:
         ctx.report.quarantined_entries += 1
 
 
-def _degraded_raw_rows(node: CacheScanNode, ctx: ExecutionContext) -> list[dict]:  # rowwise-fallback: degraded re-scan after quarantine trades throughput for containment
+def _degraded_raw_batches(node: CacheScanNode, ctx: ExecutionContext) -> list[RecordBatch]:  # rowwise-fallback: degraded re-scan after quarantine trades throughput for containment
     """Serve a cache-scan node from the raw source after quarantining its entry.
 
     ``residual_predicate`` always carries the full table predicate (even on
     exact hits), so re-applying it over a fresh raw scan reproduces the cache
     scan's output bit for bit.
     """
-    ctx.report.degraded_scans += 1
-    source = ctx.catalog.get(node.entry.source)
-    predicate = compile_predicate(node.residual_predicate)
-    dedupe = _record_level_semantics(source, node.fields)
-    started = time.perf_counter()
-    rows: list[dict] = []
-    for _, record_rows, _ in _iter_record_groups(source, node.fields):
-        satisfying = [row for row in record_rows if predicate(row)]
-        if not satisfying:
-            continue
-        rows.extend(satisfying[:1] if dedupe else satisfying)
-    ctx.report.operator_time += time.perf_counter() - started
-    return rows
-
-
-def _degraded_raw_batches(node: CacheScanNode, ctx: ExecutionContext) -> list[RecordBatch]:  # rowwise-fallback: degraded re-scan after quarantine trades throughput for containment
-    """Batched counterpart of :func:`_degraded_raw_rows` (same semantics)."""
     ctx.report.degraded_scans += 1
     source = ctx.catalog.get(node.entry.source)
     batch_predicate = compile_batch_predicate(node.residual_predicate)
@@ -486,7 +311,7 @@ def _vectorizable_ranges(predicate, layout, wanted_fields) -> dict[str, tuple[fl
     """
     from repro.engine.expressions import Comparison, RangePredicate, conjuncts, extract_ranges
 
-    if not hasattr(layout, "scan_range_filtered"):
+    if not hasattr(layout, "range_filtered_batch"):
         return None
     parts = conjuncts(predicate)
     for part in parts:
@@ -529,7 +354,7 @@ def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry
     locks live — and degrades to the in-process fallback.
     """
     recache = ctx.recache
-    if recache is None or not ctx.config.vectorized_execution:
+    if recache is None:
         return None
     if ctx.deadline_at is not None:
         # Deadline checks fire inside scan loops; a shipped task cannot be
@@ -650,11 +475,15 @@ def _execute_lazy_cache_scan(
     cached_counts: list[int] = []
     for record_rows in source.read_record_rows(offsets, wanted):
         satisfying = [row for row in record_rows if predicate(row)]
-        if satisfying:
-            rows_out.append(satisfying[0]) if dedupe else rows_out.extend(satisfying)
+        if dedupe:
+            del satisfying[1:]
         if upgrade:
             cached_rows.extend(record_rows)
             cached_counts.append(len(record_rows))
+            # The complete tuples are for the cache; the query still sees only
+            # its own fields, as it does on every other path.
+            satisfying = [{name: row[name] for name in node.fields} for row in satisfying]  # rowwise-fallback: one-off upgrade pass over records re-read one at a time
+        rows_out.extend(satisfying)
     scan_time = time.perf_counter() - started
     ctx.report.cache_scan_time += scan_time
 
@@ -675,156 +504,6 @@ def _execute_lazy_cache_scan(
             ctx.report.lazy_upgrades += 1
 
     recache.record_reuse(entry, scan_time=scan_time, lookup_time=node.lookup_time)
-    return rows_out
-
-
-# ---------------------------------------------------------------------------
-# Materialization (cache miss path)
-# ---------------------------------------------------------------------------
-def _execute_materialize(node: MaterializeNode, ctx: ExecutionContext) -> list[dict]:
-    source = ctx.catalog.get(node.source)
-    recache = ctx.recache
-    config = ctx.config
-    predicate = compile_predicate(node.predicate)
-    nested = source.is_nested()
-    layout_name = config.default_nested_layout if nested else config.default_flat_layout
-    ctx.report.misses += 1
-
-    dedupe_output = _record_level_semantics(source, node.fields)
-
-    if recache is None or not config.caching_enabled:
-        started = time.perf_counter()
-        rows = []
-        for _, record_rows, _ in _iter_record_groups(source, node.fields):
-            satisfying = [row for row in record_rows if predicate(row)]
-            if not satisfying:
-                continue
-            rows.extend(satisfying[:1] if dedupe_output else satisfying)
-        ctx.report.operator_time += time.perf_counter() - started
-        return rows
-
-    # The operator itself parses only the fields the query needs; *caching*
-    # eagerly means additionally parsing/flattening the complete tuple of every
-    # satisfying record, and that extra work is measured as caching time
-    # (Section 5.1: ``c`` includes "the time spent parsing the cached fields of
-    # each record").  The cached entry therefore exposes every leaf field and
-    # can serve any later query over this source.
-    cache_fields = source.flattened_schema.field_names()
-
-    mode = _initial_admission_mode(ctx, source)
-    sampling = mode is None
-    sample_limit = config.admission_sample_records
-    to1 = time.perf_counter() - ctx.query_started
-    tc1 = ctx.report.caching_time
-
-    caching_seconds = 0.0
-    post_sample_timer = SampledTimer(sample_rate=config.timing_sample_rate)
-    rows_out: list[dict] = []
-    eager_rows: list[dict] = []
-    eager_records: list[dict] = []
-    eager_counts: list[int] = []
-    lazy_offsets: list[int] = []
-    record_index = -1
-    bytes_seen = 0
-
-    operator_started = time.perf_counter()
-    for record_index, (record, rows, approx_bytes) in enumerate(
-        _iter_record_groups(source, node.fields)
-    ):
-        # Admission only happens after the loop completes, so aborting on a
-        # deadline mid-scan leaves no cache state or budget reservation behind.
-        if (record_index & 0xFF) == 0:
-            _check_deadline(ctx)
-        bytes_seen += approx_bytes
-        satisfying = [row for row in rows if predicate(row)]
-        if satisfying:
-            rows_out.extend(satisfying[:1] if dedupe_output else satisfying)
-        if not satisfying and not sampling:
-            continue
-
-        exact_timing = sampling
-        if exact_timing:
-            cache_started = time.perf_counter()
-        else:
-            post_sample_timer.maybe_start()
-
-        if satisfying:
-            if mode == "lazy":
-                lazy_offsets.append(record_index)
-            else:
-                # Eager (or still sampling): parse the complete tuple(s) of the
-                # satisfying record into the cache buffers; the sampling phase
-                # also tracks offsets so a later lazy decision can keep them.
-                if sampling:
-                    lazy_offsets.append(record_index)
-                if nested and layout_name == "parquet":
-                    eager_records.append(record)
-                elif source.format == "json":
-                    # Already parsed by json.loads; flattening yields the
-                    # complete tuple(s) for the cache.
-                    full_rows = flatten_record(record, source.schema)
-                    eager_rows.extend(full_rows)
-                    if nested:
-                        eager_counts.append(len(full_rows))
-                else:
-                    eager_rows.append(source.plugin.parse_full(record))
-
-        if exact_timing:
-            caching_seconds += time.perf_counter() - cache_started
-        else:
-            post_sample_timer.maybe_stop()
-
-        if sampling and record_index + 1 >= sample_limit:
-            sampling = False
-            mode, sample_overhead = _decide_admission(
-                ctx,
-                source,
-                layout_name,
-                cache_fields,
-                nested,
-                eager_rows,
-                eager_records,
-                eager_counts,
-                caching_seconds,
-                to1,
-                tc1,
-                record_index + 1,
-                bytes_seen,
-            )
-            caching_seconds = sample_overhead
-            if mode == "lazy":
-                eager_rows, eager_records, eager_counts = [], [], []
-            else:
-                lazy_offsets = []
-
-    elapsed = time.perf_counter() - operator_started
-    caching_seconds += post_sample_timer.estimated_total
-
-    # If the file ended before the sample completed, fall back to eager: the
-    # whole (small) result is already buffered.
-    if mode is None:
-        mode = "eager"
-
-    # -- build and admit the cache -------------------------------------------
-    caching_seconds += _admit(
-        ctx,
-        node,
-        source,
-        mode,
-        layout_name,
-        cache_fields,
-        nested,
-        eager_rows,
-        eager_records,
-        eager_counts,
-        lazy_offsets,
-        elapsed,
-        caching_seconds,
-    )
-
-    operator_seconds = max(0.0, elapsed - caching_seconds)
-    ctx.report.operator_time += operator_seconds
-    ctx.report.caching_time += caching_seconds
     return rows_out
 
 
@@ -979,42 +658,9 @@ def _estimate_total_records(source: DataSource, sample_records: int, bytes_seen:
     return max(sample_records, int(file_size / max(1.0, per_record)))
 
 
-def _iter_record_groups(source: DataSource, fields: list[str]):
-    """Yield ``(record, flattened_rows, approx_bytes)`` per raw record.
-
-    The record granularity is what admission sampling and lazy offsets operate
-    on: one CSV line or one JSON object per record.  ``record`` carries what a
-    materializer needs to build the complete cached tuple later: the parsed
-    JSON object for nested sources, the raw text line for CSV sources.  The
-    ``flattened_rows`` are restricted to ``fields`` (what the query itself
-    needs for filtering and aggregation).
-    """
-    wanted = set(fields)
-    if source.format == "json":
-        for record in source.scan_records():
-            rows = [
-                {key: row.get(key) for key in wanted}
-                for row in flatten_record(record, source.schema)
-            ]
-            approx = approx_record_bytes(record)
-            yield record, rows, approx
-    else:
-        for line, row in source.plugin.scan_with_lines(fields or None):
-            yield line, [row], max(16, len(line))
-
-
 # ===========================================================================
-# Batched vectorized pipeline
+# Plan nodes over record batches
 # ===========================================================================
-def _execute_plan_batched(plan: PlanNode, ctx: ExecutionContext) -> list[dict]:
-    """Execute a plan over record batches, materializing rows only at the top."""
-    if isinstance(plan, AggregateNode):
-        batches = _execute_batches(plan.child, ctx)
-        aggregates = compile_aggregates(plan.aggregates)
-        return aggregate_batches(batches, aggregates, plan.group_by)
-    return rows_from_batches(_execute_batches(plan, ctx))  # rowwise-fallback: rows result format materializes Python rows once at the query boundary
-
-
 def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]:
     """Evaluate a plan subtree, returning its output as record batches."""
     if isinstance(plan, JoinNode):
@@ -1038,7 +684,7 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
     if isinstance(plan, AggregateNode):
         # An aggregate below the plan root (not produced by the optimizer, but
         # legal plan algebra): materialize its rows into a single batch.
-        rows = _execute_plan_batched(plan, ctx)
+        rows = execute_plan(plan, ctx)
         return [RecordBatch.from_rows(rows)] if rows else []
     raise TypeError(f"cannot execute plan node of type {type(plan).__name__}")
 
@@ -1071,14 +717,16 @@ def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> l
     else:
         ctx.report.subsumption_hits += 1
 
-    # Same snapshot discipline as the interpreted path (see
-    # :func:`_execute_cache_scan`): offsets/layout are read once and the scan
-    # runs on local references outside any cache lock.
+    # Snapshot the entry's mutable state once: a concurrent lazy upgrade or
+    # layout switch writes the new layout before clearing the offsets, so a
+    # non-None offsets list is always usable and a None one implies the layout
+    # reference is already valid.  Scans then run entirely on local references,
+    # outside any cache lock.
     offsets = entry.lazy_offsets
     if offsets is not None:
         # Lazy reuse re-reads the raw file through the positional map; its cost
-        # is dominated by I/O and (on first reuse) the eager upgrade, so the
-        # row implementation is shared and its output wrapped into one batch.
+        # is dominated by I/O and (on first reuse) the eager upgrade, so it
+        # works per record and its output is wrapped into one batch.
         try:
             rows = _execute_lazy_cache_scan(node, ctx, offsets)
         except DeadlineExceeded:
@@ -1130,24 +778,17 @@ def _scan_layout_batches(
     batches: list[RecordBatch] = []
     ranges = _vectorizable_ranges(node.residual_predicate, layout, wanted)
     if ranges is not None:
-        if hasattr(layout, "range_filtered_batch"):
-            # Columnar/parquet fast path: one vectorized mask over the cached
-            # column arrays, matching rows gathered straight into batch
-            # columns.  Parquet's mask runs on the short per-record parent
-            # stripes, so its scan cardinality is records, not flattened rows
-            # (matching the interpreted path's accounting).
-            batch = layout.range_filtered_batch(ranges, fields=wanted, dedupe_records=dedupe)
-            if batch.row_count:
-                batches.append(batch)
-            if layout_name == "parquet":
-                scanned_rows = layout.record_count
-            else:
-                scanned_rows = layout.flattened_row_count
-        else:
-            rows = list(layout.scan_range_filtered(ranges, fields=wanted))
-            if rows:
-                batches.append(RecordBatch.from_rows(rows, wanted))
+        # Columnar/parquet fast path: one vectorized mask over the cached
+        # column arrays, matching rows gathered straight into batch columns.
+        # Parquet's mask runs on the short per-record parent stripes, so its
+        # scan cardinality is records, not flattened rows.
+        batch = layout.range_filtered_batch(ranges, fields=wanted, dedupe_records=dedupe)
+        if batch.row_count:
+            batches.append(batch)
+        if layout_name == "parquet":
             scanned_rows = layout.record_count
+        else:
+            scanned_rows = layout.flattened_row_count
     else:
         batch_predicate = compile_batch_predicate(node.residual_predicate)
         scan_kwargs = {}
@@ -1179,13 +820,19 @@ def _scan_layout_batches(
 
 
 def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -> list[RecordBatch]:
-    """The materializer over record batches.
+    """The materializer (cache-miss path) over record batches.
 
-    Control flow mirrors :func:`_execute_materialize` record for record; the
-    differences are that predicate evaluation is one mask per batch, output
-    rows move as column slices, and caching work is timed per *batch* — exact
-    timestamps around each batch's caching block while sampling, one
-    :class:`SampledTimer` start/stop pair per batch afterwards.
+    Predicate evaluation is one mask per batch, output rows move as column
+    slices, and caching work is timed per *batch* — exact timestamps around
+    each batch's caching block while sampling, one :class:`SampledTimer`
+    start/stop pair per batch afterwards.
+
+    The operator itself parses only the fields the query needs; *caching*
+    eagerly means additionally parsing/flattening the complete tuple of every
+    satisfying record, and that extra work is measured as caching time
+    (Section 5.1: ``c`` includes "the time spent parsing the cached fields of
+    each record").  The cached entry therefore exposes every leaf field and
+    can serve any later query over this source.
     """
     source = ctx.catalog.get(node.source)
     recache = ctx.recache
@@ -1219,7 +866,7 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
     caching_seconds = 0.0
     # One timing decision covers a whole batch, so the per-batch sampling rate
     # is scaled by the batch size: the expected number of *records* whose
-    # caching work gets timed matches the interpreted path, while the clock
+    # caching work gets timed follows ``timing_sample_rate``, while the clock
     # overhead per record shrinks by ~batch_size (at the default 1024-record
     # batches and 1% record rate every batch is timed — two clock calls per
     # thousand records, far below the paper's monitoring-overhead concern).
@@ -1239,8 +886,7 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
         # deadline mid-scan leaves no cache state or budget reservation behind.
         _check_deadline(ctx)
         # A batch that straddles the end of the admission sample is split so
-        # the decision happens after exactly ``sample_limit`` records, as in
-        # the record-at-a-time path.
+        # the decision happens after exactly ``sample_limit`` records.
         if sampling and 0 < sample_limit - records_seen < scanned.record_count:
             boundary = sample_limit - records_seen
             parts = [

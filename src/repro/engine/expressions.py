@@ -416,15 +416,14 @@ def predicate_subsumes(cached: Expression | None, new: Expression | None) -> boo
         return True
     if new is None:
         return False
-    cached_ranges = extract_ranges(cached)
-    new_ranges = extract_ranges(new)
-    # Conjuncts we cannot analyse make subsumption unsafe on the cached side.
-    analysable = all(
-        isinstance(c, (RangePredicate, Comparison)) for c in conjuncts(cached)
-    )
-    if not analysable:
+    # Conjuncts we cannot analyse make subsumption unsafe on the cached side:
+    # every one of them must reduce to an interval on its own (a comparison
+    # over arithmetic, two fields, a string or ``!=`` does not), otherwise the
+    # cached result is filtered by a constraint the check below never sees.
+    if not all(extract_ranges(conjunct) for conjunct in conjuncts(cached)):
         return False
-    for field, cached_interval in cached_ranges.items():
+    new_ranges = extract_ranges(new)
+    for field, cached_interval in extract_ranges(cached).items():
         new_interval = new_ranges.get(field)
         if new_interval is None:
             return False

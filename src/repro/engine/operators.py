@@ -1,12 +1,10 @@
 """Physical operator building blocks: filtering, hash join, aggregation.
 
-Two families live here.  The row functions (``filter_rows``/``project_rows``/
-``hash_join``/``aggregate_rows``) are the original tuple-at-a-time operators
-the interpreted executor composes.  The batch functions are their vectorized
-counterparts over :class:`~repro.engine.batch.RecordBatch` chunks: predicates
-arrive as compiled NumPy mask evaluators, projections and joins move whole
-columns, and aggregation folds columns in row order so results stay
-bitwise-identical to the interpreted path.
+The operators work on :class:`~repro.engine.batch.RecordBatch` chunks:
+predicates arrive as compiled NumPy mask evaluators, projections and joins
+move whole columns, and aggregation folds each column in row order so results
+are bitwise those of a plain left-to-right fold over the rows (the rule the
+reference oracle in ``tests/oracle.py`` spells out).
 """
 
 from __future__ import annotations
@@ -17,19 +15,6 @@ import numpy as np
 
 from repro.engine.batch import RecordBatch, concat_batches, object_validity_mask
 from repro.engine.compiler import CompiledAggregate
-
-
-def filter_rows(rows: Iterable[dict], predicate: Callable[[dict], bool] | None) -> list[dict]:
-    """Apply a compiled predicate to a row stream."""
-    if predicate is None:
-        return list(rows)
-    return [row for row in rows if predicate(row)]
-
-
-def project_rows(rows: Iterable[dict], fields: Sequence[str]) -> list[dict]:
-    """Restrict rows to the given fields (missing fields become ``None``)."""
-    wanted = list(fields)
-    return [{name: row.get(name) for name in wanted} for row in rows]
 
 
 def _check_join_columns(
@@ -44,9 +29,8 @@ def _check_join_columns(
     name with well-defined semantics is a join key spelled identically on
     both sides (its values agree on every matched row).  Any other overlap
     used to be silently resolved "probe side wins" — wrong data with no
-    warning — and now raises instead.  Both join paths apply the check only
-    when both sides are non-empty: an empty side yields an empty (trivially
-    correct) output, and the row path has no schema to inspect there.
+    warning — and now raises instead.  The check applies only when both sides
+    are non-empty: an empty side yields an empty (trivially correct) output.
     """
     allowed = {left_key} if left_key == right_key else set()
     overlap = sorted((set(left_fields) & set(right_fields)) - allowed)
@@ -57,86 +41,6 @@ def _check_join_columns(
         )
 
 
-def hash_join(
-    left_rows: Sequence[dict],
-    right_rows: Sequence[dict],
-    left_key: str,
-    right_key: str,
-) -> list[dict]:
-    """Equi-join two row lists with a classic build/probe hash join.
-
-    The smaller side is used as the build side.  Output rows merge both input
-    rows (build-side fields first); the only permitted shared column name is
-    a join key spelled identically on both sides — any other overlap raises
-    ``ValueError`` (checked against the first row of each side; the engine's
-    scans produce uniform field sets per side).
-    """
-    if left_rows and right_rows:
-        _check_join_columns(left_rows[0], right_rows[0], left_key, right_key)
-    if len(left_rows) <= len(right_rows):
-        build_rows, build_key = left_rows, left_key
-        probe_rows, probe_key = right_rows, right_key
-    else:
-        build_rows, build_key = right_rows, right_key
-        probe_rows, probe_key = left_rows, left_key
-
-    table: dict[object, list[dict]] = {}
-    for row in build_rows:
-        key = row.get(build_key)
-        if key is None:
-            continue
-        table.setdefault(key, []).append(row)
-
-    output: list[dict] = []
-    for row in probe_rows:
-        key = row.get(probe_key)
-        if key is None:
-            continue
-        matches = table.get(key)
-        if not matches:
-            continue
-        for match in matches:
-            merged = dict(match)
-            merged.update(row)
-            output.append(merged)
-    return output
-
-
-def aggregate_rows(
-    rows: Iterable[dict],
-    aggregates: Sequence[CompiledAggregate],
-    group_by: Sequence[str] = (),
-) -> list[dict]:
-    """Compute aggregates, optionally grouped by a list of columns."""
-    if not group_by:
-        for row in rows:
-            for aggregate in aggregates:
-                aggregate.update(row)
-        return [{agg.spec.output_name: agg.result() for agg in aggregates}]
-
-    groups: dict[tuple, list[CompiledAggregate]] = {}
-    keys = list(group_by)
-    for row in rows:
-        group_key = tuple(row.get(key) for key in keys)
-        state = groups.get(group_key)
-        if state is None:
-            state = [CompiledAggregate(agg.spec) for agg in aggregates]
-            groups[group_key] = state
-        for aggregate in state:
-            aggregate.update(row)
-
-    results = []
-    for group_key, state in groups.items():
-        row = dict(zip(keys, group_key))
-        for aggregate in state:
-            row[aggregate.spec.output_name] = aggregate.result()
-        results.append(row)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Batch operators
-# ---------------------------------------------------------------------------
 def filter_batches(
     batches,
     batch_predicate: Callable[[RecordBatch], np.ndarray],
@@ -176,10 +80,11 @@ def hash_join_batches(
 ) -> list[RecordBatch]:
     """Columnar equi-join over two batch streams with a factorized probe.
 
-    Semantics (build-side choice, null keys dropped, output ordered by probe
-    position with matches in build order, shared join-key names carrying
-    probe values, overlapping non-key columns rejected) match
-    :func:`hash_join` bit for bit.  Mechanically the join is factorized: the
+    Semantics: the smaller side (left on ties) is the build side, null keys
+    are dropped, output is ordered by probe position with matches in build
+    order, merged rows carry build-side fields first with a shared join-key
+    name carrying the probe value, and overlapping non-key columns are
+    rejected.  Mechanically the join is factorized: the
     build keys are grouped once into dense codes with contiguous row-index
     slices, the probe resolves whole key columns to those codes — via NumPy
     ``searchsorted`` over the float64 views when both key columns are
@@ -204,8 +109,8 @@ def hash_join_batches(
         return []
     probe_list = probe_indexes.tolist()  # rowwise-fallback: join output gathers object columns through Python; numeric columns regather from the float64 views
     build_list = build_indexes.tolist()  # rowwise-fallback: join output gathers object columns through Python (see above)
-    # Merged field order mirrors dict(match); merged.update(row): build fields
-    # first, probe-only fields appended, shared names carrying probe values.
+    # Merged field order: build fields first, probe-only fields appended,
+    # shared names carrying probe values.
     build_fields = build.field_names()
     probe_fields = set(probe.field_names())
     columns: dict[str, list] = {}
@@ -243,8 +148,8 @@ def _factorized_probe(
     """Matched ``(probe_rows, build_rows)`` index arrays in probe order.
 
     Every probe row that finds its key in the build side contributes one
-    output slot per matching build row, matches ordered by build position —
-    exactly :func:`hash_join`'s ``table[key]`` list semantics.
+    output slot per matching build row, matches ordered by build position
+    (the semantics of a ``key -> [build rows]`` hash table).
     """
     if build.row_count == 0 or probe.row_count == 0:
         return _NO_MATCHES
@@ -258,8 +163,8 @@ def _key_view(batch: RecordBatch, key: str) -> np.ndarray | None:
     """A float64 key view usable for vectorized matching, else ``None``.
 
     Usable means: the column is purely numeric, every NaN slot is a genuine
-    ``None`` (a real ``float('nan')`` data value carries the interpreter's
-    dict-identity semantics, which float equality cannot reproduce), and no
+    ``None`` (a real ``float('nan')`` data value carries dict-identity
+    semantics, which float equality cannot reproduce), and no
     magnitude reaches 2**53, beyond which float64 would merge distinct
     integer keys — the same guards :func:`_factorize_keys` applies for
     group-by.
@@ -288,8 +193,8 @@ def _vectorized_key_probe(
 
     Float64 equality merges ``1``/``1.0``/``True`` exactly like dict hashing
     does, so matching ``searchsorted`` positions on the sorted unique build
-    keys reproduces the interpreter's lookups; a stable argsort keeps each
-    key group's build rows in build order.
+    keys reproduces hash-table lookups; a stable argsort keeps each key
+    group's build rows in build order.
     """
     build_view = _key_view(build, build_key)
     probe_view = _key_view(probe, probe_key)
@@ -319,7 +224,7 @@ def _vectorized_key_probe(
 
 
 def _dict_key_probe(build_keys: list, probe_keys: list) -> tuple[np.ndarray, np.ndarray]:
-    """One dict pass per side — the interpreter's own key semantics (object
+    """One dict pass per side — plain hash-table key semantics (object
     hashing, identity-sensitive NaN) — with the match expansion still done
     as arrays instead of per-row list appends."""
     codes_by_key: dict = {}
@@ -368,7 +273,7 @@ def _expand_matches(
     ``grouped_build_rows`` holds the build rows grouped by key (each group a
     contiguous ``starts``/``counts`` slice in build order); the expansion
     repeats each probe row by its group size and enumerates the group slice
-    with one ``arange`` — the vectorized equivalent of the interpreter's
+    with one ``arange`` — the vectorized equivalent of a
     "for match in matches: append" inner loop.
     """
     total = int(match_counts.sum())
@@ -392,11 +297,10 @@ def aggregate_batches(
     dense group codes (vectorized through float64 views where the keys are
     null-free numerics, a single dict pass otherwise), rows are gathered per
     group with one stable argsort, and each aggregate reduces contiguous
-    per-group slices.  Group rows appear in first-occurrence order (matching
-    the interpreted path's dict-insertion order) and every reduction folds
-    its values left-to-right in row order, so results — including
-    floating-point sums and value types of min/max — are identical to
-    :func:`aggregate_rows`.
+    per-group slices.  Group rows appear in first-occurrence order and every
+    reduction folds its values left-to-right in row order, so results —
+    including floating-point sums and value types of min/max — are those of
+    a plain per-row fold.
     """
     if not group_by:
         for batch in batches:
@@ -423,12 +327,10 @@ def _factorize_keys(batch: RecordBatch, keys: Sequence[str]) -> tuple[np.ndarray
     """Dense group codes plus the group key tuples in first-occurrence order.
 
     Null-free numeric key columns factorize fully vectorized via their float64
-    views (float equality merges ``1``/``1.0``/``True`` exactly like the
-    interpreter's dict hashing does, and the representative key value is the
-    first-occurrence original, type preserved).  Any other key column — or a
-    packed multi-key code too wide for int64 — falls back to one dict pass
-    over the rows, which is the interpreter's own grouping rule applied once
-    per row instead of once per row *per aggregate*.
+    views (float equality merges ``1``/``1.0``/``True`` exactly like dict
+    hashing does, and the representative key value is the first-occurrence
+    original, type preserved).  Any other key column — or a packed multi-key
+    code too wide for int64 — falls back to one dict pass over the rows.
     """
     columns = [batch.column(key) for key in keys]
     arrays: list[np.ndarray] | None = []
@@ -492,11 +394,10 @@ def _first_occurrence_codes(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grouped_reduce(func: str, values: list, codes: np.ndarray, n_groups: int) -> list:
     """Reduce one aggregate's per-row values into one output value per group.
 
-    Null rows are dropped by the interpreter's exact rule (``value is not
-    None``); the surviving rows are gathered per group with a stable argsort
-    so each group's slice preserves row order, then reduced with the
-    C-implemented builtins — ``sum`` seeded with ``0.0`` reproduces the
-    interpreter's left-to-right float accumulation bit for bit, and
+    Null rows are dropped by the rule ``value is not None``; the surviving
+    rows are gathered per group with a stable argsort so each group's slice
+    preserves row order, then reduced with the C-implemented builtins —
+    ``sum`` seeded with ``0.0`` is a left-to-right float accumulation, and
     ``min``/``max`` keep the original value objects (and their types) rather
     than float64 coercions.  Non-numeric values take the same path: the
     builtins are the per-value fallback, applied per group instead of per row.
@@ -508,7 +409,7 @@ def _grouped_reduce(func: str, values: list, codes: np.ndarray, n_groups: int) -
     vrows = np.nonzero(valid)[0]
     order = np.argsort(vcodes, kind="stable")
     boundaries = np.searchsorted(vcodes[order], np.arange(n_groups + 1))
-    gathered = [values[i] for i in vrows[order].tolist()]  # rowwise-fallback: object aggregation gathers the surviving values to reproduce interpreter semantics exactly
+    gathered = [values[i] for i in vrows[order].tolist()]  # rowwise-fallback: object aggregation gathers the surviving values so builtins fold them in row order
     starts = boundaries[:-1].tolist()  # rowwise-fallback: group boundaries — group-count work, not row-count
     ends = boundaries[1:].tolist()  # rowwise-fallback: group boundaries — group-count work, not row-count
     if func == "sum":

@@ -52,6 +52,9 @@ def required_fields(query: Query, catalog: DataSourceCatalog, source: str) -> li
     Includes the source's predicate fields, its join keys, and whichever
     aggregate / group-by fields belong to the source's schema.  The result is
     what the materializer caches and what a cache must provide to be reusable.
+    A query that names no field of the source at all (a bare scan) reads every
+    leaf — an empty list used to reach the scans, which answered with all
+    fields (cold CSV) or with empty rows (JSON, any cache hit).
     """
     table = query.table(source)
     schema_paths = set(catalog.get(source).flattened_schema.field_names())
@@ -72,7 +75,7 @@ def required_fields(query: Query, catalog: DataSourceCatalog, source: str) -> li
     unknown = fields - schema_paths
     if unknown:
         raise KeyError(f"query references unknown fields of {source!r}: {sorted(unknown)}")
-    return sorted(fields)
+    return sorted(fields or schema_paths)
 
 
 def build_plan(

@@ -311,17 +311,15 @@ class EngineServer:
         self,
         query: Query,
         *,
-        vectorized: bool | None = None,
         result_format: str | None = None,
     ) -> "Future[QueryReport]":
         """Queue one query for execution; returns a future for its report.
 
-        ``vectorized`` optionally overrides the engine's execution pipeline
-        (batched vs interpreted) and ``result_format`` the output
-        representation (``"rows"`` / ``"columnar"``) for this request only.
+        ``result_format`` optionally overrides the output representation
+        (``"rows"`` / ``"columnar"``) for this request only.
         Blocks while the pending queue is at ``max_pending``.
         """
-        return self.submit_batch([query], vectorized=vectorized, result_format=result_format)[0]
+        return self.submit_batch([query], result_format=result_format)[0]
 
     def _resolve_format(self, query: Query, override: str | None) -> str:
         """One submission's effective output format (explicit > query > config)."""
@@ -333,7 +331,6 @@ class EngineServer:
         self,
         queries: Sequence[Query],
         *,
-        vectorized: bool | None = None,
         result_format: "str | Sequence[str | None] | None" = None,
     ) -> "list[Future[QueryReport]]":
         """Queue a batch of queries; returns one future per query, in order.
@@ -396,7 +393,7 @@ class EngineServer:
                     # Submitted under the lifecycle lock: a concurrent shutdown
                     # cannot close the pool between the ``_closed`` check above
                     # and this enqueue.
-                    self._pool.submit(self._serve_group, groups[submitted], vectorized)
+                    self._pool.submit(self._serve_group, groups[submitted])
                     submitted += 1
             except BaseException as exc:
                 # Roll back whatever never reached the pool: resolve its
@@ -440,7 +437,6 @@ class EngineServer:
         self,
         queries: Sequence[Query],
         *,
-        vectorized: bool | None = None,
         result_format: "str | Sequence[str | None] | None" = None,
         timeout: float | None = None,
     ) -> list[QueryReport]:
@@ -450,10 +446,10 @@ class EngineServer:
         containment guarantees every future resolves, so a timeout firing
         indicates a stuck worker, not normal backpressure.
         """
-        futures = self.submit_batch(queries, vectorized=vectorized, result_format=result_format)
+        futures = self.submit_batch(queries, result_format=result_format)
         return [future.result(timeout) for future in futures]
 
-    def _serve_group(self, group: Sequence[_Execution], vectorized: bool | None) -> None:
+    def _serve_group(self, group: Sequence[_Execution]) -> None:
         """Worker entry point: run one cache-affine group through the session.
 
         :meth:`QueryEngine.execute_group` executes the queries back to back on
@@ -514,7 +510,6 @@ class EngineServer:
                 injector()  # raises WorkerCrashed: contained by the catch-all
             self.engine.execute_group(
                 [execution.query for execution in live],
-                vectorized=vectorized,
                 # The primary submission's format drives the execution; coalesced
                 # duplicates get their own converted copies when they resolve.
                 result_formats=[execution.submissions[0].result_format for execution in live],

@@ -108,19 +108,16 @@ class QueryEngine:
         self,
         query: Query,
         *,
-        vectorized: bool | None = None,
         result_format: str | None = None,
         execution_mode: str | None = None,
     ) -> QueryReport:
         """Execute a query and return its results plus execution report.
 
-        ``vectorized`` overrides ``config.vectorized_execution`` for this one
-        query (the parity tests and the batch-pipeline bench compare the two
-        pipelines over the same engine this way).  ``result_format`` likewise
-        overrides the output representation for this one query: ``"rows"``
-        (the default list of row dictionaries) or ``"columnar"`` (a
-        :class:`~repro.engine.types.ColumnarResult` carrying the batched
-        pipeline's record batches with no per-row dict assembly at the exit).
+        ``result_format`` overrides the output representation for this one
+        query: ``"rows"`` (the default list of row dictionaries) or
+        ``"columnar"`` (a :class:`~repro.engine.types.ColumnarResult` carrying
+        the pipeline's record batches with no per-row dict assembly at the
+        exit).
         Resolution order: explicit argument, then ``query.result_format``,
         then ``config.result_format``.  Execution, report counters and cache
         behaviour are identical in both formats.
@@ -135,8 +132,6 @@ class QueryEngine:
         planned as plain raw scans until its cooldown elapses.
         """
         config = self.config
-        if vectorized is not None and vectorized != config.vectorized_execution:
-            config = config.with_overrides(vectorized_execution=vectorized)
         if result_format is None:
             result_format = query.result_format or config.result_format
         validate_result_format(result_format)
@@ -247,7 +242,6 @@ class QueryEngine:
         self,
         queries: Sequence[Query],
         *,
-        vectorized: bool | None = None,
         result_formats: "Sequence[str | None] | str | None" = None,
         on_report: Callable[[Query, QueryReport], None] | None = None,
         on_error: Callable[[Query, Exception], None] | None = None,
@@ -281,9 +275,7 @@ class QueryEngine:
         reports: list[QueryReport | None] = []
         for query, result_format in zip(queries, formats):
             try:
-                report = self.execute(
-                    query, vectorized=vectorized, result_format=result_format
-                )
+                report = self.execute(query, result_format=result_format)
             except Exception as exc:
                 if on_error is None:
                     raise

@@ -299,11 +299,11 @@ class ColumnarResult:
 
     @classmethod
     def from_rows(cls, rows: Sequence[dict]) -> "ColumnarResult":
-        """Wrap row dictionaries (aggregate outputs, the row interpreter).
+        """Wrap row dictionaries (aggregate outputs).
 
         The wrap is the inverse of :meth:`to_rows`: round-tripping reproduces
-        the input rows exactly (aggregate outputs and interpreter rows are
-        uniform in their field sets, so no ``None`` padding is introduced).
+        the input rows exactly (aggregate outputs are uniform in their field
+        sets, so no ``None`` padding is introduced).
         """
         if not rows:
             return cls([])

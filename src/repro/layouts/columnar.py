@@ -8,7 +8,7 @@ inflates the number of rows, so queries touching only parent-level attributes
 must still iterate over all ``R`` flattened rows.
 
 Because the cached data is already parsed and binary, range predicates over
-numeric columns can be evaluated vectorized (:meth:`ColumnarLayout.scan_range_filtered`),
+numeric columns can be evaluated vectorized (:meth:`ColumnarLayout.range_filtered_batch`),
 which is what makes reusing a cache substantially cheaper than re-parsing the
 raw file — the effect the paper's Figure 13 relies on.
 """
@@ -237,35 +237,13 @@ class ColumnarLayout(CacheLayout):
             field in self._columns and self.numeric_array(field) is not None for field in fields
         )
 
-    def scan_range_filtered(
-        self,
-        ranges: Mapping[str, tuple[float, float]],
-        fields: Sequence[str] | None = None,
-        dedupe_records: bool = False,
-    ) -> Iterator[dict]:
-        """Yield rows satisfying a conjunction of closed numeric ranges.
-
-        The filter is evaluated vectorized over the numeric column views; row
-        dictionaries are materialized only for the matching positions.
-        ``dedupe_records`` keeps only the first flattened row of each original
-        record (see :meth:`scan`).
-        """
-        wanted = list(fields) if fields is not None else list(self.fields)
-        missing = [f for f in wanted if f not in self._columns]
-        if missing:
-            raise KeyError(f"columns not cached: {missing}")
-        mask = self._range_mask(ranges, dedupe_records)
-        selected = [self._columns[f] for f in wanted]
-        for index in np.nonzero(mask)[0]:
-            yield {name: column[index] for name, column in zip(wanted, selected)}  # rowwise-fallback: row-format exit of the range scan; the batched executor uses range_filtered_batch
-
     def _range_mask(
         self, ranges: Mapping[str, tuple[float, float]], dedupe_records: bool
     ) -> np.ndarray:
         """The boolean row mask for a conjunction of closed numeric ranges.
 
-        Shared by the row-yielding and batch-yielding filtered scans so the
-        two executor fast paths can never drift apart semantically.
+        ``dedupe_records`` keeps only the first flattened row of each original
+        record (see :meth:`scan`).
         """
         injector = faults.injector_for("scan.layout", self.layout_name)
         if injector is not None:
@@ -290,10 +268,9 @@ class ColumnarLayout(CacheLayout):
     ) -> RecordBatch:
         """One :class:`RecordBatch` of the rows satisfying closed numeric ranges.
 
-        Same filter semantics as :meth:`scan_range_filtered`, but the matching
-        rows are gathered into batch columns (and sliced numeric views) instead
-        of per-row dictionaries — the cache-hit fast path of the batched
-        executor.
+        The filter is evaluated vectorized over the numeric column views and
+        the matching rows are gathered into batch columns (and sliced numeric
+        views) — the cache-hit fast path of the executor.
         """
         wanted = list(fields) if fields is not None else list(self.fields)
         missing = [f for f in wanted if f not in self._columns]

@@ -329,7 +329,7 @@ class ParquetLayout(CacheLayout):
         Nested numeric columns qualify when they form a single aligned
         repetition group (:meth:`_single_group_plan`): the range mask then
         evaluates at entry granularity — one entry per flattened row — which
-        is exactly the row set the interpreter's assembled scan filters.
+        is exactly the row set a filter over the assembled rows keeps.
         """
         nested = [
             f
@@ -349,43 +349,13 @@ class ParquetLayout(CacheLayout):
             and all(self._columns[f].numeric_entries() is not None for f in nested)
         )
 
-    def scan_range_filtered(
-        self,
-        ranges: Mapping[str, tuple[float, float]],
-        fields: Sequence[str] | None = None,
-    ) -> Iterator[dict]:
-        """Vectorized range filter over striped columns.
-
-        Callers check :meth:`supports_range_filter` first.  Flat-only plans
-        mask the short parent-level columns directly; plans touching nested
-        leaves evaluate the range mask at entry granularity over the raw
-        striped arrays and gather the matching flattened rows
-        (:meth:`_nested_range_selection`).
-        """
-        wanted = list(fields) if fields is not None else list(self.fields)
-        involved = sorted(set(wanted) | set(ranges))
-        if any(
-            f in self._columns and self._columns[f].is_nested for f in involved
-        ):
-            plan, index_array = self._nested_range_selection(ranges, involved)
-            gathered = [self._entry_gather(name, plan, index_array) for name in wanted]
-            for i in range(len(index_array)):
-                yield {name: array[i] for name, array in zip(wanted, gathered)}  # rowwise-fallback: row-format exit of the range scan; the batched executor uses range_filtered_batch
-            return
-        mask = self._range_mask(ranges, wanted)
-        projected = [self._columns[name].flat_values(self._record_count) for name in wanted]
-        for index in np.nonzero(mask)[0]:
-            yield {name: values[index] for name, values in zip(wanted, projected)}  # rowwise-fallback: row-format exit of the range scan; the batched executor uses range_filtered_batch
-
     def _range_mask(
         self, ranges: Mapping[str, tuple[float, float]], wanted: Sequence[str]
     ) -> np.ndarray:
         """The per-record boolean mask for a conjunction of closed ranges.
 
-        Shared by the row-yielding and batch-yielding filtered scans so the
-        two executor fast paths can never drift apart semantically.  Raises
-        for nested or non-numeric columns among the filtered *or* projected
-        fields (callers check :meth:`supports_range_filter` first).
+        Raises for nested or non-numeric columns among the filtered *or*
+        projected fields (callers check :meth:`supports_range_filter` first).
         """
         injector = faults.injector_for("scan.layout", self.layout_name)
         if injector is not None:
@@ -409,10 +379,8 @@ class ParquetLayout(CacheLayout):
         The mask is evaluated directly over the striped entry arrays — one
         entry per flattened row by the single-group invariant — with ``None``
         entries (missing values, empty collections) failing every range
-        exactly like the interpreter's null guard.  Shared by the
-        row-yielding and batch-yielding exits so the two executor fast paths
-        can never drift apart semantically.  Returns the entry plan and the
-        sorted indexes of matching entries.
+        exactly like the expression language's null rule.  Returns the entry
+        plan and the sorted indexes of matching entries.
         """
         injector = faults.injector_for("scan.layout", self.layout_name)
         if injector is not None:
@@ -458,7 +426,7 @@ class ParquetLayout(CacheLayout):
     ) -> RecordBatch:
         """One :class:`RecordBatch` of the records satisfying closed numeric ranges.
 
-        The NumPy mask is evaluated on the striped per-record float64 views
+        Callers check :meth:`supports_range_filter` first.  The NumPy mask is evaluated on the striped per-record float64 views
         *before* any materialization, then only the matching records' values
         are gathered straight out of the stripes into batch columns (with the
         matching slices of the float64 views pre-seeded).  Parent-level

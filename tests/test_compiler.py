@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+from repro.engine.batch import RecordBatch
 from repro.engine.compiler import (
     CompiledAggregate,
     compile_aggregates,
@@ -65,9 +66,9 @@ class TestCompiledAggregates:
         rows = [{"x": 1.0}, {"x": 3.0}, {"x": None}, {"x": 2.0}]
         specs = [AggregateSpec(func, FieldRef("x")) for func in ("sum", "avg", "min", "max", "count")]
         aggregates = compile_aggregates(specs)
-        for row in rows:
+        for batch in (RecordBatch.from_rows(rows[:1]), RecordBatch.from_rows(rows[1:])):
             for aggregate in aggregates:
-                aggregate.update(row)
+                aggregate.update_batch(batch)
         results = {agg.spec.func: agg.result() for agg in aggregates}
         assert results == {"sum": 6.0, "avg": 2.0, "min": 1.0, "max": 3.0, "count": 3}
 

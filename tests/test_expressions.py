@@ -154,6 +154,23 @@ class TestRangeExtractionAndSubsumption:
         cached = And([RangePredicate("a", 0, 100), Or([RangePredicate("b", 0, 1)])])
         assert not predicate_subsumes(cached, RangePredicate("a", 10, 20))
 
+    @pytest.mark.parametrize(
+        "cached",
+        [
+            Comparison(">", Arithmetic("*", FieldRef("a"), FieldRef("a")), Literal(1.47)),
+            Comparison("<", FieldRef("a"), FieldRef("b")),
+            Comparison("!=", FieldRef("a"), Literal(3)),
+            Comparison("==", FieldRef("s"), Literal("x")),
+            And([RangePredicate("a", 0, 100), Comparison("!=", FieldRef("a"), Literal(3))]),
+        ],
+    )
+    def test_comparison_without_an_interval_blocks_subsumption(self, cached):
+        """Regression (found by the oracle fuzz: 176 of 700 seeded queries
+        answered from the wrong entry): a cached comparison that yields no
+        interval used to count as analysable and so subsumed every predicate."""
+        assert not predicate_subsumes(cached, RangePredicate("a", 10, 20))
+        assert not predicate_subsumes(cached, RangePredicate("c", 10, 20))
+
     @given(
         st.floats(-1e5, 1e5),
         st.floats(0.1, 1e4),

@@ -27,6 +27,7 @@ from repro.engine.query import TableRef
 from repro.faults import runtime as faults
 
 from tests.conftest import build_engine
+from tests.oracle import Oracle
 
 
 def flat_query(low: float = 10.0, high: float = 150.0, label: str = "contain") -> Query:
@@ -45,13 +46,9 @@ def flat_rows_query(low: float = 10.0, high: float = 150.0) -> Query:
 
 @pytest.fixture()
 def baseline(dataset_dir):
-    """Fault-free reference results, computed once per test."""
-    engine = build_engine(dataset_dir, ReCacheConfig(caching_enabled=False))
-
-    def run(query: Query, **kwargs):
-        return engine.execute(query, **kwargs).results
-
-    return run
+    """Reference results from the oracle (it parses the raw files itself, so
+    an active fault plan never reaches it)."""
+    return Oracle(build_engine(dataset_dir, ReCacheConfig()).catalog).evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +91,21 @@ def test_failed_attempts_do_not_count_queries(dataset_dir):
 # ---------------------------------------------------------------------------
 # Poisoned-entry quarantine + transparent degradation to the raw source
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("vectorized", [False, True])
 def test_corrupt_layout_scan_quarantines_and_degrades(
-    dataset_dir, baseline, assert_budget_conserved, vectorized
+    dataset_dir, baseline, assert_budget_conserved
 ):
     # adaptive_admission=False forces an eager (materialized-layout) entry —
     # the corrupt fault targets layout scans, not lazy raw re-reads.
     engine = build_engine(dataset_dir, ReCacheConfig(adaptive_admission=False))
     assert_budget_conserved(engine.recache)
     query = flat_query()
-    warm = engine.execute(query, vectorized=vectorized)  # warms the cache
+    warm = engine.execute(query)  # warms the cache
     assert engine.cache_entries(), "test needs a resident entry to poison"
     with faults.activate("scan.layout:corrupt:limit=1", seed=9):
-        report = engine.execute(query, vectorized=vectorized)
+        report = engine.execute(query)
     assert report.quarantined_entries == 1
     assert report.degraded_scans == 1
-    assert report.results == warm.results == baseline(query, vectorized=vectorized)
+    assert report.results == warm.results == baseline(query)
     assert engine.recache.stats.extras.get("quarantined", 0) == 1
 
 

@@ -1,9 +1,9 @@
-"""Property tests: the factorized batch hash join matches ``hash_join`` exactly.
+"""Property tests: the factorized batch hash join matches the oracle's dict join.
 
 Random key distributions — null-free numerics, strings, null-heavy columns,
 all-duplicate keys, empty sides — must produce bit-identical output (row
 order, multiplicity, merged field order, value types) from
-:func:`hash_join_batches` and the row-interpreter :func:`hash_join`, across
+:func:`hash_join_batches` and :func:`tests.oracle.join_rows`, across
 varying batch boundaries.  The overlap-column guard and the float64 fallback
 edges (2**53 integers, genuine NaN key values) are locked down here too.
 """
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.engine.batch import RecordBatch, rows_from_batches
-from repro.engine.operators import hash_join, hash_join_batches
+from repro.engine.operators import hash_join_batches
+from tests.oracle import join_rows
 
 
 def _chunks(rows: list[dict], size: int) -> list[RecordBatch]:
@@ -34,8 +35,8 @@ def assert_join_parity(
     right_key: str = "k",
     batch_sizes: tuple[int, int] = (7, 5),
 ) -> list[dict]:
-    """Assert the batch join reproduces the row join bit for bit."""
-    expected = hash_join(left_rows, right_rows, left_key, right_key)
+    """Assert the batch join reproduces the oracle's join bit for bit."""
+    expected = join_rows(left_rows, right_rows, left_key, right_key)
     joined = hash_join_batches(
         _chunks(left_rows, batch_sizes[0]),
         _chunks(right_rows, batch_sizes[1]),
@@ -135,7 +136,7 @@ class TestProbeFallbackEdges:
     def test_genuine_nan_key_keeps_dict_identity_semantics(self):
         """A real float('nan') key is indistinguishable from a null in the
         float64 view, so the probe must take the dict pass, where the same
-        NaN object matches itself by identity (as in the row interpreter)."""
+        NaN object matches itself by identity (as a dict lookup does)."""
         nan = float("nan")
         left = [{"k": nan, "a": 0}, {"k": 1.0, "a": 1}]
         right = [{"k": nan, "b": 0}, {"k": float("nan"), "b": 1}, {"k": 1.0, "b": 2}]
@@ -171,27 +172,23 @@ class TestJoinOutputMechanics:
             assert view is not None
             np.testing.assert_array_equal(view, np.array(expected, dtype=np.float64))
 
-    def test_overlapping_non_key_columns_raise_on_row_path(self):
-        left = [{"k": 1, "x": "left", "a": 0}]
-        right = [{"k": 1, "x": "right", "b": 0}]
-        with pytest.raises(ValueError, match="overlapping non-key columns"):
-            hash_join(left, right, "k", "k")
-
-    def test_overlapping_non_key_columns_raise_on_batch_path(self):
+    def test_overlapping_non_key_columns_raise(self):
         left = _chunks([{"k1": 1, "x": "left"}], 4)
         right = _chunks([{"k2": 1, "x": "right"}], 4)
         with pytest.raises(ValueError, match="overlapping non-key columns"):
             hash_join_batches(left, right, "k1", "k2")
+        same_key = [{"k": 1, "x": "left", "a": 0}], [{"k": 1, "x": "right", "b": 0}]
+        with pytest.raises(ValueError, match="overlapping non-key columns"):
+            hash_join_batches(_chunks(same_key[0], 4), _chunks(same_key[1], 4), "k", "k")
 
     def test_overlap_guard_skipped_when_a_side_is_empty(self):
-        """Parity with the row path: an empty side yields an empty (trivially
-        correct) output, never an overlap error — even for schema'd zero-row
-        batches that still carry conflicting column names."""
+        """An empty side yields an empty (trivially correct) output, never an
+        overlap error — even for schema'd zero-row batches that still carry
+        conflicting column names."""
         empty = RecordBatch({"k": [], "x": []}, 0)
         populated = _chunks([{"k": 1, "x": 2, "b": 3}], 4)
         assert hash_join_batches([empty], populated, "k", "k") == []
         assert hash_join_batches(populated, [empty], "k", "k") == []
-        assert hash_join([], [{"k": 1, "x": 2}], "k", "k") == []
 
     def test_same_name_join_key_overlap_is_allowed(self):
         """A join key spelled identically on both sides is the one legal
@@ -206,7 +203,5 @@ class TestJoinOutputMechanics:
         carries a ``k`` column) would silently overwrite the key — rejected."""
         left = [{"k": 1, "a": 0}]
         right = [{"j": 1, "k": 99, "b": 0}]
-        with pytest.raises(ValueError, match="overlapping non-key columns"):
-            hash_join(left, right, "k", "j")
         with pytest.raises(ValueError, match="overlapping non-key columns"):
             hash_join_batches(_chunks(left, 2), _chunks(right, 2), "k", "j")

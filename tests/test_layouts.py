@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.compiler import compile_predicate
 from repro.engine.expressions import RangePredicate
-from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType, flatten_record
+from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
 from repro.layouts import (
     ColumnarLayout,
     ParquetLayout,
@@ -16,6 +16,7 @@ from repro.layouts import (
 )
 from repro.layouts.assembly import assemble_records, assemble_rows, repetition_group
 from repro.layouts.striping import column_levels, prune_schema
+from tests.oracle import flatten
 
 SCHEMA = RecordType(
     [
@@ -36,11 +37,8 @@ FIELDS = SCHEMA.leaf_paths()
 
 
 def expected_rows(records=RECORDS, fields=FIELDS):
-    rows = []
-    for record in records:
-        for row in flatten_record(record, SCHEMA):
-            rows.append({f: row.get(f) for f in fields})
-    return rows
+    """The oracle's flattening of ``records`` (independent of the layouts)."""
+    return [{f: row[f] for f in fields} for record in records for row in flatten(record, SCHEMA)]
 
 
 class TestStriping:
@@ -109,11 +107,7 @@ class TestAssembly:
     def test_stripe_assemble_round_trip_property(self, records):
         columns = stripe_records(records, SCHEMA, FIELDS)
         assembled = list(assemble_rows(columns, SCHEMA, FIELDS))
-        expected = []
-        for record in records:
-            for row in flatten_record(record, SCHEMA):
-                expected.append({f: row.get(f) for f in FIELDS})
-        assert assembled == expected
+        assert assembled == expected_rows(records)
 
 
 class TestLayouts:
@@ -146,15 +140,15 @@ class TestLayouts:
     def test_vectorized_range_filter_columnar(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
         assert layout.supports_range_filter(["total", "items.q"])
-        rows = list(layout.scan_range_filtered({"total": (15.0, 35.0)}, fields=["key"]))
-        assert sorted(row["key"] for row in rows) == [2, 3]
+        batch = layout.range_filtered_batch({"total": (15.0, 35.0)}, fields=["key"])
+        assert sorted(batch.column("key")) == [2, 3]
         assert not layout.supports_range_filter(["info.city"])
 
     def test_vectorized_range_filter_parquet_flat_columns(self):
         layout = build_layout("parquet", SCHEMA, FIELDS, records=RECORDS)
         assert layout.supports_range_filter(["total"])
-        rows = list(layout.scan_range_filtered({"total": (5.0, 25.0)}, fields=["key", "total"]))
-        assert sorted(row["key"] for row in rows) == [1, 2]
+        batch = layout.range_filtered_batch({"total": (5.0, 25.0)}, fields=["key", "total"])
+        assert batch.to_rows() == [{"key": 1, "total": 10.0}, {"key": 2, "total": 20.0}]
 
     def test_vectorized_range_filter_parquet_nested_columns(self):
         # Nested numeric columns of one aligned repetition group now take the
@@ -164,17 +158,11 @@ class TestLayouts:
         assert layout.supports_range_filter(["items.q"])
         assert layout.supports_range_filter(["key", "items.q", "items.p"])
         assert not layout.supports_range_filter(["info.city", "items.q"])
-        rows = list(
-            layout.scan_range_filtered(
-                {"items.q": (2.0, 9.0)}, fields=["key", "items.q", "items.p"]
-            )
-        )
         expected = [
             {f: row.get(f) for f in ("key", "items.q", "items.p")}
             for row in expected_rows(fields=["key", "items.q", "items.p"])
             if row["items.q"] is not None and 2.0 <= row["items.q"] <= 9.0
         ]
-        assert rows == expected
         batch = layout.range_filtered_batch(
             {"items.q": (2.0, 9.0)}, fields=["key", "items.q", "items.p"]
         )
@@ -240,11 +228,12 @@ class TestParquetBatchFastPath:
         rows = [row for batch in layout.scan_batches(fields=wanted, batch_size=2) for row in batch.iter_rows()]
         assert rows == list(layout.scan(fields=wanted))
 
-    def test_range_filtered_batch_matches_iterator(self):
+    def test_range_filtered_batch_matches_a_plain_filter(self):
         layout = build_layout("parquet", SCHEMA, FIELDS, records=RECORDS)
-        ranges = {"total": (15.0, 35.0)}
-        batch = layout.range_filtered_batch(ranges, fields=["key", "total"])
-        assert batch.to_rows() == list(layout.scan_range_filtered(ranges, fields=["key", "total"]))
+        batch = layout.range_filtered_batch({"total": (15.0, 35.0)}, fields=["key", "total"])
+        assert batch.to_rows() == [
+            {"key": r["key"], "total": r["total"]} for r in RECORDS if 15.0 <= r["total"] <= 35.0
+        ]
 
     def test_numeric_array_keeps_nulls_aligned(self):
         """Regression: NULLs become NaN at their own record position, never
@@ -265,8 +254,8 @@ class TestParquetBatchFastPath:
         assert batch.to_rows() == [
             {"id": 1, "v": 1.5, "w": 10.0},
         ]
-        rows = list(layout.scan_range_filtered({"v": (0.0, 9.0), "w": (0.0, 45.0)}, fields=["id"]))
-        assert rows == [{"id": 1}]
+        batch = layout.range_filtered_batch({"v": (0.0, 9.0), "w": (0.0, 45.0)}, fields=["id"])
+        assert batch.to_rows() == [{"id": 1}]
 
 
 class TestConversion:

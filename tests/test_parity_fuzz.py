@@ -1,15 +1,15 @@
-"""Differential parity fuzzing: batched pipeline vs row interpreter.
+"""Differential parity fuzzing: the engine vs the reference oracle.
 
 Seeded random queries — range/comparison/arithmetic predicates (strings,
 division, null-heavy columns included), varying projections, equi-joins and
 grouped aggregates — run against engines pinned to each of the three cache
-layouts, once with ``vectorized_execution`` on and once with it off, asserting
-identical results, per-query report counters and end-state cache counters.
-Every seeded query additionally runs with ``result_format="columnar"`` on a
-third identically-configured engine, asserting that ``to_rows()`` reproduces
-the row output bit for bit, and a join-heavy class stresses the factorized
-hash-join probe (numeric and string keys, null keys, rows-heavy plain-select
-joins) the same three-way way.
+layouts and must return exactly what ``tests/oracle.py`` computes from the raw
+files (no cache, no layouts, no compiler).  Every seeded query additionally
+runs with ``result_format="columnar"`` on a second identically-configured
+engine, asserting that ``to_rows()`` reproduces the row output bit for bit
+with identical per-query report counters and end-state cache counters, and a
+join-heavy class stresses the factorized hash-join probe (numeric and string
+keys, null keys, rows-heavy plain-select joins) the same way.
 
 A nested-heavy class drives the nested-predicate vectorizer specifically:
 every seeded predicate references a striped leaf path (closed ranges,
@@ -51,6 +51,7 @@ from repro.engine.types import FLOAT, INT, STRING, Field, RecordType
 from repro.formats import write_csv, write_json_lines
 from repro.workloads.nested import synthetic_order_lineitems
 from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
+from tests.oracle import Oracle
 from tests.test_batch_execution import _cache_counters, _canonical, _report_counters
 
 PARITY_FUZZ_QUERIES = int(os.environ.get("RECACHE_PARITY_FUZZ_QUERIES", "100"))
@@ -132,9 +133,8 @@ LAYOUT_CONFIGS = {
 }
 
 
-def _build_engine(directory, vectorized: bool, layout_overrides: dict) -> QueryEngine:
+def _build_engine(directory, layout_overrides: dict) -> QueryEngine:
     config = ReCacheConfig(
-        vectorized_execution=vectorized,
         adaptive_admission=False,  # deterministic eager admission
         layout_selection=False,  # keep the pinned layout throughout
         admission_sample_records=40,
@@ -172,8 +172,8 @@ def _random_leaf(rng: random.Random, ranges: dict, string_fields: list[str]):
         op = rng.choice(["==", "<", ">", "<="])
         return Comparison(op, FieldRef(field), Literal(rng.choice(NAMES)))
     if kind < 0.9:
-        # Division: always takes the compiled per-row fallback in the batched
-        # pipeline (NumPy would silently change ZeroDivisionError semantics).
+        # Division: always takes the compiled per-row fallback
+        # (NumPy would silently change ZeroDivisionError semantics).
         divisor = Literal(rng.choice([2.0, 3.0, 7.5])) if rng.random() < 0.5 else FieldRef("ratio")
         if "ratio" not in ranges and not isinstance(divisor, Literal):
             divisor = Literal(3.0)
@@ -284,7 +284,7 @@ def _random_nested_query(rng: random.Random, index: int) -> Query:
     Stresses the nested-predicate vectorizer end to end — entry-granular
     masks over striped value/definition arrays, the ``reduceat`` entry->record
     reduction, validity-masked ``!=``, and the mixed nested+flat conjunctions
-    that must agree with the per-row interpreter on every layout.
+    that must agree with the oracle on every layout.
     """
     roll = rng.random()
     if roll < 0.4:
@@ -357,59 +357,55 @@ def _layout_seed_offset(layout: str) -> int:
     return sorted(LAYOUT_CONFIGS).index(layout) + 1
 
 
-def _run_three_way_parity(fuzz_dataset_dir, layout, make_query, count, seed_offset=0):
-    """The shared three-engine differential loop.
+def _run_oracle_parity(fuzz_dataset_dir, layout, make_query, count, seed_offset=0):
+    """The shared differential loop.
 
-    ``batched`` vs ``interpreted`` is the classic pipeline parity check;
-    ``columnar`` is a third identically-configured batched engine whose every
-    query runs with ``result_format="columnar"`` and must reproduce the
-    batched row output bit for bit via ``to_rows()`` while reporting the same
-    counters — proving the exit format changes the representation only.
+    ``rows`` vs the oracle is the correctness check: the oracle shares no
+    code with the engine below ``Expression.evaluate``.  ``columnar`` is a
+    second identically-configured engine whose every query runs with
+    ``result_format="columnar"`` and must reproduce the row output bit for
+    bit via ``to_rows()`` while reporting the same counters — proving the
+    exit format changes the representation only.
     """
     rng = random.Random(FUZZ_SEED + _layout_seed_offset(layout) + seed_offset)
-    batched = _build_engine(fuzz_dataset_dir, True, LAYOUT_CONFIGS[layout])
-    interpreted = _build_engine(fuzz_dataset_dir, False, LAYOUT_CONFIGS[layout])
-    columnar = _build_engine(fuzz_dataset_dir, True, LAYOUT_CONFIGS[layout])
+    rows = _build_engine(fuzz_dataset_dir, LAYOUT_CONFIGS[layout])
+    columnar = _build_engine(fuzz_dataset_dir, LAYOUT_CONFIGS[layout])
+    oracle = Oracle(rows.catalog)
     for index in range(count):
         query = make_query(rng, index)
-        batched_report = batched.execute(query)
-        interpreted_report = interpreted.execute(query)
+        rows_report = rows.execute(query)
         columnar_report = columnar.execute(query, result_format="columnar")
-        assert _canonical(batched_report.results) == _canonical(interpreted_report.results), (
-            f"[{layout}] result mismatch on query #{index} ({query.label}): "
+        assert _canonical(rows_report.results) == _canonical(oracle.evaluate(query)), (
+            f"[{layout}] result differs from the oracle on query #{index} ({query.label}): "
             f"{query.signature()}"
         )
-        assert _report_counters(batched_report) == _report_counters(interpreted_report), (
-            f"[{layout}] report mismatch on query #{index} ({query.label})"
-        )
         assert isinstance(columnar_report.results, ColumnarResult), query.label
-        assert columnar_report.results.to_rows() == batched_report.results, (
+        assert columnar_report.results.to_rows() == rows_report.results, (
             f"[{layout}] columnar-result mismatch on query #{index} ({query.label}): "
             f"{query.signature()}"
         )
-        assert _report_counters(columnar_report) == _report_counters(batched_report), (
+        assert _report_counters(columnar_report) == _report_counters(rows_report), (
             f"[{layout}] columnar report mismatch on query #{index} ({query.label})"
         )
-    assert _cache_counters(batched) == _cache_counters(interpreted)
-    assert _cache_counters(columnar) == _cache_counters(batched)
+    assert _cache_counters(columnar) == _cache_counters(rows)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUT_CONFIGS))
 def test_parity_fuzz(fuzz_dataset_dir, layout):
-    """Batched, interpreted and columnar-result execution agree on a seeded
+    """Rows and columnar-result execution agree with the oracle on a seeded
     random workload."""
-    _run_three_way_parity(fuzz_dataset_dir, layout, _random_query, PARITY_FUZZ_QUERIES)
+    _run_oracle_parity(fuzz_dataset_dir, layout, _random_query, PARITY_FUZZ_QUERIES)
 
 
 @pytest.mark.parametrize("layout", ["columnar", "row"])
 def test_parity_fuzz_join_heavy(fuzz_dataset_dir, layout):
-    """The factorized hash-join probe agrees with the interpreted join (and
+    """The factorized hash-join probe agrees with the oracle's dict join (and
     its columnar exit with the rows exit) on a join-only seeded workload.
 
     Joins here run between the two flat CSV sources, so the flat layouts are
     the interesting axis (the nested default never participates).
     """
-    _run_three_way_parity(
+    _run_oracle_parity(
         fuzz_dataset_dir,
         layout,
         _random_join_query,
@@ -420,15 +416,15 @@ def test_parity_fuzz_join_heavy(fuzz_dataset_dir, layout):
 
 @pytest.mark.parametrize("layout", sorted(LAYOUT_CONFIGS))
 def test_parity_fuzz_nested_heavy(fuzz_dataset_dir, layout):
-    """The nested-predicate vectorizer agrees with the per-row interpreter
-    (and its columnar exit with the rows exit) on a nested-only workload.
+    """The nested-predicate vectorizer agrees with the oracle's per-row
+    evaluation (and its columnar exit with the rows exit) on a nested-only workload.
 
     Every seeded predicate references a striped leaf path, so every layout
     exercises its nested plan: the parquet striped-view fast path and
     entry-granular range filter, the columnar flattened scan, and the row
     layout's bridge — ``PARITY_FUZZ_NESTED_QUERIES`` queries per layout.
     """
-    _run_three_way_parity(
+    _run_oracle_parity(
         fuzz_dataset_dir,
         layout,
         _random_nested_query,
