@@ -76,4 +76,7 @@ HOT_PATH_ROOTS: tuple[str, ...] = (
     "compile_batch_predicate",
     # the batched executor's per-node routing function
     "_execute_batches",
+    # the cold path: the materializer's loop body and the lazy re-read
+    "_materialize_batch",
+    "read_record_batches",
 )

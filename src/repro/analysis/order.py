@@ -60,6 +60,7 @@ HEAVY_CALL_ATTRS: frozenset[str] = frozenset(
         "scan",
         "scan_batches",
         "range_filtered_batch",
+        "read_record_batches",
         "read_record_rows",
         "sleep",
         "open",

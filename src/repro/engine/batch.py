@@ -14,11 +14,12 @@ record-granular even though execution is row-granular:
   contributed (nested JSON records flatten into several rows).  Needed for the
   nested algebra's record-level dedup semantics and for admission sampling,
   which counts *records*, not rows.
-* ``records`` — the raw caching payload per record (the raw text line for CSV,
-  the parsed object for JSON) that the materializer parses into complete
-  cached tuples for the records that satisfy the predicate.
-* ``record_bytes`` — approximate raw size per record, feeding the admission
-  controller's total-record extrapolation.
+* ``records`` — the caching payload per record (the split cells of a CSV line,
+  the decoded object of a JSON line): what the materializer converts into the
+  remaining cached fields of the records that satisfy the predicate, without
+  reading or splitting the line again.
+* ``record_bytes`` — raw byte size per record in the file, feeding the
+  admission controller's total-record extrapolation.
 """
 
 from __future__ import annotations
@@ -55,19 +56,6 @@ def object_validity_mask(values) -> np.ndarray:
     valid, so the NumPy group-by skips nulls and only nulls.
     """
     return np.fromiter((value is not None for value in values), dtype=bool, count=len(values))  # rowwise-fallback: None-validity of object columns is a per-value identity test by definition
-
-
-def approx_record_bytes(record: dict) -> int:
-    """Rough raw-data size of one parsed JSON record (admission extrapolation)."""
-    total = 0
-    for value in record.values():
-        if isinstance(value, list):
-            total += 24 * max(1, len(value))
-        elif isinstance(value, str):
-            total += len(value)
-        else:
-            total += 8
-    return max(16, total)
 
 
 class RecordBatch:

@@ -3,9 +3,9 @@
 Plans execute over :class:`~repro.engine.batch.RecordBatch` chunks: batches
 flow from the scans up through select/project/join, predicates evaluate as
 NumPy masks, and record granularity is touched only where ReCache's semantics
-demand it (admission sampling, record-level dedup, lazy-offset re-reads).
-Row dictionaries are built once, at the query boundary, for the ``"rows"``
-result format.
+demand it (admission sampling, record-level dedup).  Row dictionaries are
+built once, at the query boundary, for the ``"rows"`` result format; the miss
+path builds none — raw lines become columns, and columns become cache layouts.
 
 The most involved piece is the materializer, which reproduces ReCache's
 reactive admission behaviour (Section 5.2): it caches the first records of a
@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,11 +46,7 @@ from repro.engine.algebra import (
 )
 from repro.engine.batch import RecordBatch, rows_from_batches
 from repro.engine.calibration import split_scan_cost
-from repro.engine.compiler import (
-    compile_aggregates,
-    compile_batch_predicate,
-    compile_predicate,
-)
+from repro.engine.compiler import compile_aggregates, compile_batch_predicate
 from repro.engine.operators import (
     aggregate_batches,
     filter_batches,
@@ -57,7 +54,7 @@ from repro.engine.operators import (
     project_batches,
 )
 from repro.engine.procpool import ScanTask
-from repro.engine.types import ColumnarResult, flatten_record
+from repro.engine.types import ColumnarResult
 from repro.faults import runtime as faults
 from repro.formats.datafile import DataSource, DataSourceCatalog
 from repro.layouts import build_layout
@@ -442,7 +439,7 @@ def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry
 
 def _execute_lazy_cache_scan(
     node: CacheScanNode, ctx: ExecutionContext, offsets: list[int]
-) -> list[dict]:
+) -> list[RecordBatch]:
     """Reuse a lazy cache: re-read the satisfying records via the positional map.
 
     ``offsets`` is the caller's snapshot of the entry's lazy offsets; the entry
@@ -454,7 +451,7 @@ def _execute_lazy_cache_scan(
     recache = ctx.recache
     assert recache is not None
     source = ctx.catalog.get(entry.source)
-    predicate = compile_predicate(node.residual_predicate)
+    batch_predicate = compile_batch_predicate(node.residual_predicate)
     upgrade = (
         ctx.config.upgrade_lazy_on_reuse
         and not ctx.config.always_lazy
@@ -462,40 +459,43 @@ def _execute_lazy_cache_scan(
     )
     # When the lazy entry is about to be upgraded, parse complete tuples so the
     # resulting eager cache can serve any later query over this source.
-    wanted = None if upgrade else node.fields
-    schema = source.schema
-    accessed_nested = any(
-        schema.is_nested_path(path) for path in node.fields if path in set(schema.leaf_paths())
-    )
-    dedupe = source.is_nested() and not accessed_nested
+    all_fields = source.flattened_schema.field_names()
+    nested = source.is_nested()
+    dedupe = _record_level_semantics(source, node.fields)
 
     started = time.perf_counter()
-    rows_out: list[dict] = []
-    cached_rows: list[dict] = []
+    output: list[RecordBatch] = []
+    cached_columns: dict[str, list] = {name: [] for name in all_fields}
     cached_counts: list[int] = []
-    for record_rows in source.read_record_rows(offsets, wanted):
-        satisfying = [row for row in record_rows if predicate(row)]
-        if dedupe:
-            del satisfying[1:]
+    for batch in source.read_record_batches(
+        offsets, all_fields if upgrade else node.fields, batch_size=ctx.config.batch_size
+    ):
+        wanted = batch
         if upgrade:
-            cached_rows.extend(record_rows)
-            cached_counts.append(len(record_rows))
+            for name, column in batch.columns.items():
+                cached_columns[name].extend(column)
+            if nested:
+                cached_counts.extend(batch.record_row_counts)
             # The complete tuples are for the cache; the query still sees only
             # its own fields, as it does on every other path.
-            satisfying = [{name: row[name] for name in node.fields} for row in satisfying]  # rowwise-fallback: one-off upgrade pass over records re-read one at a time
-        rows_out.extend(satisfying)
+            wanted = batch.project(node.fields)
+        mask = batch_predicate(wanted)
+        indexes = batch.first_true_per_record(mask) if dedupe else np.nonzero(mask)[0]
+        if len(indexes) == batch.row_count:
+            output.append(wanted)
+        elif len(indexes):
+            output.append(wanted.take(indexes))
     scan_time = time.perf_counter() - started
     ctx.report.cache_scan_time += scan_time
 
     if upgrade and entry.is_lazy:
         build_started = time.perf_counter()
-        all_fields = source.flattened_schema.field_names()
         layout = build_layout(
-            ctx.config.default_flat_layout if not source.is_nested() else "columnar",
-            source.flattened_schema if not source.is_nested() else source.schema,
+            "columnar" if nested else ctx.config.default_flat_layout,
+            source.schema if nested else source.flattened_schema,
             all_fields,
-            rows=cached_rows,
-            record_row_counts=cached_counts if source.is_nested() else None,
+            columns=cached_columns,
+            record_row_counts=cached_counts if nested else None,
         )
         build_time = time.perf_counter() - build_started
         ctx.report.caching_time += build_time
@@ -504,7 +504,7 @@ def _execute_lazy_cache_scan(
             ctx.report.lazy_upgrades += 1
 
     recache.record_reuse(entry, scan_time=scan_time, lookup_time=node.lookup_time)
-    return rows_out
+    return output
 
 
 def _initial_admission_mode(ctx: ExecutionContext, source: DataSource) -> str | None:
@@ -521,127 +521,205 @@ def _initial_admission_mode(ctx: ExecutionContext, source: DataSource) -> str | 
     return None
 
 
-def _decide_admission(
-    ctx: ExecutionContext,
-    source: DataSource,
-    layout_name: str,
-    fields: list[str],
-    nested: bool,
-    eager_rows: list[dict],
-    eager_records: list[dict],
-    eager_counts: list[int],
-    caching_seconds: float,
-    to1: float,
-    tc1: float,
-    sample_records: int,
-    bytes_seen: int,
-) -> tuple[str, float]:
+@dataclass
+class _MaterializeRun:
+    """The state of one materializing scan (one cache miss), batch to batch."""
+
+    ctx: ExecutionContext
+    node: MaterializeNode
+    source: DataSource
+    batch_predicate: Callable[[RecordBatch], np.ndarray]
+    #: the query answers once per record (no nested field read)
+    dedupe_output: bool
+    nested: bool
+    layout_name: str
+    #: every leaf of the source: the cached entry can serve any later query
+    cache_fields: list[str]
+    #: "eager" / "lazy", or ``None`` while the admission sample is running
+    mode: str | None
+    #: times one batch's caching block in every N once the sample is over
+    timer: SampledTimer
+    #: query-relative clock and caching time when the scan started
+    to1: float
+    tc1: float
+    caching_seconds: float = 0.0
+    records_seen: int = 0
+    bytes_seen: int = 0
+    output: list[RecordBatch] = field(default_factory=list)
+    #: eager payload: full-width columns of the satisfying records (+ rows per
+    #: record for nested sources), or their decoded records for Parquet
+    columns: dict[str, list] = field(init=False)
+    row_counts: list[int] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
+    #: lazy payload: file ordinals of the satisfying records
+    offsets: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.columns = {name: [] for name in self.cache_fields}
+
+
+def _materialize_batch(run: _MaterializeRun, batch: RecordBatch) -> None:
+    """The materializer's loop body: mask, output, cache payload, admission sample.
+
+    The scan has converted only the fields the query needs; *caching* eagerly
+    means additionally converting the remaining fields of every satisfying
+    record — from the payload the scan attached, never from the file again —
+    and that extra work is what is timed as caching time (Section 5.1: ``c``
+    includes "the time spent parsing the cached fields of each record"):
+    exact timestamps around the caching block while sampling, one
+    :class:`SampledTimer` start/stop pair per batch afterwards.
+    """
+    run.bytes_seen += batch.total_record_bytes
+    mask = run.batch_predicate(batch)
+    out_indexes = batch.first_true_per_record(mask) if run.dedupe_output else np.nonzero(mask)[0]
+    kept = None
+    if len(out_indexes) == batch.row_count:
+        # Everything matched: pass the columns through without a copy, but
+        # shed the caching payload so the query output does not pin it.
+        kept = batch.project(batch.field_names())
+    elif len(out_indexes):
+        kept = batch.take(out_indexes)
+    if kept is not None:
+        run.output.append(kept)
+
+    sampling = run.mode is None
+    if kept is not None or sampling:
+        if sampling:
+            cache_started = time.perf_counter()
+        else:
+            run.timer.maybe_start()
+        if kept is not None:
+            _collect_cache_payload(run, batch, mask, out_indexes, kept)
+        if sampling:
+            run.caching_seconds += time.perf_counter() - cache_started
+        else:
+            run.timer.maybe_stop()
+
+    run.records_seen += batch.record_count
+    if sampling and run.records_seen >= run.ctx.config.admission_sample_records:
+        _decide_admission(run)
+
+
+def _collect_cache_payload(
+    run: _MaterializeRun,
+    batch: RecordBatch,
+    mask: np.ndarray,
+    out_indexes: np.ndarray,
+    kept: RecordBatch,
+) -> None:
+    """Add one batch's satisfying records to the run's lazy and/or eager payload."""
+    # Flat source: rows are records, and out_indexes is the satisfying set.
+    satisfied = batch.records_with_true(mask) if run.nested else out_indexes
+    picked = satisfied.tolist()  # rowwise-fallback: record ordinals leave NumPy once per batch, to index the payload list and to be stored as lazy offsets
+    if run.mode != "eager":
+        run.offsets.extend(map(run.records_seen.__add__, picked))
+    if run.mode == "lazy":
+        return
+    payload = batch.records
+    if len(picked) < batch.record_count:
+        payload = list(map(payload.__getitem__, picked))
+    if run.nested and run.layout_name == "parquet":
+        run.records.extend(payload)
+        return
+    # The query's own columns are already converted (and, for a flat source,
+    # already gathered into ``kept``); only the rest comes from the payload.
+    reuse = {} if run.nested else kept.columns
+    fresh, row_counts = run.source.plugin.columns_from_payload(
+        payload, [name for name in run.cache_fields if name not in reuse]
+    )
+    for name, column in run.columns.items():
+        column.extend(reuse[name] if name in reuse else fresh[name])
+    if run.nested:
+        run.row_counts.extend(row_counts)
+
+
+def _build_cache_layout(run: _MaterializeRun):
+    """The eager layout over what the run has collected (``ValueError`` if degenerate)."""
+    if run.nested and run.layout_name == "parquet":
+        return build_layout("parquet", run.source.schema, run.cache_fields, records=run.records)
+    return build_layout(
+        run.layout_name,
+        run.source.schema if run.nested else run.source.flattened_schema,
+        run.cache_fields,
+        columns=run.columns,
+        record_row_counts=run.row_counts or None,
+    )
+
+
+def _decide_admission(run: _MaterializeRun) -> None:
     """Build the sample cache, extrapolate the overhead, pick eager or lazy."""
+    ctx = run.ctx
     recache = ctx.recache
     assert recache is not None
     # Building the sample's eager cache is genuine caching work: include it in
     # the sampled caching time so the extrapolation sees the full cost.
     build_started = time.perf_counter()
     with contextlib.suppress(ValueError):  # empty sample: nothing to build
-        if nested and layout_name == "parquet":
-            build_layout(layout_name, source.schema, fields, records=eager_records)
-        else:
-            schema = source.schema if nested else source.flattened_schema
-            build_layout(
-                "columnar" if layout_name == "parquet" else layout_name,
-                schema,
-                fields,
-                rows=eager_rows,
-                record_row_counts=eager_counts or None,
-            )
-    caching_seconds += time.perf_counter() - build_started
+        _build_cache_layout(run)
+    run.caching_seconds += time.perf_counter() - build_started
 
-    now = time.perf_counter() - ctx.query_started
-    total_records = _estimate_total_records(source, sample_records, bytes_seen)
     sample = AdmissionSample(
-        to1=to1,
-        tc1=tc1,
-        to2=now,
-        tc2=ctx.report.caching_time + caching_seconds,
-        sample_records=sample_records,
-        total_records=total_records,
+        to1=run.to1,
+        tc1=run.tc1,
+        to2=time.perf_counter() - ctx.query_started,
+        tc2=ctx.report.caching_time + run.caching_seconds,
+        sample_records=run.records_seen,
+        total_records=_estimate_total_records(run.source, run.records_seen, run.bytes_seen),
     )
     if ctx.config.admission_extrapolation:
         decision = recache.admission.decide(sample)
     else:
         decision = recache.admission.decide_naive(sample)
-    mode = "lazy" if decision is AdmissionDecision.LAZY else "eager"
-    return mode, caching_seconds
+    if decision is AdmissionDecision.LAZY:
+        run.mode = "lazy"
+        run.columns, run.row_counts, run.records = {}, [], []
+    else:
+        run.mode = "eager"
+        run.offsets = []
 
 
-def _admit(
-    ctx: ExecutionContext,
-    node: MaterializeNode,
-    source: DataSource,
-    mode: str,
-    layout_name: str,
-    fields: list[str],
-    nested: bool,
-    eager_rows: list[dict],
-    eager_records: list[dict],
-    eager_counts: list[int],
-    lazy_offsets: list[int],
-    elapsed: float,
-    caching_seconds: float,
-) -> float:
-    """Admit the materialized result into ReCache; returns extra caching time."""
+def _admit(run: _MaterializeRun, elapsed: float) -> None:
+    """Admit the materialized result into ReCache (adds the build to caching time)."""
+    ctx, node = run.ctx, run.node
     recache = ctx.recache
     assert recache is not None
-    extra = 0.0
-    if mode == "lazy":
-        operator_seconds = max(0.0, elapsed - caching_seconds)
+    if run.mode == "lazy":
         entry = recache.admit_lazy(
             source=node.source,
-            source_format=source.format,
+            source_format=run.source.format,
             predicate=node.predicate,
-            fields=fields,
-            offsets=lazy_offsets,
-            operator_time=operator_seconds,
-            caching_time=caching_seconds,
+            fields=run.cache_fields,
+            offsets=run.offsets,
+            operator_time=max(0.0, elapsed - run.caching_seconds),
+            caching_time=run.caching_seconds,
         )
         if entry is not None:
             ctx.report.admissions["lazy"] += 1
-        return extra
+        return
 
     build_started = time.perf_counter()
     try:
-        if nested and layout_name == "parquet":
-            layout = build_layout(layout_name, source.schema, fields, records=eager_records)
-        else:
-            schema = source.schema if nested else source.flattened_schema
-            layout = build_layout(
-                "columnar" if (nested and layout_name == "parquet") else layout_name,
-                schema,
-                fields,
-                rows=eager_rows,
-                record_row_counts=eager_counts or None,
-            )
+        layout = _build_cache_layout(run)
     except ValueError:
         # A degenerate result (empty source, zero satisfying records, or
         # inconsistent buffered rows) cannot be materialized into a layout.
         # The sampling path guards its trial build the same way; skip the
         # admission cleanly instead of failing the whole query.
         recache.note_skipped_admission(node.source, node.predicate)
-        return time.perf_counter() - build_started
-    extra = time.perf_counter() - build_started
-    operator_seconds = max(0.0, elapsed - caching_seconds - extra)
+        run.caching_seconds += time.perf_counter() - build_started
+        return
+    run.caching_seconds += time.perf_counter() - build_started
     entry = recache.admit_eager(
         source=node.source,
-        source_format=source.format,
+        source_format=run.source.format,
         predicate=node.predicate,
-        fields=fields,
+        fields=run.cache_fields,
         layout=layout,
-        operator_time=operator_seconds,
-        caching_time=caching_seconds + extra,
+        operator_time=max(0.0, elapsed - run.caching_seconds),
+        caching_time=run.caching_seconds,
     )
     if entry is not None:
         ctx.report.admissions["eager"] += 1
-    return extra
 
 
 def _estimate_total_records(source: DataSource, sample_records: int, bytes_seen: int) -> int:
@@ -724,17 +802,15 @@ def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> l
     # outside any cache lock.
     offsets = entry.lazy_offsets
     if offsets is not None:
-        # Lazy reuse re-reads the raw file through the positional map; its cost
-        # is dominated by I/O and (on first reuse) the eager upgrade, so it
-        # works per record and its output is wrapped into one batch.
+        # Lazy reuse re-reads the recorded lines through the positional map
+        # and (on first reuse) upgrades the entry to an eager one.
         try:
-            rows = _execute_lazy_cache_scan(node, ctx, offsets)
+            return _execute_lazy_cache_scan(node, ctx, offsets)
         except DeadlineExceeded:
             raise
         except Exception:
             _quarantine_entry(node, ctx)
             return _degraded_raw_batches(node, ctx)
-        return [RecordBatch.from_rows(rows)] if rows else []
 
     layout = entry.layout
     assert layout is not None
@@ -822,24 +898,16 @@ def _scan_layout_batches(
 def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -> list[RecordBatch]:
     """The materializer (cache-miss path) over record batches.
 
-    Predicate evaluation is one mask per batch, output rows move as column
-    slices, and caching work is timed per *batch* — exact timestamps around
-    each batch's caching block while sampling, one :class:`SampledTimer`
-    start/stop pair per batch afterwards.
-
-    The operator itself parses only the fields the query needs; *caching*
-    eagerly means additionally parsing/flattening the complete tuple of every
-    satisfying record, and that extra work is measured as caching time
-    (Section 5.1: ``c`` includes "the time spent parsing the cached fields of
-    each record").  The cached entry therefore exposes every leaf field and
-    can serve any later query over this source.
+    Each scanned batch goes through :func:`_materialize_batch`; when the scan
+    ends the collected payload is admitted eagerly (a layout over every leaf
+    field of the satisfying records, built from columns) or lazily (their
+    file ordinals), as the admission sample decided.
     """
     source = ctx.catalog.get(node.source)
     recache = ctx.recache
     config = ctx.config
     batch_predicate = compile_batch_predicate(node.predicate)
     nested = source.is_nested()
-    layout_name = config.default_nested_layout if nested else config.default_flat_layout
     ctx.report.misses += 1
 
     dedupe_output = _record_level_semantics(source, node.fields)
@@ -855,30 +923,26 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
         ctx.report.operator_time += time.perf_counter() - started
         return output
 
-    cache_fields = source.flattened_schema.field_names()
-
-    mode = _initial_admission_mode(ctx, source)
-    sampling = mode is None
+    run = _MaterializeRun(
+        ctx=ctx,
+        node=node,
+        source=source,
+        batch_predicate=batch_predicate,
+        dedupe_output=dedupe_output,
+        nested=nested,
+        layout_name=config.default_nested_layout if nested else config.default_flat_layout,
+        cache_fields=source.flattened_schema.field_names(),
+        mode=_initial_admission_mode(ctx, source),
+        # One timing decision covers a whole batch, so the per-batch sampling
+        # rate is scaled by the batch size: the expected number of *records*
+        # whose caching work gets timed follows ``timing_sample_rate``, while
+        # the clock overhead per record shrinks by ~batch_size (at the default
+        # 1024-record batches and 1% record rate every batch is timed).
+        timer=SampledTimer(sample_rate=min(1.0, config.timing_sample_rate * batch_size)),
+        to1=time.perf_counter() - ctx.query_started,
+        tc1=ctx.report.caching_time,
+    )
     sample_limit = config.admission_sample_records
-    to1 = time.perf_counter() - ctx.query_started
-    tc1 = ctx.report.caching_time
-
-    caching_seconds = 0.0
-    # One timing decision covers a whole batch, so the per-batch sampling rate
-    # is scaled by the batch size: the expected number of *records* whose
-    # caching work gets timed follows ``timing_sample_rate``, while the clock
-    # overhead per record shrinks by ~batch_size (at the default 1024-record
-    # batches and 1% record rate every batch is timed — two clock calls per
-    # thousand records, far below the paper's monitoring-overhead concern).
-    batch_timing_rate = min(1.0, config.timing_sample_rate * batch_size)
-    post_sample_timer = SampledTimer(sample_rate=batch_timing_rate)
-    output = []
-    eager_rows: list[dict] = []
-    eager_records: list[dict] = []
-    eager_counts: list[int] = []
-    lazy_offsets: list[int] = []
-    records_seen = 0
-    bytes_seen = 0
 
     operator_started = time.perf_counter()
     for scanned in source.scan_batches(node.fields, batch_size=batch_size, with_payload=True):
@@ -887,114 +951,19 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
         _check_deadline(ctx)
         # A batch that straddles the end of the admission sample is split so
         # the decision happens after exactly ``sample_limit`` records.
-        if sampling and 0 < sample_limit - records_seen < scanned.record_count:
-            boundary = sample_limit - records_seen
-            parts = [
-                scanned.slice_records(0, boundary),
-                scanned.slice_records(boundary, scanned.record_count),
-            ]
+        boundary = sample_limit - run.records_seen
+        if run.mode is None and 0 < boundary < scanned.record_count:
+            _materialize_batch(run, scanned.slice_records(0, boundary))
+            _materialize_batch(run, scanned.slice_records(boundary, scanned.record_count))
         else:
-            parts = [scanned]
-
-        for batch in parts:
-            bytes_seen += batch.total_record_bytes
-            mask = batch_predicate(batch)
-            out_indexes = (
-                batch.first_true_per_record(mask) if dedupe_output else np.nonzero(mask)[0]
-            )
-            if len(out_indexes) == batch.row_count:
-                # Everything matched: pass the columns through without a copy,
-                # but shed the caching payload (raw lines / parsed records) so
-                # the query output does not pin the whole file's records.
-                output.append(RecordBatch(batch.columns, row_count=batch.row_count))
-            elif len(out_indexes):
-                output.append(batch.take(out_indexes))
-
-            any_satisfying = bool(len(out_indexes))
-            if any_satisfying or sampling:
-                exact_timing = sampling
-                if exact_timing:
-                    cache_started = time.perf_counter()
-                else:
-                    post_sample_timer.maybe_start()
-
-                if any_satisfying:
-                    if batch.record_row_counts is None and not dedupe_output:
-                        # Flat source: rows are records, and out_indexes is
-                        # already the satisfying-row set.
-                        satisfied = out_indexes
-                    else:
-                        satisfied = batch.records_with_true(mask)
-                    if mode == "lazy":
-                        lazy_offsets.extend(records_seen + int(r) for r in satisfied)
-                    else:
-                        if sampling:
-                            lazy_offsets.extend(records_seen + int(r) for r in satisfied)
-                        payload = batch.records
-                        if nested and layout_name == "parquet":
-                            eager_records.extend(payload[r] for r in satisfied)
-                        elif source.format == "json":
-                            for r in satisfied:
-                                full_rows = flatten_record(payload[r], source.schema)
-                                eager_rows.extend(full_rows)
-                                if nested:
-                                    eager_counts.append(len(full_rows))
-                        else:
-                            parse_full = source.plugin.parse_full
-                            eager_rows.extend(parse_full(payload[r]) for r in satisfied)
-
-                if exact_timing:
-                    caching_seconds += time.perf_counter() - cache_started
-                else:
-                    post_sample_timer.maybe_stop()
-
-            records_seen += batch.record_count
-            if sampling and records_seen >= sample_limit:
-                sampling = False
-                mode, sample_overhead = _decide_admission(
-                    ctx,
-                    source,
-                    layout_name,
-                    cache_fields,
-                    nested,
-                    eager_rows,
-                    eager_records,
-                    eager_counts,
-                    caching_seconds,
-                    to1,
-                    tc1,
-                    records_seen,
-                    bytes_seen,
-                )
-                caching_seconds = sample_overhead
-                if mode == "lazy":
-                    eager_rows, eager_records, eager_counts = [], [], []
-                else:
-                    lazy_offsets = []
+            _materialize_batch(run, scanned)
 
     elapsed = time.perf_counter() - operator_started
-    caching_seconds += post_sample_timer.estimated_total
+    run.caching_seconds += run.timer.estimated_total
+    if run.mode is None:
+        run.mode = "eager"
+    _admit(run, elapsed)
 
-    if mode is None:
-        mode = "eager"
-
-    caching_seconds += _admit(
-        ctx,
-        node,
-        source,
-        mode,
-        layout_name,
-        cache_fields,
-        nested,
-        eager_rows,
-        eager_records,
-        eager_counts,
-        lazy_offsets,
-        elapsed,
-        caching_seconds,
-    )
-
-    operator_seconds = max(0.0, elapsed - caching_seconds)
-    ctx.report.operator_time += operator_seconds
-    ctx.report.caching_time += caching_seconds
-    return output
+    ctx.report.operator_time += max(0.0, elapsed - run.caching_seconds)
+    ctx.report.caching_time += run.caching_seconds
+    return run.output

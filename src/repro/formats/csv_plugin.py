@@ -1,25 +1,29 @@
 """CSV input plugin.
 
-Scans delimiter-separated text files, parsing only the fields a query needs
-(the typed parse of an untouched field is skipped entirely).  On the first full
-scan the plugin populates a :class:`~repro.formats.positional_map.PositionalMap`
-with record offsets, which later scans and lazy caches use to jump directly to
-individual records.
+Scans delimiter-separated text files a chunk of lines at a time.  Each line is
+split **once**; only the fields a query needs are converted, one *column* at a
+time (``map(int, cells)`` — the typed parse of an untouched field is skipped
+entirely), and the split lines ride along as the caching payload so the
+materializer can convert the remaining fields of the satisfying records from
+the same splits.  The first full scan populates the record-level
+:class:`~repro.formats.positional_map.PositionalMap`, which lazy caches use to
+jump directly to individual records.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.core.errors import TransientScanError
+import numpy as np
+
 from repro.engine.batch import RecordBatch
 from repro.engine.types import AtomType, RecordType
-from repro.faults import runtime as faults
-from repro.formats.positional_map import PositionalMap
+from repro.formats.linefile import LineFile
 
 
-class CSVPlugin:
+class CSVPlugin(LineFile):
     """Reader for a single CSV file described by a flat relational schema."""
 
     format_name = "csv"
@@ -27,164 +31,20 @@ class CSVPlugin:
     def __init__(self, path: str | Path, schema: RecordType, delimiter: str = "|") -> None:
         if not schema.is_flat():
             raise ValueError("CSV schema must be flat (atoms only)")
-        self.path = Path(path)
+        super().__init__(path)
         self.schema = schema
         self.delimiter = delimiter
-        self.positional_map = PositionalMap()
         self._field_index = {f.name: i for i, f in enumerate(schema.fields)}
         self._field_types: list[AtomType] = [f.dtype for f in schema.fields]  # type: ignore[misc]
 
-    # ------------------------------------------------------------------
-    # Scanning
-    # ------------------------------------------------------------------
-    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Yield parsed rows, restricted to ``fields`` when given.
+    def columns_from_payload(
+        self, payload: Sequence[list[str]], fields: Sequence[str]
+    ) -> tuple[dict[str, list], None]:
+        """Typed columns of ``fields`` from split lines a scan attached as payload.
 
-        The first scan also builds the record-level positional map as a side
-        effect; later scans reuse it implicitly through :meth:`read_records`.
-        The map is built into a fresh instance and installed only when the scan
-        reaches the end of the file, so an abandoned scan never publishes a
-        partial map and concurrent first scans never interleave their offsets.
+        Returns ``(columns, None)``: flat records carry no per-record row counts.
         """
-        wanted = self._resolve_fields(fields)
-        new_map = None if self.positional_map.complete else PositionalMap()
-        offset = 0
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for raw_line in handle:
-                    line = raw_line.rstrip(b"\r\n")
-                    if not line:
-                        # Blank lines yield no record, so they must not occupy a
-                        # map ordinal either: lazy caches store *yielded* record
-                        # ordinals and resolve them through the map.
-                        offset += len(raw_line)
-                        continue
-                    if new_map is not None:
-                        new_map.add_record(offset, len(line))
-                    offset += len(raw_line)
-                    if injector is not None:
-                        injector()
-                    yield self._parse_line(line.decode("utf-8"), wanted)
-        except OSError as exc:
-            raise TransientScanError(f"csv scan of {self.path.name} failed: {exc}") from exc
-        if new_map is not None:
-            new_map.mark_complete()
-            self.positional_map = new_map
-
-    def scan_with_lines(self, fields: Sequence[str] | None = None) -> Iterator[tuple[str, dict]]:
-        """Yield ``(raw_line, parsed_row)`` pairs, parsing only ``fields``.
-
-        The raw line is what a caching materializer needs to later parse the
-        *complete* tuple (all fields) without paying that cost for records that
-        do not satisfy the selection.
-        """
-        wanted = self._resolve_fields(fields)
-        new_map = None if self.positional_map.complete else PositionalMap()
-        offset = 0
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for raw_line in handle:
-                    line = raw_line.rstrip(b"\r\n")
-                    if not line:
-                        offset += len(raw_line)
-                        continue
-                    if new_map is not None:
-                        new_map.add_record(offset, len(line))
-                    offset += len(raw_line)
-                    if injector is not None:
-                        injector()
-                    decoded = line.decode("utf-8")
-                    yield decoded, self._parse_line(decoded, wanted)
-        except OSError as exc:
-            raise TransientScanError(f"csv scan of {self.path.name} failed: {exc}") from exc
-        if new_map is not None:
-            new_map.mark_complete()
-            self.positional_map = new_map
-
-    def scan_batches(
-        self,
-        fields: Sequence[str] | None = None,
-        batch_size: int = 1024,
-        with_payload: bool = False,
-    ) -> Iterator[RecordBatch]:
-        """Yield the file as :class:`RecordBatch` chunks of ``batch_size`` records.
-
-        CSV is flat, so records and rows coincide.  ``with_payload`` attaches
-        the raw text line and its approximate byte size per record — what the
-        caching materializer needs to later parse complete tuples of the
-        satisfying records without re-reading the file.
-
-        An empty ``fields`` list reads as all fields, matching how the row
-        executor invokes CSV scans (``fields or None``) for bare-scan queries.
-        """
-        wanted = self._resolve_fields(fields or None)
-        columns: dict[str, list] = {name: [] for name in wanted}
-        lines: list[str] | None = [] if with_payload else None
-        nbytes: list[int] | None = [] if with_payload else None
-        count = 0
-        for line, row in self.scan_with_lines(fields or None):
-            for name in wanted:
-                columns[name].append(row[name])
-            if with_payload:
-                lines.append(line)
-                nbytes.append(max(16, len(line)))
-            count += 1
-            if count >= batch_size:
-                yield RecordBatch(columns, row_count=count, records=lines, record_bytes=nbytes)
-                columns = {name: [] for name in wanted}  # recheck-lint: allow(hotpath) -- resets the per-batch accumulator, built once per batch not per record
-                lines = [] if with_payload else None
-                nbytes = [] if with_payload else None
-                count = 0
-        if count:
-            yield RecordBatch(columns, row_count=count, records=lines, record_bytes=nbytes)
-
-    def parse_full(self, line: str) -> dict:
-        """Parse every field of one raw CSV line (the complete tuple)."""
-        return self._parse_line(line, self.schema.field_names())
-
-    def read_records(self, indexes: Iterable[int], fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Yield parsed rows for specific record ordinals via the positional map.
-
-        This is the access path used when a *lazy* cache (offsets of satisfying
-        tuples) is reused: instead of re-scanning and re-filtering the whole
-        file, only the recorded records are fetched and parsed.
-        """
-        if not self.positional_map.complete:
-            # Build the map with a cheap structural pass (no field parsing).
-            for _ in self.scan(fields=[]):
-                pass
-        position_map = self.positional_map
-        wanted = self._resolve_fields(fields)
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for index in indexes:
-                    offset, length = position_map.record_span(index)
-                    handle.seek(offset)
-                    line = handle.read(length).decode("utf-8")
-                    if injector is not None:
-                        injector()
-                    yield self._parse_line(line, wanted)
-        except OSError as exc:
-            raise TransientScanError(f"csv record read of {self.path.name} failed: {exc}") from exc
-
-    def read_record_rows(  # rowwise-fallback: lazy-offset point reads parse one record at a time by design
-        self, indexes: Iterable[int], fields: Sequence[str] | None = None
-    ) -> Iterator[list[dict]]:
-        """Yield each requested record as a single-row list (CSV is flat)."""
-        for row in self.read_records(indexes, fields):
-            yield [row]
-
-    def record_count(self) -> int:
-        if not self.positional_map.complete:
-            for _ in self.scan(fields=[]):
-                pass
-        return self.positional_map.record_count
-
-    def file_size(self) -> int:
-        return self.path.stat().st_size
+        return {name: self._typed_column(payload, self._field_index[name])[0] for name in fields}, None
 
     # ------------------------------------------------------------------
     # Internals
@@ -197,22 +57,53 @@ class CSVPlugin:
             raise KeyError(f"unknown CSV fields: {unknown}")
         return list(fields)
 
-    def _parse_line(self, line: str, wanted: Sequence[str]) -> dict:
-        if not wanted:
-            return {}
-        values = line.split(self.delimiter)
-        row: dict = {}
+    def _batch(
+        self, lines: list[str], wanted: Sequence[str], sizes: list[int] | None
+    ) -> RecordBatch:
+        """One batch of ``wanted`` columns; the payload is each line's split cells.
+
+        Null-free numeric columns arrive with their float64 view seeded.
+        """
+        delimiter = self.delimiter
+        splits = [line.split(delimiter) for line in lines]
+        columns: dict[str, list] = {}
+        numeric: list[str] = []
         for name in wanted:
-            index = self._field_index[name]
-            if index >= len(values):
-                row[name] = None
-                continue
-            text = values[index]
-            if text == "":
-                row[name] = None
-            else:
-                row[name] = self._field_types[index].parse(text)
-        return row
+            columns[name], null_free_numeric = self._typed_column(splits, self._field_index[name])
+            if null_free_numeric:
+                numeric.append(name)
+        batch = RecordBatch(
+            columns,
+            row_count=len(splits),
+            records=splits if sizes is not None else None,
+            record_bytes=sizes,
+        )
+        for name in numeric:
+            batch.set_numeric_view(name, np.array(columns[name], dtype=np.float64))
+        return batch
+
+    def _typed_column(self, splits: Sequence[list[str]], index: int) -> tuple[list, bool]:
+        """The typed values of cell ``index`` of every split line.
+
+        Returns ``(values, null_free_numeric)``.  The whole column converts at
+        C level when it can; an empty cell or a short (ragged) line reads as
+        ``None`` and sends just that column through the per-value fallback.
+        """
+        try:
+            cells = list(map(itemgetter(index), splits))
+        except IndexError:
+            cells = [line[index] if index < len(line) else "" for line in splits]
+        dtype = self._field_types[index]
+        convert = dtype.python_type
+        if convert is str:
+            return ([cell or None for cell in cells] if "" in cells else cells), False
+        if convert is not bool:
+            try:
+                return list(map(convert, cells)), True
+            except ValueError:
+                pass  # an empty cell; real garbage raises again below
+        parse = dtype.parse
+        return [parse(cell) if cell else None for cell in cells], False
 
 
 def write_csv(path: str | Path, schema: RecordType, rows: Iterable[dict], delimiter: str = "|") -> int:

@@ -66,14 +66,28 @@ class DataSource:
         """Scan the raw file as :class:`~repro.engine.batch.RecordBatch` chunks."""
         return self.plugin.scan_batches(fields, batch_size=batch_size, with_payload=with_payload)
 
-    def read_records(self, indexes: Sequence[int], fields: Sequence[str] | None = None) -> Iterator[dict]:
-        return self.plugin.read_records(indexes, fields)
+    def read_record_batches(
+        self, indexes: Sequence[int], fields: Sequence[str] | None = None, batch_size: int = 1024
+    ):
+        """The records at positional-map ordinals ``indexes`` as record batches.
 
-    def read_record_rows(  # rowwise-fallback: lazy-offset point reads parse one record at a time by design
+        What reusing a lazy cache entry costs: only the recorded lines are
+        fetched, and they go through the same columnar parse as a scan.
+        """
+        return self.plugin.read_record_batches(indexes, fields, batch_size=batch_size)
+
+    def read_record_rows(
         self, indexes: Sequence[int], fields: Sequence[str] | None = None
     ) -> Iterator[list[dict]]:
-        """Rows of each requested record, grouped per record."""
-        return self.plugin.read_record_rows(indexes, fields)
+        """Rows of each requested record, grouped per record.
+
+        A per-record adapter over :meth:`read_record_batches`.
+        """
+        for batch in self.read_record_batches(indexes, fields):
+            rows = batch.to_rows()
+            bounds = batch.record_offsets()
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                yield rows[start:stop]
 
     def file_size(self) -> int:
         return self.plugin.file_size()

@@ -2,195 +2,111 @@
 
 JSON is the expensive end of the paper's raw-format spectrum: parsing nested
 objects costs far more than splitting a CSV line, which is exactly the cost
-asymmetry that makes cost-aware caching pay off.  The plugin parses each line
-with :func:`json.loads`, flattens nested collections into relational rows with
-dotted column names (Section 4's flattening semantics), and maintains a
-positional map of record offsets for lazy caches.
+asymmetry that makes cost-aware caching pay off.  The plugin decodes each line
+**once** with :func:`json.loads`, extracts the wanted leaves straight into
+columns with dotted names (Section 4's flattening semantics), carries the
+decoded records as the caching payload, and maintains a positional map of
+record offsets for lazy caches.
 """
 
 from __future__ import annotations
 
 import json
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.errors import TransientScanError
-from repro.engine.batch import RecordBatch, approx_record_bytes
+from repro.engine.batch import RecordBatch
 from repro.engine.types import AtomType, DataType, Field, ListType, RecordType, flatten_record
-from repro.faults import runtime as faults
-from repro.formats.positional_map import PositionalMap
+from repro.formats.linefile import LineFile
 
 
-class JSONPlugin:
+class JSONPlugin(LineFile):
     """Reader for a line-delimited JSON file with a (possibly nested) schema."""
 
     format_name = "json"
 
     def __init__(self, path: str | Path, schema: RecordType) -> None:
-        self.path = Path(path)
+        super().__init__(path)
         self.schema = schema
-        self.positional_map = PositionalMap()
         self._pruned_schemas: dict[frozenset, RecordType] = {}
         self._column_plans: dict[frozenset, tuple | None] = {}
 
-    # ------------------------------------------------------------------
-    # Scanning
-    # ------------------------------------------------------------------
-    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Yield flattened rows; nested collections multiply row counts.
-
-        ``fields`` restricts the columns present in the emitted rows but —
-        unlike CSV — the whole JSON object must still be parsed, which is why
-        raw JSON access dominates query time until a cache exists.
-        """
-        wanted = set(fields) if fields is not None else None
-        new_map = None if self.positional_map.complete else PositionalMap()
-        offset = 0
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for raw_line in handle:
-                    line = raw_line.rstrip(b"\r\n")
-                    if not line:
-                        # Blank lines yield no record; keeping them out of the map
-                        # keeps map ordinals aligned with yielded record ordinals
-                        # (what lazy caches store).
-                        offset += len(raw_line)
-                        continue
-                    if new_map is not None:
-                        new_map.add_record(offset, len(line))
-                    offset += len(raw_line)
-                    if injector is not None:
-                        injector()
-                    # Decoding explicitly skips json's per-call encoding sniff.
-                    record = json.loads(line.decode("utf-8"))
-                    for row in flatten_record(record, self.schema):
-                        if wanted is not None:
-                            yield {k: row.get(k) for k in wanted}
-                        else:
-                            yield row
-        except OSError as exc:
-            raise TransientScanError(f"json scan of {self.path.name} failed: {exc}") from exc
-        if new_map is not None:
-            new_map.mark_complete()
-            self.positional_map = new_map
-
     def scan_records(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Yield raw (non-flattened) nested records, one per JSON line.
+        """Yield raw (non-flattened) nested records, one per JSON line."""
+        for lines, _ in self._line_chunks(1024):
+            yield from _decode_lines(lines)
 
-        Used when populating a Parquet-style cache, which needs the original
-        nested structure rather than the flattened rows.
-        """
-        new_map = None if self.positional_map.complete else PositionalMap()
-        offset = 0
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for raw_line in handle:
-                    line = raw_line.rstrip(b"\r\n")
-                    if not line:
-                        offset += len(raw_line)
-                        continue
-                    if new_map is not None:
-                        new_map.add_record(offset, len(line))
-                    offset += len(raw_line)
-                    if injector is not None:
-                        injector()
-                    yield json.loads(line.decode("utf-8"))
-        except OSError as exc:
-            raise TransientScanError(f"json scan of {self.path.name} failed: {exc}") from exc
-        if new_map is not None:
-            new_map.mark_complete()
-            self.positional_map = new_map
+    def columns_from_payload(
+        self, payload: Sequence[dict], fields: Sequence[str]
+    ) -> tuple[dict[str, list], list[int]]:
+        """Flattened columns of ``fields`` from decoded records a scan attached.
 
-    def scan_batches(
-        self,
-        fields: Sequence[str] | None = None,
-        batch_size: int = 1024,
-        with_payload: bool = False,
-    ) -> Iterator[RecordBatch]:
-        """Yield :class:`RecordBatch` chunks of ``batch_size`` *records*.
-
-        Nested records flatten into several rows each, so a batch carries
-        ``record_row_counts`` to keep the record grouping (admission sampling
-        and record-level dedup both operate on records, not rows).
-        ``with_payload`` attaches the parsed JSON object and its approximate
-        raw size per record for the caching materializer.
-
-        Two layers of projection pushdown keep the batched miss path cheap:
-        the flatten schema is pruned to the wanted leaves (plus multiplicity
-        placeholders, see :meth:`_pruned_schema`), and for schemas with at
-        most one row-multiplying list a compiled column plan extracts wanted
-        values straight into the batch columns without building per-row
-        dictionaries at all.  Both produce bit-identical batches to the
-        full ``flatten_record`` path, which remains the fallback for
+        Returns ``(columns, record_row_counts)``.  Two layers of projection
+        pushdown keep this cheap: the flatten schema is pruned to the wanted
+        leaves (plus multiplicity placeholders, see :meth:`_pruned_schema`),
+        and for schemas with at most one row-multiplying list a compiled
+        column plan extracts wanted values straight into the columns without
+        building per-row dictionaries at all.  Both produce the same columns
+        as the full ``flatten_record`` path, which remains the fallback for
         cross-product (multi-list) schemas.
         """
-        wanted = list(fields) if fields is not None else self.schema.flattened().field_names()
-        flatten_schema = self._pruned_schema(wanted) if fields is not None else self.schema
-        plan = self._column_plan(wanted, flatten_schema)
-        columns: dict[str, list] = {name: [] for name in wanted}
-        counts: list[int] = []
-        records: list[dict] | None = [] if with_payload else None
-        nbytes: list[int] | None = [] if with_payload else None
-        rows_in_batch = 0
-        if plan is not None:
-            list_keys, flat_cols, nested_cols = plan
-        for record in self.scan_records():
-            if plan is not None:
-                if list_keys is None:
-                    n = 1
-                    for name, get in flat_cols:
-                        columns[name].append(get(record))
-                else:
-                    obj = record
-                    for key in list_keys:
-                        obj = obj.get(key) if obj else None
-                    elements = obj if obj else [None]
-                    n = len(elements)
-                    for name, get in flat_cols:
-                        value = get(record)
-                        if n == 1:
-                            columns[name].append(value)
-                        else:
-                            columns[name].extend([value] * n)
-                    for name, get in nested_cols:
-                        column = columns[name]
-                        for element in elements:
-                            column.append(get(element))
-                counts.append(n)
-                rows_in_batch += n
-            else:
+        flatten_schema = self._pruned_schema(fields)
+        plan = self._column_plan(fields, flatten_schema)
+        columns: dict[str, list] = {name: [] for name in fields}
+        if plan is None:
+            counts = []
+            for record in payload:
                 rows = flatten_record(record, flatten_schema)
                 counts.append(len(rows))
-                rows_in_batch += len(rows)
                 for row in rows:
-                    for name in wanted:
+                    for name in fields:
                         columns[name].append(row.get(name))
-            if with_payload:
-                records.append(record)
-                nbytes.append(approx_record_bytes(record))
-            if len(counts) >= batch_size:
-                yield RecordBatch(
-                    columns,
-                    row_count=rows_in_batch,
-                    record_row_counts=counts,
-                    records=records,
-                    record_bytes=nbytes,
-                )
-                columns = {name: [] for name in wanted}  # recheck-lint: allow(hotpath) -- resets the per-batch accumulator, built once per batch not per record
-                counts = []
-                records = [] if with_payload else None
-                nbytes = [] if with_payload else None
-                rows_in_batch = 0
-        if counts:
-            yield RecordBatch(
-                columns,
-                row_count=rows_in_batch,
-                record_row_counts=counts,
-                records=records,
-                record_bytes=nbytes,
-            )
+            return columns, counts
+        list_keys, flat_cols, nested_cols = plan
+        if list_keys is None:
+            for name, get in flat_cols:
+                columns[name] = list(map(get, payload))
+            return columns, [1] * len(payload)
+        counts = []
+        for record in payload:
+            obj = record
+            for key in list_keys:
+                obj = obj.get(key) if obj else None
+            elements = obj if obj else [None]
+            n = len(elements)
+            for name, get in flat_cols:
+                value = get(record)
+                if n == 1:
+                    columns[name].append(value)
+                else:
+                    columns[name].extend([value] * n)
+            for name, get in nested_cols:
+                columns[name].extend(map(get, elements))
+            counts.append(n)
+        return columns, counts
+
+    def _resolve_fields(self, fields: Sequence[str] | None) -> list[str]:
+        return list(fields) if fields is not None else self.schema.flattened().field_names()
+
+    def _batch(
+        self, lines: list[str], wanted: Sequence[str], sizes: list[int] | None
+    ) -> RecordBatch:
+        """One batch of ``wanted`` columns; the payload is each line's decoded object.
+
+        Nested records flatten into several rows each, so the batch carries
+        ``record_row_counts`` to keep the record grouping (admission sampling
+        and record-level dedup both operate on records, not rows).
+        """
+        records = _decode_lines(lines)
+        columns, counts = self.columns_from_payload(records, wanted)
+        return RecordBatch(
+            columns,
+            row_count=sum(counts),
+            record_row_counts=counts,
+            records=records if sizes is not None else None,
+            record_bytes=sizes,
+        )
 
     def _pruned_schema(self, wanted: Sequence[str]) -> RecordType:
         """Projection-pushed schema for the batched scan.
@@ -227,49 +143,13 @@ class JSONPlugin:
             self._column_plans[key] = _build_column_plan(wanted, schema)
         return self._column_plans[key]
 
-    def read_records(self, indexes: Iterable[int], fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Yield flattened rows for specific JSON-line ordinals (lazy cache reuse)."""
-        for rows in self.read_record_rows(indexes, fields):
-            yield from rows
 
-    def read_record_rows(  # rowwise-fallback: lazy-offset point reads parse one record at a time by design
-        self, indexes: Iterable[int], fields: Sequence[str] | None = None
-    ) -> Iterator[list[dict]]:
-        """Yield the flattened rows of each requested record as one list.
-
-        Keeping the record grouping lets callers apply record-level semantics
-        (e.g. aggregate parent attributes once per record) without guessing
-        where one record's rows end and the next one's begin.
-        """
-        if not self.positional_map.complete:
-            for _ in self.scan_records():
-                pass
-        position_map = self.positional_map
-        wanted = set(fields) if fields is not None else None
-        injector = faults.injector_for("scan.raw", self.path.name)
-        try:
-            with self.path.open("rb") as handle:
-                for index in indexes:
-                    offset, length = position_map.record_span(index)
-                    handle.seek(offset)
-                    if injector is not None:
-                        injector()
-                    record = json.loads(handle.read(length))
-                    rows = flatten_record(record, self.schema)
-                    if wanted is not None:
-                        rows = [{k: row.get(k) for k in wanted} for row in rows]
-                    yield rows
-        except OSError as exc:
-            raise TransientScanError(f"json record read of {self.path.name} failed: {exc}") from exc
-
-    def record_count(self) -> int:
-        if not self.positional_map.complete:
-            for _ in self.scan_records():
-                pass
-        return self.positional_map.record_count
-
-    def file_size(self) -> int:
-        return self.path.stat().st_size
+def _decode_lines(lines: Sequence[str]) -> list:
+    """Decode a chunk of JSON lines with one parser call (as one JSON array)."""
+    records = json.loads(f"[{','.join(lines)}]")
+    if len(records) != len(lines):
+        raise ValueError("a JSON line holds more than one value")
+    return records
 
 
 def write_json_lines(path: str | Path, records: Iterable[dict]) -> int:
@@ -360,14 +240,19 @@ def _leaf_steps(prefix: str, dtype: DataType, steps: tuple, out: dict) -> None:
         _leaf_steps(child, field.dtype, steps + (field.name,), out)
 
 
-def _compile_steps(steps: tuple):
+def _compile_steps(steps: tuple, from_record: bool = False):
     """Compile extraction steps into a getter mirroring flatten semantics.
 
     Falsy intermediates (missing / ``None`` / empty) resolve to ``None``,
     exactly as ``value or {}`` does in ``_extend_rows`` / ``_fill_element``.
+    ``from_record`` says the getter is applied to the decoded record itself
+    (always a dict, unlike a list element), so a top-level atom is one
+    C-level ``dict.get``.
     """
     if not steps:
         return lambda obj: obj
+    if from_record and len(steps) == 1:
+        return methodcaller("get", steps[0])
 
     def get(obj, _steps=steps):
         for step in _steps:
@@ -397,5 +282,5 @@ def _build_column_plan(wanted: Sequence[str], schema: RecordType) -> tuple | Non
         elif list_keys is not None and steps[: len(list_keys) + 1] == list_keys + (_FIRST,):
             nested_cols.append((name, _compile_steps(steps[len(list_keys) + 1 :])))
         else:
-            flat_cols.append((name, _compile_steps(steps)))
+            flat_cols.append((name, _compile_steps(steps, from_record=True)))
     return (list_keys, flat_cols, nested_cols)

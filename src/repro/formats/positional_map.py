@@ -1,10 +1,9 @@
 """Positional maps: byte-offset skeletons of raw text files.
 
 NoDB and Proteus build a *positional map* while scanning a raw file for the
-first time: for each record they remember its byte offset (and, for CSV, the
-offsets of individual fields).  Later queries use the map to navigate the file
-without re-discovering its structure, which reduces the cost of repeatedly
-parsing already accessed raw data.
+first time: for each record they remember its byte offset.  Later queries use
+the map to navigate the file without re-discovering its structure, which
+reduces the cost of repeatedly parsing already accessed raw data.
 
 The map also gives ReCache its *lazy* caching mode: a lazy cache stores only
 the record offsets of the tuples that satisfied a selection, so reusing the
@@ -18,16 +17,16 @@ from dataclasses import dataclass, field
 
 @dataclass
 class PositionalMap:
-    """Record- and field-level byte offsets for one raw file."""
+    """Record-level byte offsets for one raw file.
+
+    Scans fill the two lists a chunk at a time (see
+    :meth:`repro.formats.linefile.LineFile._line_chunks`).
+    """
 
     #: byte offset of the start of each record (line), in file order.
     record_offsets: list[int] = field(default_factory=list)
     #: byte length of each record, excluding the newline.
     record_lengths: list[int] = field(default_factory=list)
-    #: for CSV files: per-record offsets of the start of each tracked field,
-    #: keyed by field name.  Only the fields touched by past queries are kept,
-    #: mirroring the partial positional maps of NoDB.
-    field_offsets: dict[str, list[int]] = field(default_factory=dict)
     #: set by :meth:`mark_complete` once a scan has walked the whole file; an
     #: abandoned scan (a consumer that stops pulling the generator) leaves the
     #: map partial, and a partial map must not masquerade as the file total.
@@ -46,30 +45,6 @@ class PositionalMap:
         """Declare that the map now covers every record of the file."""
         self._complete = True
 
-    def add_record(self, offset: int, length: int) -> int:
-        """Register a record; returns its ordinal index."""
-        self.record_offsets.append(offset)
-        self.record_lengths.append(length)
-        return len(self.record_offsets) - 1
-
-    def record_span(self, index: int) -> tuple[int, int]:
-        """Return ``(offset, length)`` of the record at ``index``."""
-        return self.record_offsets[index], self.record_lengths[index]
-
-    def track_field(self, name: str) -> None:
-        if name not in self.field_offsets:
-            self.field_offsets[name] = []
-
-    def tracked_fields(self) -> list[str]:
-        return list(self.field_offsets)
-
-    def add_field_offset(self, name: str, offset: int) -> None:
-        self.field_offsets[name].append(offset)
-
     def nbytes(self) -> int:
         """Approximate memory footprint of the map, for accounting."""
-        per_int = 8
-        total = (len(self.record_offsets) + len(self.record_lengths)) * per_int
-        for offsets in self.field_offsets.values():
-            total += len(offsets) * per_int
-        return total
+        return (len(self.record_offsets) + len(self.record_lengths)) * 8

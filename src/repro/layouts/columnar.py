@@ -56,21 +56,6 @@ class ColumnarLayout(CacheLayout):
         #: lazily built first-flattened-row-per-record index array
         self._first_row_array: np.ndarray | None = None
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[dict],
-        schema: RecordType,
-        fields: Sequence[str],
-        record_row_counts: Sequence[int] | None = None,
-    ) -> "ColumnarLayout":
-        """Build the layout from already-flattened rows."""
-        columns: dict[str, list] = {f: [] for f in fields}
-        for row in rows:
-            for field in fields:
-                columns[field].append(row.get(field))
-        return cls(schema, fields, columns, record_row_counts)
-
     # -- CacheLayout API ------------------------------------------------------
     @property
     def nbytes(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from repro.engine.batch import RecordBatch
 from repro.engine.types import RecordType, flatten_record
 from repro.layouts.assembly import repetition_group
 from repro.layouts.base import CacheLayout
@@ -22,19 +23,22 @@ from repro.layouts.row import RowLayout
 LAYOUT_NAMES = ("row", "columnar", "parquet")
 
 
-def build_layout(  # rowwise-fallback: layout builds are record-granular by definition (cold-path caching work)
+def build_layout(
     layout_name: str,
     schema: RecordType,
     fields: Sequence[str],
     rows: Sequence[dict] | None = None,
     records: Sequence[dict] | None = None,
     record_row_counts: Sequence[int] | None = None,
+    columns: dict[str, list] | None = None,
 ) -> CacheLayout:
-    """Build a layout from flattened rows and/or nested records.
+    """Build a layout from flattened columns, flattened rows or nested records.
 
-    Callers provide whichever representation they already have; the function
-    derives the other one when needed (flattening nested records for the
-    relational layouts, or regrouping rows into records for Parquet).
+    Callers provide whichever representation they already have.  The
+    relational layouts are built from ``columns`` (one list per field — what
+    the cold path produces, so it never assembles a row dictionary); rows are
+    transposed and nested records flattened into columns first.  Parquet
+    stripes nested records, regrouping rows into records when given rows.
     """
     if layout_name not in LAYOUT_NAMES:
         raise ValueError(f"unknown layout: {layout_name!r} (expected one of {LAYOUT_NAMES})")
@@ -46,13 +50,14 @@ def build_layout(  # rowwise-fallback: layout builds are record-granular by defi
             records = unflatten_rows(rows, schema, fields, record_row_counts)
         return ParquetLayout.from_records(records, schema, fields)
 
-    if rows is None:
-        if records is None:
-            raise ValueError(f"{layout_name} layout needs rows or records")
-        rows, record_row_counts = flatten_records(records, schema, fields)
-    if layout_name == "columnar":
-        return ColumnarLayout.from_rows(rows, schema, fields, record_row_counts)
-    return RowLayout.from_rows(rows, schema, fields, record_row_counts)
+    if columns is None:
+        if rows is None:
+            if records is None:
+                raise ValueError(f"{layout_name} layout needs columns, rows or records")
+            rows, record_row_counts = flatten_records(records, schema, fields)
+        columns = RecordBatch.from_rows(rows, fields).columns
+    layout_class = ColumnarLayout if layout_name == "columnar" else RowLayout
+    return layout_class(schema, fields, columns, record_row_counts)
 
 
 def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache record by record (cold-path, off the scan loop)
@@ -89,7 +94,7 @@ def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache re
     return converted, time.perf_counter() - started
 
 
-def flatten_records(
+def flatten_records(  # rowwise-fallback: the records-to-rows bridge for callers that hold nested records (layout conversion, benches); the cold path hands build_layout columns
     records: Sequence[dict], schema: RecordType, fields: Sequence[str]
 ) -> tuple[list[dict], list[int]]:
     """Flatten nested records into rows restricted to ``fields``.
@@ -108,7 +113,7 @@ def flatten_records(
     return rows, counts
 
 
-def unflatten_rows(
+def unflatten_rows(  # rowwise-fallback: the rows-to-records bridge of a relational-to-Parquet layout conversion
     rows: Sequence[dict],
     schema: RecordType,
     fields: Sequence[str],

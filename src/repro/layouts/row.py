@@ -25,24 +25,18 @@ class RowLayout(CacheLayout):
         self,
         schema: RecordType,
         fields: Sequence[str],
-        rows: Sequence[dict],
+        columns: dict[str, list],
         record_row_counts: Sequence[int] | None = None,
     ) -> None:
         super().__init__(schema, fields)
-        self._tuples: list[tuple] = [tuple(row.get(f) for f in self.fields) for row in rows]
+        # A zip of unequal columns would silently truncate to the shortest.
+        lengths = {len(columns[f]) for f in self.fields}
+        if len(lengths) > 1:
+            raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
+        self._tuples: list[tuple] = list(zip(*(columns[f] for f in self.fields)))
         self._field_index = {name: i for i, name in enumerate(self.fields)}
         self._record_row_counts = list(record_row_counts) if record_row_counts else None
         self._nbytes = estimate_sequence_bytes(self._tuples)
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[dict],
-        schema: RecordType,
-        fields: Sequence[str],
-        record_row_counts: Sequence[int] | None = None,
-    ) -> "RowLayout":
-        return cls(schema, fields, rows, record_row_counts)
 
     # -- CacheLayout API ------------------------------------------------------
     @property

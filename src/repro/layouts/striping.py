@@ -196,7 +196,7 @@ def column_levels(schema: RecordType, path: str) -> tuple[int, int]:
     return max_rep, max_def
 
 
-def stripe_records(
+def stripe_records(  # rowwise-fallback: striping shreds decoded nested records one by one by definition (cold-path cache build)
     records: Sequence[dict],
     schema: RecordType,
     fields: Sequence[str] | None = None,

@@ -95,7 +95,7 @@ def test_blank_lines_do_not_shift_lazy_record_ordinals(tmp_path):
     assert len(scanned) == 20
     assert plugin.positional_map.record_count == 20
     # Records after the blank line must resolve to themselves, not be off by one.
-    fetched = list(plugin.read_records(range(20)))
+    fetched = [row for batch in plugin.read_record_batches(range(20)) for row in batch.to_rows()]
     assert fetched == scanned
 
     # End-to-end: a lazy cache stores yielded ordinals; reusing it re-reads

@@ -53,22 +53,28 @@ class TestCSVPlugin:
         with pytest.raises(KeyError):
             list(CSVPlugin(path, FLAT).scan(fields=["nope"]))
 
-    def test_positional_map_and_read_records(self, tmp_path):
+    def test_positional_map_and_read_record_batches(self, tmp_path):
         path = tmp_path / "flat.csv"
         write_csv(path, FLAT, _flat_rows())
         plugin = CSVPlugin(path, FLAT)
         assert plugin.record_count() == 50
         assert plugin.positional_map.complete
-        picked = list(plugin.read_records([5, 10, 49]))
-        assert [row["id"] for row in picked] == [5, 10, 49]
+        # Records come back in the order asked for, batch_size at a time.
+        batches = list(plugin.read_record_batches([5, 49, 10], batch_size=2))
+        assert [batch.column("id") for batch in batches] == [[5, 49], [10]]
+        assert batches[0].to_rows()[1] == {"id": 49, "value": 73.5, "name": "name49"}
 
-    def test_scan_with_lines_and_parse_full(self, tmp_path):
+    def test_payload_converts_the_remaining_fields_from_the_same_split(self, tmp_path):
         path = tmp_path / "flat.csv"
         write_csv(path, FLAT, _flat_rows())
         plugin = CSVPlugin(path, FLAT)
-        line, row = next(iter(plugin.scan_with_lines(fields=["id"])))
-        assert row == {"id": 0}
-        assert plugin.parse_full(line) == {"id": 0, "value": 0.0, "name": "name0"}
+        batch = next(plugin.scan_batches(["id"], batch_size=4, with_payload=True))
+        assert batch.columns == {"id": [0, 1, 2, 3]}
+        assert batch.records[2] == ["2", "3.0", "name2"]
+        rest, counts = plugin.columns_from_payload(batch.records[2:], ["value", "name"])
+        assert rest == {"value": [3.0, 4.5], "name": ["name2", "name3"]} and counts is None
+        # Null-free numeric columns arrive with their float64 view seeded.
+        assert batch.numeric_view("id").tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_missing_values_parse_to_none(self, tmp_path):
         path = tmp_path / "gaps.csv"
@@ -103,11 +109,13 @@ class TestJSONPlugin:
     def test_read_record_rows_grouping(self, tmp_path):
         path = tmp_path / "nested.json"
         write_json_lines(path, _nested_records())
-        plugin = JSONPlugin(path, NESTED)
-        plugin.record_count()
-        groups = list(plugin.read_record_rows([2, 3]))
+        source = DataSource("nested", path, "json", NESTED)
+        groups = list(source.read_record_rows([2, 3]))
         assert len(groups) == 2
         assert len(groups[1]) == 3  # record 3 has 3 items
+        assert groups[1][2] == {"key": 3, "items.q": 2, "items.p": 0.5}
+        (batch,) = source.read_record_batches([2, 3], ["key"])
+        assert batch.record_row_counts == [2, 3] and batch.column("key") == [2, 2, 3, 3, 3]
 
     def test_field_restriction(self, tmp_path):
         path = tmp_path / "nested.json"
