@@ -57,7 +57,6 @@ RAISE_CONTRACTS: dict[str, frozenset[str]] = {
     ),
     # -- executor: quarantine consumes corruption before the plan returns ---
     "execute_plan": frozenset({"TransientScanError", "DeadlineExceeded"}),
-    "execute_plan_columnar": frozenset({"TransientScanError", "DeadlineExceeded"}),
     # -- cache manager: a corrupt cached layout is quarantined, not raised --
     "ReCache.record_reuse": frozenset(),
     "ReCache.upgrade_lazy": frozenset(),

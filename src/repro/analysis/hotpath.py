@@ -1,12 +1,11 @@
 """Rule ``hotpath``: keep the batched pipeline free of per-row Python work.
 
 The batched executor exists because per-row Python iteration is the
-throughput cliff the benchmarks measure (the ~0.97x Symantec regression in
-``BENCH_batch_pipeline.json`` was exactly one of these loops sneaking back
-in).  This rule walks the project call graph from the vectorized roots
-declared in :data:`repro.analysis.contracts.HOT_PATH_ROOTS` (extendable per
-module with a ``RECHECK_HOTPATH_ROOTS`` literal) and flags any *reachable*
-function that:
+throughput cliff the benchmarks measure (a ~0.97x Symantec regression,
+recorded in CHANGES.md, was exactly one of these loops sneaking back in).
+This rule walks the project call graph from the vectorized roots declared in
+:data:`repro.analysis.contracts.HOT_PATH_ROOTS` (extendable per module with a
+``RECHECK_HOTPATH_ROOTS`` literal) and flags any *reachable* function that:
 
 * materializes rows from batches (``to_rows``/``iter_rows`` calls,
   ``rows_from_batches``/``batches_from_row_iter`` bridges);

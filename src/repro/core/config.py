@@ -13,9 +13,6 @@ import os
 from dataclasses import dataclass, field
 
 
-#: query-output representations accepted by the ``result_format`` knobs
-RESULT_FORMATS = ("rows", "columnar")
-
 #: execution strategies accepted by the ``execution_mode`` knobs
 EXECUTION_MODES = ("threads", "processes")
 
@@ -29,21 +26,6 @@ def validate_execution_mode(value: "str | None", allow_none: bool = False) -> No
         if allow_none:
             expected = f"None, {expected}"
         raise ValueError(f"execution_mode must be {expected}, got {value!r}")
-
-
-def validate_result_format(value: "str | None", allow_none: bool = False) -> None:
-    """Shared membership check for every ``result_format`` entry point.
-
-    One helper keeps the accepted values and the error wording identical
-    across the config, per-query, per-call and serving-tier knobs.
-    """
-    if value is None and allow_none:
-        return
-    if value not in RESULT_FORMATS:
-        expected = " or ".join(repr(fmt) for fmt in RESULT_FORMATS)
-        if allow_none:
-            expected = f"None, {expected}"
-        raise ValueError(f"unknown result format {value!r}; expected {expected}")
 
 
 #: eviction policy identifiers accepted by :func:`repro.core.policies.make_policy`
@@ -124,15 +106,6 @@ class ReCacheConfig:
     #: number of records per :class:`~repro.engine.batch.RecordBatch` produced
     #: by scans.
     batch_size: int = 1024
-
-    #: query-output representation: ``"rows"`` returns the classic list of row
-    #: dictionaries, ``"columnar"`` returns a
-    #: :class:`~repro.engine.types.ColumnarResult` backed by the
-    #: pipeline's record batches (no per-row dict assembly at the pipeline
-    #: exit).  Overridable per query via ``Query.result_format`` or
-    #: ``QueryEngine.execute(..., result_format=...)``; execution, reports and
-    #: cache accounting are identical in both formats.
-    result_format: str = "rows"
 
     #: number of independently locked cache shards; 1 keeps the classic
     #: single-``ReCache`` behaviour, >1 makes the engine build a
@@ -231,7 +204,6 @@ class ReCacheConfig:
             raise ValueError("timing_sample_rate must be in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        validate_result_format(self.result_format)
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if self.max_workers < 1:

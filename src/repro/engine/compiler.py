@@ -112,18 +112,6 @@ def compile_value(expr: Expression) -> Callable[[dict], object]:
     return _cached_closure(f"value:{emitted}", build)
 
 
-def compile_projection(fields: Sequence[str]) -> Callable[[dict], dict]:
-    """Compile a projection of ``fields`` into a ``row -> dict`` closure."""
-    fields = list(fields)
-
-    def build():
-        items = ", ".join(f"{field!r}: row.get({field!r})" for field in fields)
-        source = f"lambda row: {{{items}}}"
-        return eval(compile(source, "<recache-projection>", "eval"), {})  # noqa: S307
-
-    return _cached_closure(f"proj:{tuple(fields)!r}", build)
-
-
 class CompiledAggregate:
     """Running state for one aggregate, specialized to its function."""
 

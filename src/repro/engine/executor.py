@@ -3,9 +3,10 @@
 Plans execute over :class:`~repro.engine.batch.RecordBatch` chunks: batches
 flow from the scans up through select/project/join, predicates evaluate as
 NumPy masks, and record granularity is touched only where ReCache's semantics
-demand it (admission sampling, record-level dedup).  Row dictionaries are
-built once, at the query boundary, for the ``"rows"`` result format; the miss
-path builds none — raw lines become columns, and columns become cache layouts.
+demand it (admission sampling, record-level dedup).  No row dictionary is
+built here: the plan's output leaves as batches (``QueryEngine`` turns them
+into rows for a query that asks for rows), raw lines become columns, and
+columns become cache layouts.
 
 The most involved piece is the materializer, which reproduces ReCache's
 reactive admission behaviour (Section 5.2): it caches the first records of a
@@ -44,7 +45,7 @@ from repro.engine.algebra import (
     ScanNode,
     SelectNode,
 )
-from repro.engine.batch import RecordBatch, rows_from_batches
+from repro.engine.batch import RecordBatch
 from repro.engine.calibration import split_scan_cost
 from repro.engine.compiler import compile_aggregates, compile_batch_predicate
 from repro.engine.operators import (
@@ -65,9 +66,9 @@ from repro.utils.timing import SampledTimer
 class QueryReport:
     """Per-query execution report returned by the engine."""
 
-    #: the query output: a list of row dictionaries by default, or a
-    #: :class:`~repro.engine.types.ColumnarResult` when the query ran with
-    #: ``result_format="columnar"`` (same rows, columnar representation).
+    #: the query output: a list of row dictionaries, or the
+    #: :class:`~repro.engine.types.ColumnarResult` they are built from when
+    #: the query asks for columnar output
     results: "list[dict] | ColumnarResult" = field(default_factory=list)
     rows_returned: int = 0
     total_time: float = 0.0
@@ -186,31 +187,12 @@ def _check_deadline(ctx: ExecutionContext) -> None:
         )
 
 
-def execute_plan(plan: PlanNode, ctx: ExecutionContext) -> list[dict]:
-    """Execute a logical plan over record batches, returning its output rows.
+def execute_plan(plan: PlanNode, ctx: ExecutionContext) -> ColumnarResult:
+    """Execute a logical plan; its output stays in record batches.
 
-    Row dictionaries are materialized once, here at the query boundary.
+    The caller's representation is chosen once, by ``QueryEngine``, after
+    this returns: no row dictionary is assembled here.
     """
-    if isinstance(plan, AggregateNode):
-        batches = _execute_batches(plan.child, ctx)
-        aggregates = compile_aggregates(plan.aggregates)
-        return aggregate_batches(batches, aggregates, plan.group_by)
-    return rows_from_batches(_execute_batches(plan, ctx))  # rowwise-fallback: rows result format materializes Python rows once at the query boundary
-
-
-def execute_plan_columnar(plan: PlanNode, ctx: ExecutionContext) -> ColumnarResult:
-    """Execute a logical plan, returning its output as a :class:`ColumnarResult`.
-
-    The ``result_format="columnar"`` exit: the operator tree's
-    :class:`RecordBatch` stream is handed to the caller as-is — no per-row
-    dictionary assembly happens at all.  Aggregate roots (a handful of group
-    rows) wrap their row output instead.  Execution, report counters and
-    cache accounting are byte-identical to the rows exit; only the output
-    representation differs, and ``ColumnarResult.to_rows()`` reproduces the
-    rows exit bit for bit.
-    """
-    if isinstance(plan, AggregateNode):
-        return ColumnarResult.from_rows(execute_plan(plan, ctx))
     return ColumnarResult(_execute_batches(plan, ctx))
 
 
@@ -760,10 +742,9 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
         source = ctx.catalog.get(plan.source)
         return list(source.scan_batches(plan.fields or None, batch_size=ctx.config.batch_size))
     if isinstance(plan, AggregateNode):
-        # An aggregate below the plan root (not produced by the optimizer, but
-        # legal plan algebra): materialize its rows into a single batch.
-        rows = execute_plan(plan, ctx)
-        return [RecordBatch.from_rows(rows)] if rows else []
+        batches = _execute_batches(plan.child, ctx)
+        aggregates = compile_aggregates(plan.aggregates)
+        return [aggregate_batches(batches, aggregates, plan.group_by)]
     raise TypeError(f"cannot execute plan node of type {type(plan).__name__}")
 
 

@@ -290,37 +290,39 @@ def aggregate_batches(
     batches: Sequence[RecordBatch],
     aggregates: Sequence[CompiledAggregate],
     group_by: Sequence[str] = (),
-) -> list[dict]:
+) -> RecordBatch:
     """Compute aggregates over a batch stream, optionally grouped.
 
-    Grouped aggregation is NumPy-backed: the key columns are factorized into
-    dense group codes (vectorized through float64 views where the keys are
-    null-free numerics, a single dict pass otherwise), rows are gathered per
-    group with one stable argsort, and each aggregate reduces contiguous
-    per-group slices.  Group rows appear in first-occurrence order and every
-    reduction folds its values left-to-right in row order, so results —
-    including floating-point sums and value types of min/max — are those of
-    a plain per-row fold.
+    The output is one batch with a row per group: the key columns, then one
+    column per aggregate.  Grouped aggregation is NumPy-backed: the key
+    columns are factorized into dense group codes (vectorized through float64
+    views where the keys are null-free numerics, a single dict pass
+    otherwise), rows are gathered per group with one stable argsort, and each
+    aggregate reduces contiguous per-group slices.  Group rows appear in
+    first-occurrence order and every reduction folds its values left-to-right
+    in row order, so results — including floating-point sums and value types
+    of min/max — are those of a plain per-row fold.
     """
     if not group_by:
         for batch in batches:
             for aggregate in aggregates:
                 aggregate.update_batch(batch)
-        return [{agg.spec.output_name: agg.result() for agg in aggregates}]
+        return RecordBatch(
+            {agg.spec.output_name: [agg.result()] for agg in aggregates}, row_count=1
+        )
 
     merged = concat_batches(list(batches)) if batches else RecordBatch({}, 0)
     if merged.row_count == 0:
-        return []
+        return RecordBatch({}, 0)
     keys = list(group_by)
     codes, group_keys = _factorize_keys(merged, keys)
-    results = [dict(zip(keys, key_values)) for key_values in group_keys]
+    columns: dict[str, list] = dict(zip(keys, map(list, zip(*group_keys))))
     for aggregate in aggregates:
         values = aggregate.batch_values(merged)
-        outputs = _grouped_reduce(aggregate.spec.func, values, codes, len(group_keys))
-        name = aggregate.spec.output_name
-        for row, value in zip(results, outputs):
-            row[name] = value
-    return results
+        columns[aggregate.spec.output_name] = _grouped_reduce(
+            aggregate.spec.func, values, codes, len(group_keys)
+        )
+    return RecordBatch(columns, row_count=len(group_keys))
 
 
 def _factorize_keys(batch: RecordBatch, keys: Sequence[str]) -> tuple[np.ndarray, list[tuple]]:

@@ -136,11 +136,12 @@ def _run_task(task: ScanTask, cache: dict) -> ScanTaskResult:
     batches = [batch] if batch.row_count else []
     operator_started = time.perf_counter()
     if task.aggregates or task.group_by:
-        rows = aggregate_batches(
-            batches, compile_aggregates(list(task.aggregates)), list(task.group_by)
-        )
-    else:
-        rows = rows_from_batches(batches)
+        batches = [
+            aggregate_batches(
+                batches, compile_aggregates(list(task.aggregates)), list(task.group_by)
+            )
+        ]
+    rows = rows_from_batches(batches)
     operator_seconds = time.perf_counter() - operator_started
     return ScanTaskResult(
         rows=rows,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import validate_execution_mode, validate_result_format
+from repro.core.config import validate_execution_mode
 from repro.engine.expressions import AggregateSpec, Expression
 
 
@@ -49,17 +49,19 @@ class Query:
     group_by: list[str] = field(default_factory=list)
     #: optional label used by workload generators and reports
     label: str = ""
-    #: per-query output representation override: ``"rows"``, ``"columnar"``,
-    #: or ``None`` to follow ``ReCacheConfig.result_format``.  Deliberately
-    #: NOT part of :meth:`signature`: the format only shapes the exit
-    #: representation, so the serving tier coalesces identical queries across
-    #: formats and converts each duplicate's copy to its requested type.
-    result_format: str | None = None
+    #: how ``QueryReport.results`` is handed back: ``"rows"`` (a list of row
+    #: dictionaries) or ``"columnar"`` (the
+    #: :class:`~repro.engine.types.ColumnarResult` the rows are built from, no
+    #: dictionary per row).  Deliberately NOT part of :meth:`signature`: it
+    #: shapes only the representation, so the serving tier coalesces identical
+    #: queries across formats and converts each duplicate's copy.
+    result_format: str = "rows"
     #: per-query deadline in seconds (wall clock from submission/execution
     #: start), or ``None`` to follow ``ReCacheConfig.default_deadline``.
-    #: Like ``result_format``, deliberately NOT part of :meth:`signature`:
-    #: the deadline shapes *when* a result must arrive, not *what* it is,
-    #: so the serving tier still coalesces identical queries.
+    #: Like the field above, deliberately NOT part of :meth:`signature`:
+    #: the deadline shapes *when* a result must arrive, not *what* it is.
+    #: The serving tier coalesces identical queries only when their deadlines
+    #: are equal, so no request runs under another's deadline.
     deadline: float | None = None
     #: per-query execution strategy override: ``"threads"``, ``"processes"``,
     #: or ``None`` to follow ``ReCacheConfig.execution_mode``.  Like the two
@@ -70,7 +72,10 @@ class Query:
     execution_mode: str | None = None
 
     def __post_init__(self) -> None:
-        validate_result_format(self.result_format, allow_none=True)
+        if self.result_format not in ("rows", "columnar"):
+            raise ValueError(
+                f"unknown result format {self.result_format!r}; expected 'rows' or 'columnar'"
+            )
         validate_execution_mode(self.execution_mode, allow_none=True)
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive or None")

@@ -23,13 +23,9 @@ Two submission paths:
   warmed.  Per-query futures resolve as results complete, not when the whole
   batch finishes.
 
-Result formats: every submission path accepts a ``result_format`` override
-(``"rows"`` / ``"columnar"`` / ``None`` for the query's own or the engine's
-default; ``submit_batch`` additionally takes a per-query sequence).  The
-format is resolved per submission and threaded through grouping and
-coalescing: identical queries coalesce *across* formats — the format shapes
-only the exit representation, not execution — and each duplicate's report
-carries the shared result converted to its requested type.
+Identical queries coalesce across ``Query.result_format`` (it shapes only the
+representation) and each duplicate's report carries the shared result in its
+own query's format; they coalesce only when their deadlines are equal.
 
 Backpressure: the server admits at most ``max_pending_queries`` queries into
 its queue; further ``submit``/``submit_batch`` calls block until workers drain
@@ -40,7 +36,7 @@ residency) and ``queue_depth`` (the backlog observed at enqueue), which
 
 :func:`merge_reports` folds the per-query reports of a serving window into one
 aggregate ``QueryReport`` (summed counters and times, results dropped), which
-is what the multi-client workload driver and the throughput benches consume.
+is what the multi-client workload driver consumes.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.core.config import ReCacheConfig, validate_result_format
+from repro.core.config import ReCacheConfig
 from repro.core.errors import DeadlineExceeded, QueryRejected
 from repro.engine.executor import QueryReport
 from repro.faults import runtime as faults
@@ -119,9 +115,6 @@ class _Submission:
     future: "Future[QueryReport]"
     enqueued_at: float
     queue_depth: int
-    #: resolved output representation for THIS request ("rows" / "columnar");
-    #: duplicates of one execution may each request a different format.
-    result_format: str = "rows"
 
 
 @dataclass
@@ -135,40 +128,36 @@ class _Execution:
 def _coalesce(submissions: Sequence[_Submission]) -> list[_Execution]:
     """Collapse identical queries in a batch into single executions.
 
-    The first submission of each distinct query signature becomes the primary
-    (its report is the real execution report); later duplicates ride along and
-    resolve with a coalesced copy.
+    The first submission of each distinct (query signature, deadline) becomes
+    the primary (its report is the real execution report); later duplicates
+    ride along and resolve with a coalesced copy.  The deadline is part of
+    the key because the execution runs under the primary's: a duplicate must
+    neither fail on a deadline it never set nor escape its own.
     """
-    by_signature: dict[str, _Execution] = {}
+    by_key: dict[tuple[str, float | None], _Execution] = {}
     executions: list[_Execution] = []
     for submission in submissions:
-        signature = submission.query.signature()
-        execution = by_signature.get(signature)
+        key = (submission.query.signature(), submission.query.deadline)
+        execution = by_key.get(key)
         if execution is None:
             execution = _Execution(query=submission.query)
-            by_signature[signature] = execution
+            by_key[key] = execution
             executions.append(execution)
         execution.submissions.append(submission)
     return executions
 
 
-def _convert_results(
-    results: "list[dict] | ColumnarResult", result_format: str
-) -> "list[dict] | ColumnarResult":
-    """One execution's result set in the representation a submission asked for.
+def _convert_results(results: "list[dict] | ColumnarResult") -> "list[dict] | ColumnarResult":
+    """One execution's result set in the other representation.
 
     Coalescing works across result formats (the format is not part of the
-    query signature), so a duplicate may request a different representation
+    query signature), so a duplicate may ask for a different representation
     than the primary execution produced; the conversion is loss-free in both
     directions (``ColumnarResult.to_rows`` is the exact rows exit).
     """
-    if result_format == "columnar":
-        if isinstance(results, ColumnarResult):
-            return results
-        return ColumnarResult.from_rows(results)
     if isinstance(results, ColumnarResult):
         return results.to_rows()
-    return results
+    return ColumnarResult.from_rows(results)
 
 
 def _interval_of(query: Query) -> tuple[str, float, float] | None:
@@ -273,7 +262,7 @@ class EngineServer:
             raise ValueError("max_pending must be >= 1")
         #: called in the worker thread after each execution, before the future
         #: resolves — the place where a network server would serialize the
-        #: result and write it to the client's socket.  The throughput bench
+        #: result and write it to the client's socket.  The serving example
         #: uses it to model that per-request delivery latency.  Coalesced
         #: duplicates get a delivery call of their own.
         self.response_hook = response_hook
@@ -307,58 +296,23 @@ class EngineServer:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        query: Query,
-        *,
-        result_format: str | None = None,
-    ) -> "Future[QueryReport]":
+    def submit(self, query: Query) -> "Future[QueryReport]":
         """Queue one query for execution; returns a future for its report.
 
-        ``result_format`` optionally overrides the output representation
-        (``"rows"`` / ``"columnar"``) for this request only.
         Blocks while the pending queue is at ``max_pending``.
         """
-        return self.submit_batch([query], result_format=result_format)[0]
+        return self.submit_batch([query])[0]
 
-    def _resolve_format(self, query: Query, override: str | None) -> str:
-        """One submission's effective output format (explicit > query > config)."""
-        result_format = override or query.result_format or self.engine.config.result_format
-        validate_result_format(result_format)
-        return result_format
-
-    def submit_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        result_format: "str | Sequence[str | None] | None" = None,
-    ) -> "list[Future[QueryReport]]":
+    def submit_batch(self, queries: Sequence[Query]) -> "list[Future[QueryReport]]":
         """Queue a batch of queries; returns one future per query, in order.
 
         The batch is coalesced and grouped by source/predicate overlap before
         hitting the worker pool (see the module docstring); futures resolve
-        individually as their results complete.  ``result_format`` is either
-        one value for the whole batch or a per-query sequence (aligned with
-        ``queries``, ``None`` entries falling back to each query's own /
-        the engine's default); duplicates still coalesce across formats and
-        each future resolves with its requested representation.
+        individually as their results complete.
         """
         queries = list(queries)
         if not queries:
             return []
-        if result_format is None or isinstance(result_format, str):
-            format_overrides: list[str | None] = [result_format] * len(queries)
-        else:
-            format_overrides = list(result_format)
-            if len(format_overrides) != len(queries):
-                raise ValueError(
-                    f"result_format length {len(format_overrides)} != "
-                    f"query count {len(queries)}"
-                )
-        formats = [
-            self._resolve_format(query, override)
-            for query, override in zip(queries, format_overrides)
-        ]
         enqueued_at = time.perf_counter()
         with self._backpressure:
             if self._closed:
@@ -385,8 +339,7 @@ class EngineServer:
             submitted = 0
             try:
                 submissions = [
-                    _Submission(query, Future(), enqueued_at, depth, result_format=fmt)
-                    for query, fmt in zip(queries, formats)
+                    _Submission(query, Future(), enqueued_at, depth) for query in queries
                 ]
                 groups = group_batch(_coalesce(submissions))
                 while submitted < len(groups):
@@ -437,7 +390,6 @@ class EngineServer:
         self,
         queries: Sequence[Query],
         *,
-        result_format: "str | Sequence[str | None] | None" = None,
         timeout: float | None = None,
     ) -> list[QueryReport]:
         """Submit a batch and wait for every report (submission order).
@@ -446,7 +398,7 @@ class EngineServer:
         containment guarantees every future resolves, so a timeout firing
         indicates a stuck worker, not normal backpressure.
         """
-        futures = self.submit_batch(queries, result_format=result_format)
+        futures = self.submit_batch(queries)
         return [future.result(timeout) for future in futures]
 
     def _serve_group(self, group: Sequence[_Execution]) -> None:
@@ -510,9 +462,6 @@ class EngineServer:
                 injector()  # raises WorkerCrashed: contained by the catch-all
             self.engine.execute_group(
                 [execution.query for execution in live],
-                # The primary submission's format drives the execution; coalesced
-                # duplicates get their own converted copies when they resolve.
-                result_formats=[execution.submissions[0].result_format for execution in live],
                 on_report=resolve,
                 on_error=fail,
             )
@@ -550,16 +499,17 @@ class EngineServer:
             if self.response_hook is not None:
                 self.response_hook(report)
             resolved_at = time.perf_counter()
-            # Cross-format conversion happens once per distinct requested
-            # format, not once per duplicate — N rows-format duplicates of a
-            # columnar execution share one to_rows() materialization.
-            converted = {primary.result_format: report.results}
+            # Cross-format conversion happens at most once, not once per
+            # duplicate — N rows-format duplicates of a columnar execution
+            # share one to_rows() materialization.
+            converted = None
             copies: list[tuple[_Submission, QueryReport]] = []
             for submission in execution.submissions[1:]:
-                results = converted.get(submission.result_format)
-                if results is None:
-                    results = _convert_results(report.results, submission.result_format)
-                    converted[submission.result_format] = results
+                results = report.results
+                if submission.query.result_format != primary.query.result_format:
+                    if converted is None:
+                        converted = _convert_results(report.results)
+                    results = converted
                 copy = self._coalesced_report(report, submission, resolved_at, results)
                 if self.response_hook is not None:
                     self.response_hook(copy)
@@ -591,8 +541,8 @@ class EngineServer:
     ) -> QueryReport:
         """The report of a request served from another request's execution.
 
-        Carries the shared result set — already converted by the caller to
-        the submission's own ``result_format`` when it differs from the
+        Carries the shared result set — already converted by the caller when
+        the submission's query asks for the other representation than the
         primary's — but none of the execution counters: the engine did no
         work for this request, so a merged serving window still reflects
         actual cache traffic, with ``coalesced`` counting the piggybacked
@@ -630,8 +580,7 @@ class EngineServer:
         """Execute queries as independent requests; reports in submission order.
 
         Unlike :meth:`serve_all` this performs no coalescing or grouping —
-        every query is its own pool task (the per-request baseline the async
-        submission bench compares against).  ``timeout`` bounds the wait on
+        every query is its own pool task.  ``timeout`` bounds the wait on
         each future.
         """
         futures = [self.submit(query) for query in queries]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from repro.core.cache_manager import ReCache
 from repro.core.circuit_breaker import SourceCircuitBreaker
-from repro.core.config import ReCacheConfig, validate_execution_mode, validate_result_format
+from repro.core.config import ReCacheConfig, validate_execution_mode
 from repro.core.errors import DeadlineExceeded, TransientScanError
 from repro.core.sharded_cache import ShardedReCache
 from repro.core.shm_registry import ShmRegistry
@@ -30,7 +30,6 @@ from repro.engine.executor import (
     ExecutionContext,
     QueryReport,
     execute_plan,
-    execute_plan_columnar,
     try_offload_cache_scan,
 )
 from repro.engine.procpool import ProcessExecutionPool
@@ -104,23 +103,14 @@ class QueryEngine:
         """Build (but do not execute) the cache-aware plan for a query."""
         return build_plan(query, self.catalog, self.recache)
 
-    def execute(
-        self,
-        query: Query,
-        *,
-        result_format: str | None = None,
-        execution_mode: str | None = None,
-    ) -> QueryReport:
+    def execute(self, query: Query, *, execution_mode: str | None = None) -> QueryReport:
         """Execute a query and return its results plus execution report.
 
-        ``result_format`` overrides the output representation for this one
-        query: ``"rows"`` (the default list of row dictionaries) or
-        ``"columnar"`` (a :class:`~repro.engine.types.ColumnarResult` carrying
-        the pipeline's record batches with no per-row dict assembly at the
-        exit).
-        Resolution order: explicit argument, then ``query.result_format``,
-        then ``config.result_format``.  Execution, report counters and cache
-        behaviour are identical in both formats.
+        ``report.results`` is a list of row dictionaries, or — when the query
+        says ``result_format="columnar"`` — the
+        :class:`~repro.engine.types.ColumnarResult` those rows would be built
+        from.  Execution, report counters and cache behaviour are the same
+        either way.
 
         Failure containment: the query's deadline (``query.deadline`` falling
         back to ``config.default_deadline``) spans all attempts; a
@@ -132,9 +122,6 @@ class QueryEngine:
         planned as plain raw scans until its cooldown elapses.
         """
         config = self.config
-        if result_format is None:
-            result_format = query.result_format or config.result_format
-        validate_result_format(result_format)
         if execution_mode is None:
             execution_mode = query.execution_mode or config.execution_mode
         validate_execution_mode(execution_mode)
@@ -144,9 +131,7 @@ class QueryEngine:
         attempt = 0
         while True:
             try:
-                report = self._execute_attempt(
-                    query, config, result_format, deadline_at, execution_mode
-                )
+                report = self._execute_attempt(query, config, deadline_at, execution_mode)
             except TransientScanError as exc:
                 for table in query.tables:
                     self.breaker.record_failure(table.source)
@@ -174,7 +159,6 @@ class QueryEngine:
         self,
         query: Query,
         config: ReCacheConfig,
-        result_format: str,
         deadline_at: float | None,
         execution_mode: str = "threads",
     ) -> QueryReport:
@@ -194,16 +178,15 @@ class QueryEngine:
             deadline_at=deadline_at,
         )
         results = None
-        if execution_mode == "processes" and result_format == "rows":
+        if execution_mode == "processes" and query.result_format == "rows":
             pool, registry = self._process_resources()
             results = try_offload_cache_scan(plan_info.plan, ctx, pool, registry)
         if results is None:
             # Thread path — also the fallback for every plan the pool cannot
             # serve (misses, joins, nested data, columnar exits, deadlines).
-            if result_format == "columnar":
-                results = execute_plan_columnar(plan_info.plan, ctx)
-            else:
-                results = execute_plan(plan_info.plan, ctx)
+            # The one place the caller's representation is chosen.
+            result = execute_plan(plan_info.plan, ctx)
+            results = result if query.result_format == "columnar" else result.to_rows()
 
         report.results = results
         report.rows_returned = len(results)
@@ -242,7 +225,6 @@ class QueryEngine:
         self,
         queries: Sequence[Query],
         *,
-        result_formats: "Sequence[str | None] | str | None" = None,
         on_report: Callable[[Query, QueryReport], None] | None = None,
         on_error: Callable[[Query, Exception], None] | None = None,
     ) -> list["QueryReport | None"]:
@@ -258,24 +240,11 @@ class QueryEngine:
         query is isolated when ``on_error`` is given: the exception goes to the
         callback, its report slot is ``None``, and the rest of the group still
         executes; without the callback the exception propagates.
-
-        ``result_formats`` selects each query's output representation: one
-        string applies to the whole group, a sequence (aligned with
-        ``queries``) carries per-query overrides — the serving tier uses the
-        latter so one group can mix ``"rows"`` and ``"columnar"`` requests.
         """
-        if result_formats is None or isinstance(result_formats, str):
-            formats: list[str | None] = [result_formats] * len(queries)
-        else:
-            formats = list(result_formats)
-            if len(formats) != len(queries):
-                raise ValueError(
-                    f"result_formats length {len(formats)} != query count {len(queries)}"
-                )
         reports: list[QueryReport | None] = []
-        for query, result_format in zip(queries, formats):
+        for query in queries:
             try:
-                report = self.execute(query, result_format=result_format)
+                report = self.execute(query)
             except Exception as exc:
                 if on_error is None:
                     raise

@@ -11,11 +11,10 @@ classes here mirror that model and provide the schema utilities ReCache needs:
 * computing the *flattened* relational schema obtained by the flattening
   transformation described in Section 4 of the paper.
 
-The module also defines :class:`ColumnarResult`, the columnar query-output
-container returned when a query opts into ``result_format="columnar"``: the
-batched pipeline's :class:`~repro.engine.batch.RecordBatch` stream carried to
-the caller without the per-row dictionary materialization tax at the pipeline
-exit.
+The module also defines :class:`ColumnarResult`, what every plan execution
+produces: the pipeline's :class:`~repro.engine.batch.RecordBatch` stream.  A
+query with ``result_format="columnar"`` receives it as is; otherwise
+``to_rows()`` is applied once, at the engine's edge.
 """
 
 from __future__ import annotations
@@ -278,18 +277,13 @@ def _fill_element(row: dict, prefix: str, dtype: DataType, element) -> None:
 class ColumnarResult:
     """Columnar query output backed by the pipeline's record batches.
 
-    Returned in place of the row-dictionary list when a query runs with
-    ``result_format="columnar"``: the batched executor hands its
-    :class:`~repro.engine.batch.RecordBatch` stream to the caller directly, so
-    ``rows_returned``-heavy queries skip the one-dict-per-row materialization
-    at the pipeline exit entirely.  Consumers read whole columns
-    (:meth:`column` / :meth:`numeric_column`) instead of iterating rows.
-
-    Parity contract: :meth:`to_rows` reproduces the default row output *bit
-    for bit* — same per-batch field sets, same row order, same value objects —
-    which is what the parity fuzz harness asserts.  Execution, reports and
-    cache accounting are identical in both formats; only the exit
-    representation differs.
+    The executor's only output.  A query that asks for columnar output
+    gets it directly, so ``rows_returned``-heavy queries skip the
+    one-dict-per-row materialization entirely and read whole columns
+    (:meth:`column` / :meth:`numeric_column`); every other query gets
+    :meth:`to_rows` of it — same per-batch field sets, same row order, same
+    value objects — so execution, reports and cache accounting cannot differ
+    between the two.
     """
 
     __slots__ = ("_batches",)
@@ -299,11 +293,10 @@ class ColumnarResult:
 
     @classmethod
     def from_rows(cls, rows: Sequence[dict]) -> "ColumnarResult":
-        """Wrap row dictionaries (aggregate outputs).
+        """Wrap row dictionaries of one field set (the inverse of :meth:`to_rows`).
 
-        The wrap is the inverse of :meth:`to_rows`: round-tripping reproduces
-        the input rows exactly (aggregate outputs are uniform in their field
-        sets, so no ``None`` padding is introduced).
+        The serving tier uses it for a ``"columnar"`` duplicate coalesced
+        onto a ``"rows"`` execution.
         """
         if not rows:
             return cls([])
@@ -371,7 +364,7 @@ class ColumnarResult:
     # Row materialization (the parity exit)
     # ------------------------------------------------------------------
     def to_rows(self) -> list[dict]:
-        """The exact row-dictionary output of ``result_format="rows"``."""
+        """The row dictionaries a query receives by default."""
         return rows_from_batches(self._batches)
 
     def iter_rows(self) -> Iterator[dict]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.engine.batch import RecordBatch, batches_from_row_iter
 from repro.engine.types import RecordType
@@ -94,12 +94,8 @@ class CacheLayout:
         raise NotImplementedError
 
     # -- access ---------------------------------------------------------------
-    def scan(
-        self,
-        fields: Sequence[str] | None = None,
-        predicate: Callable[[dict], bool] | None = None,
-    ) -> Iterator[dict]:
-        """Yield flattened rows restricted to ``fields``; filter by ``predicate``."""
+    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
+        """Yield flattened rows restricted to ``fields``."""
         raise NotImplementedError
 
     def scan_batches(

@@ -15,7 +15,7 @@ raw file — the effect the paper's Figure 13 relies on.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,34 +80,18 @@ class ColumnarLayout(CacheLayout):
         """Direct access to one column's values (used by layout conversion)."""
         return self._columns[name]
 
-    def scan(
-        self,
-        fields: Sequence[str] | None = None,
-        predicate: Callable[[dict], bool] | None = None,
-        dedupe_records: bool = False,
-    ) -> Iterator[dict]:
-        """Yield rows for ``fields``; optionally one row per original record.
-
-        ``dedupe_records`` implements the nested-algebra semantics for queries
-        that touch no nested attribute: the scan still walks every flattened
-        row (that is the layout's inherent cost), but emits only the first row
-        of each original record so parent attributes are not double counted.
-        """
+    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
+        """Yield rows for ``fields``."""
         wanted = list(fields) if fields is not None else list(self.fields)
         missing = [f for f in wanted if f not in self._columns]
         if missing:
             raise KeyError(f"columns not cached: {missing}")
         selected = [self._columns[f] for f in wanted]
-        first_row_indexes = self._record_first_rows() if dedupe_records else None
         injector = faults.injector_for("scan.layout", self.layout_name)
-        for index, values in enumerate(zip(*selected) if selected else []):
-            if first_row_indexes is not None and index not in first_row_indexes:
-                continue
+        for values in zip(*selected) if selected else []:
             if injector is not None:
                 injector()
-            row = dict(zip(wanted, values))
-            if predicate is None or predicate(row):
-                yield row
+            yield dict(zip(wanted, values))
 
     def rows(self) -> Iterator[dict]:
         """Yield every cached row with all cached fields (no filtering)."""
@@ -128,8 +112,10 @@ class ColumnarLayout(CacheLayout):
         float64 conversion across queries; ``numeric_fields`` names the
         columns worth force-building a view for (the caller's predicate
         columns), while other columns only reuse a view that already exists.
-        ``dedupe_records`` restricts the scan to the first flattened row of
-        each original record (see :meth:`scan`).
+        ``dedupe_records`` implements the nested-algebra semantics for queries
+        that touch no nested attribute: only the first flattened row of each
+        original record is emitted, so parent attributes are not double
+        counted.
         """
         wanted = list(fields) if fields is not None else list(self.fields)
         missing = [f for f in wanted if f not in self._columns]
@@ -296,7 +282,3 @@ class ColumnarLayout(CacheLayout):
                 np.cumsum(counts[:-1], out=starts[1:])
                 self._first_row_array = starts
         return self._first_row_array
-
-    def _record_first_rows(self) -> set[int]:
-        """Row indexes holding the first flattened row of each original record."""
-        return set(self._record_first_row_array().tolist())

@@ -10,7 +10,7 @@ rows (Figures 1 and 5).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -87,11 +87,7 @@ class ParquetLayout(CacheLayout):
         """Direct access to the striped columns (used by conversion/tests)."""
         return self._columns
 
-    def scan(
-        self,
-        fields: Sequence[str] | None = None,
-        predicate: Callable[[dict], bool] | None = None,
-    ) -> Iterator[dict]:
+    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
         """Yield flattened rows for ``fields``.
 
         When every requested field is non-nested, the scan walks only the
@@ -105,16 +101,13 @@ class ParquetLayout(CacheLayout):
             raise KeyError(f"columns not cached: {missing}")
         injector = faults.injector_for("scan.layout", self.layout_name)
         if wanted and all(not self._columns[f].is_nested for f in wanted):
-            for row in self._scan_flat(wanted, predicate):
-                if injector is not None:
-                    injector()
-                yield row
-            return
-        for row in assemble_rows(self._columns, self.schema, wanted):
+            rows = self._scan_flat(wanted)
+        else:
+            rows = assemble_rows(self._columns, self.schema, wanted)
+        for row in rows:
             if injector is not None:
                 injector()
-            if predicate is None or predicate(row):
-                yield row
+            yield row
 
     def scan_records(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
         """Reconstruct (partial) nested records — used for layout conversion."""
@@ -484,19 +477,13 @@ class ParquetLayout(CacheLayout):
         return batch
 
     # -- internals ------------------------------------------------------------
-    def _scan_flat(
-        self, wanted: Sequence[str], predicate: Callable[[dict], bool] | None
-    ) -> Iterator[dict]:
+    def _scan_flat(self, wanted: Sequence[str]) -> Iterator[dict]:
         cols = [self._columns[f].flat_values(self._record_count) for f in wanted]
         if any(values is None for values in cols):  # malformed stripe: level walk
-            for row in assemble_rows(self._columns, self.schema, list(wanted)):
-                if predicate is None or predicate(row):
-                    yield row
+            yield from assemble_rows(self._columns, self.schema, list(wanted))
             return
         for values in zip(*cols):
-            row = dict(zip(wanted, values))
-            if predicate is None or predicate(row):
-                yield row
+            yield dict(zip(wanted, values))
 
     def _compute_flattened_rows(self) -> int:
         """Number of rows the cached data would occupy if flattened (``R``)."""

@@ -8,7 +8,7 @@ use it for flat relational caches.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.engine.batch import RecordBatch
 from repro.engine.types import RecordType
@@ -69,25 +69,15 @@ class RowLayout(CacheLayout):
             cursor += max(1, count)
         return first_rows
 
-    def scan(
-        self,
-        fields: Sequence[str] | None = None,
-        predicate: Callable[[dict], bool] | None = None,
-        dedupe_records: bool = False,
-    ) -> Iterator[dict]:
-        """Yield rows for ``fields``; ``dedupe_records`` keeps one row per record."""
+    def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
+        """Yield rows for ``fields``."""
         wanted = list(fields) if fields is not None else list(self.fields)
         indexes = [self._field_index[f] for f in wanted]
-        first_rows = self._record_first_rows() if dedupe_records else None
         injector = faults.injector_for("scan.layout", self.layout_name)
-        for position, tup in enumerate(self._tuples):
-            if first_rows is not None and position not in first_rows:
-                continue
+        for tup in self._tuples:
             if injector is not None:
                 injector()
-            row = {name: tup[idx] for name, idx in zip(wanted, indexes)}
-            if predicate is None or predicate(row):
-                yield row
+            yield {name: tup[idx] for name, idx in zip(wanted, indexes)}
 
     def scan_batches(
         self,

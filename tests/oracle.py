@@ -18,6 +18,10 @@ Declared semantics (pinned by hand-computed cases in ``test_oracle.py``):
   limitation no shipped dataset reaches;
 * a comparison with a ``None`` operand is false (``!=`` included), arithmetic
   over ``None`` is ``None``, division by zero raises;
+* a table's row carries the leaf paths the query reads (every leaf when it
+  reads none), in sorted order; a joined row carries the build side's fields,
+  then the probe side's; an aggregate row the group keys, then one field per
+  aggregate in listed order;
 * a table whose query fields cross no collection answers once per *record*:
   only the first satisfying flattened row of each record survives;
 * joins drop ``None`` keys, hash keys like a dict does (``1 == 1.0 == True``,
@@ -27,13 +31,37 @@ Declared semantics (pinned by hand-computed cases in ``test_oracle.py``):
 * aggregates skip ``None`` inputs; ``sum`` folds left to right from ``0.0``;
   ``avg``/``min``/``max`` of no values are ``None``; groups appear in
   first-occurrence order and a global aggregate always yields one row.
+
+The comparison contract, declared once in :func:`same_rows`: a float the
+engine computed (an aggregate value) equals the oracle's within 1e-9
+relative — the fold order above is how the engine sums today, not something
+a caller may rely on to the last digit — and everything else is exact: every
+other value, the order of the rows, and the order of the fields in each row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from repro.engine.types import ListType, RecordType
+
+
+def same_rows(actual: list[dict], expected: list[dict]) -> bool:
+    """Does an engine result equal the oracle's under the contract above?"""
+    if len(actual) != len(expected):
+        return False
+    for row, wanted in zip(actual, expected):
+        if list(row) != list(wanted):
+            return False
+        for value, other in zip(row.values(), wanted.values()):
+            if type(value) is not type(other):
+                return False
+            if value != other and not (
+                isinstance(value, float) and math.isclose(value, other, rel_tol=1e-9, abs_tol=0.0)
+            ):
+                return False
+    return True
 
 
 def leaf_paths(dtype, prefix: str = "", in_list: bool = False):
@@ -158,7 +186,7 @@ class Oracle:
                 used.add(join.left_key)
             if join.right_source == name:
                 used.add(join.right_key)
-        return sorted(used) or paths
+        return sorted(used or paths)
 
     def table_rows(self, query, name: str) -> list[dict]:
         """One table's selected rows, projected onto the fields the query reads."""

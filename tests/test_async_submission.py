@@ -8,6 +8,7 @@ aggregation, the submit/shutdown race, and the batched multi-client driver.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from concurrent.futures import Future
@@ -26,6 +27,7 @@ from repro import (
     ReCacheConfig,
     merge_reports,
 )
+from repro.core.errors import DeadlineExceeded
 from repro.engine.server import _Submission, _coalesce, group_batch
 from repro.workloads.runner import ConcurrentWorkloadRunner
 
@@ -77,64 +79,48 @@ def test_submit_batch_coalesces_identical_queries(server_engine):
     assert reports[2].exact_hits + reports[2].subsumption_hits + reports[2].misses == 0
 
 
-def test_submit_batch_mixed_result_formats_per_query(server_engine):
-    """One batch can mix ``rows`` and ``columnar`` requests per query.
-
-    Duplicates coalesce into one execution even across formats (the format
-    is not part of the query signature), every future resolves with its own
-    requested representation, and each coalesced report is an independent
-    object carrying no execution counters of its own.
-    """
-    hot = _flat_query(0, 10.0)
-    queries = [hot, _flat_query(1, 50.0), hot, hot]
+def test_one_batch_serves_a_query_in_both_result_formats(server_engine):
+    """The same query as ``"rows"`` and as ``"columnar"`` coalesces to one
+    execution (the format is not part of the signature) and each future
+    resolves in its own query's representation, whichever came first."""
+    rows_query = _flat_query(0, 10.0)
+    columnar_query = dataclasses.replace(rows_query, result_format="columnar")
     with EngineServer(server_engine) as server:
-        futures = server.submit_batch(
-            queries, result_format=["rows", "columnar", "columnar", None]
-        )
-        reports = [future.result(timeout=30) for future in futures]
-    # One execution served all three `hot` submissions (asserted after
-    # shutdown so the worker's settle accounting has definitely run).
-    assert server.coalesced_served == 2
-    assert server_engine.query_count == 2
-    assert [report.coalesced for report in reports] == [0, 0, 1, 1]
-    # Each future got exactly the representation it asked for.
-    assert isinstance(reports[0].results, list)
-    assert isinstance(reports[1].results, ColumnarResult)
-    assert isinstance(reports[2].results, ColumnarResult)
-    assert isinstance(reports[3].results, list)  # None -> engine default "rows"
-    # The coalesced columnar copy is the primary's row output, converted.
-    assert reports[2].results.to_rows() == reports[0].results
-    assert reports[3].results == reports[0].results
-    assert reports[2].rows_returned == reports[0].rows_returned
-    # Reports stay independent objects with no execution counters of their own.
-    assert reports[2] is not reports[0] and reports[3] is not reports[0]
-    for coalesced in (reports[2], reports[3]):
-        assert coalesced.exact_hits + coalesced.subsumption_hits + coalesced.misses == 0
+        rows_first = server.serve_all([rows_query, columnar_query])
+        columnar_first = server.serve_all([columnar_query, rows_query])
+    # Asserted after shutdown so the workers' settle accounting has run.
+    assert server.coalesced_served == 2 and server_engine.query_count == 2
+    assert [report.coalesced for report in rows_first + columnar_first] == [0, 1, 0, 1]
+    for rows, columnar in (rows_first, reversed(columnar_first)):
+        assert isinstance(rows.results, list)
+        assert isinstance(columnar.results, ColumnarResult)
+        assert columnar.results.to_rows() == rows.results
+        assert columnar.rows_returned == rows.rows_returned == 1
+    # A coalesced copy is its own report with no execution counters of its own.
+    copy = rows_first[1]
+    assert copy is not rows_first[0]
+    assert copy.exact_hits + copy.subsumption_hits + copy.misses == 0
+    with pytest.raises(ValueError, match="unknown result format"):
+        dataclasses.replace(rows_query, result_format="arrow")
 
 
-def test_query_level_result_format_is_honored_by_the_server(server_engine):
-    """A query carrying ``result_format="columnar"`` needs no per-call knob."""
-    query = Query(
-        tables=[_flat_query(0, 10.0).tables[0]],
-        aggregates=[AggregateSpec("count", FieldRef("id"))],
-        label="columnar-by-query",
-        result_format="columnar",
-    )
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_coalescing_never_shares_a_deadline(server_engine, tight_first):
+    """Regression: identical queries coalesced across deadlines, so the whole
+    execution ran under the first submission's — a duplicate that set none
+    failed with the primary's ``DeadlineExceeded``, and a duplicate with a
+    tight one behind a primary with none was never bounded."""
+    relaxed = _flat_query(0, 10.0)
+    tight = dataclasses.replace(relaxed, deadline=1e-9)
+    batch = [tight, relaxed] if tight_first else [relaxed, tight]
     with EngineServer(server_engine) as server:
-        report = server.execute(query)
-        assert isinstance(report.results, ColumnarResult)
-        # An explicit submission-time override still wins over the query's.
-        rows_report = server.submit(query, result_format="rows").result(timeout=30)
-        assert isinstance(rows_report.results, list)
-        assert rows_report.results == report.results.to_rows()
-
-
-def test_submit_batch_rejects_misaligned_result_formats(server_engine):
-    with EngineServer(server_engine) as server:
-        with pytest.raises(ValueError, match="result_format length"):
-            server.submit_batch([_flat_query(0, 10.0)], result_format=["rows", "rows"])
-        with pytest.raises(ValueError, match="unknown result format"):
-            server.submit(_flat_query(0, 10.0), result_format="arrow")
+        futures = server.submit_batch(batch)
+        tight_future, relaxed_future = futures if tight_first else reversed(futures)
+        with pytest.raises(DeadlineExceeded):
+            tight_future.result(timeout=30)
+        report = relaxed_future.result(timeout=30)
+    assert report.coalesced == 0 and report.rows_returned == 1
+    assert report.results == server_engine.execute(relaxed).results
 
 
 def test_submit_batch_empty_is_a_noop(server_engine):

@@ -4,6 +4,7 @@ sampled size estimator."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -34,17 +35,12 @@ from repro.layouts.base import EXACT_SIZE_THRESHOLD, estimate_sequence_bytes, es
 from repro.workloads.nested import synthetic_order_lineitems
 from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
 from tests.conftest import FLAT_SCHEMA, build_engine
-from tests.oracle import Oracle, group_rows
+from tests.oracle import Oracle, group_rows, same_rows
 
 
 # ---------------------------------------------------------------------------
 # Parity harness
 # ---------------------------------------------------------------------------
-def _canonical(rows: list[dict]) -> list[dict]:
-    """Rows in a comparable form (aggregate outputs may reorder groups)."""
-    return sorted(rows, key=lambda row: tuple(str(item) for item in sorted(row.items())))
-
-
 def _report_counters(report) -> dict:
     return {
         "rows_returned": report.rows_returned,
@@ -78,10 +74,9 @@ def assert_parity(make_engine, queries: list[Query]) -> None:
     columnar_engine = make_engine()
     oracle = Oracle(rows_engine.catalog)
     for index, query in enumerate(queries):
-        expected = _canonical(oracle.evaluate(query))
         rows = rows_engine.execute(query)
-        columnar = columnar_engine.execute(query, result_format="columnar")
-        assert _canonical(rows.results) == expected, (
+        columnar = columnar_engine.execute(dataclasses.replace(query, result_format="columnar"))
+        assert same_rows(rows.results, oracle.evaluate(query)), (
             f"result mismatch on query #{index} ({query.label or query.signature()})"
         )
         assert columnar.results.to_rows() == rows.results, f"columnar mismatch on query #{index}"
@@ -268,7 +263,7 @@ class TestEdgeCaseParity:
     def test_batch_size_one_edge_sources(self, edge_dir):
         engine = self._engine(edge_dir, batch_size=1)
         query = _spa("edge_json", "o_totalprice", 0, 1e9, [("sum", "lineitems.l_quantity")])
-        assert engine.execute(query).results == Oracle(engine.catalog).evaluate(query)
+        assert same_rows(engine.execute(query).results, Oracle(engine.catalog).evaluate(query))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -322,8 +317,8 @@ class TestEdgeCaseParity:
         ]
         for _ in ("cold", "warm"):
             for query in queries:
-                assert _canonical(engine.execute(query).results) == _canonical(
-                    oracle.evaluate(query)
+                assert same_rows(
+                    engine.execute(query).results, oracle.evaluate(query)
                 ), query.signature()
 
 
@@ -448,13 +443,8 @@ class TestNumpyGroupBy:
 
         expected = group_rows(rows, self._specs(), group_by)
         batches = [RecordBatch.from_rows(rows[i : i + 3]) for i in range(0, len(rows), 3)]
-        got = aggregate_batches(batches, compile_aggregates(self._specs()), group_by)
-        assert got == expected
-        for got_row, expected_row in zip(got, expected):
-            assert list(got_row) == list(expected_row)  # first-occurrence order
-            assert [type(value) for value in got_row.values()] == [
-                type(value) for value in expected_row.values()
-            ]
+        got = aggregate_batches(batches, compile_aggregates(self._specs()), group_by).to_rows()
+        assert same_rows(got, expected)
         return got
 
     def test_numeric_keys_with_nulls_and_mixed_types(self):
@@ -490,7 +480,7 @@ class TestNumpyGroupBy:
         from repro.engine.compiler import compile_aggregates
         from repro.engine.operators import aggregate_batches
 
-        assert aggregate_batches([], compile_aggregates(self._specs()), ["g"]) == []
+        assert aggregate_batches([], compile_aggregates(self._specs()), ["g"]).row_count == 0
 
 
 class TestColumnarResult:
@@ -630,16 +620,15 @@ class TestLayoutBatchScans:
             batched.extend(batch.to_rows())
         assert batched == scanned
 
-    def test_columnar_dedupe_batches_match_scan(self):
+    def test_columnar_dedupe_batches_keep_one_row_per_record(self):
         rows = [{"a": i // 2, "b": i} for i in range(20)]
         layout = build_layout(
             "columnar", FLAT_SCHEMA, ["a", "b"], rows=rows, record_row_counts=[2] * 10
         )
-        scanned = list(layout.scan(fields=["a"], dedupe_records=True))
         batched = []
         for batch in layout.scan_batches(fields=["a"], batch_size=3, dedupe_records=True):
             batched.extend(batch.to_rows())
-        assert batched == scanned
+        assert batched == [{"a": i} for i in range(10)]  # each record's first row
 
     def test_layout_numeric_arrays_reject_digit_strings(self):
         rows = [{"a": i, "z": str(i)} for i in range(10)]

@@ -1,5 +1,7 @@
 """Tests for the ReCache cache manager (lookup, admission, eviction, switching)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cache_manager import ReCache
@@ -47,6 +49,14 @@ class TestConfigValidation:
         assert lru.eviction_policy == "lru" and not lru.layout_selection
         assert ReCacheConfig.baseline_parquet_greedy().default_nested_layout == "parquet"
         assert ReCacheConfig.unlimited().cache_size_limit is None
+
+
+    def test_config_has_no_more_knobs(self):
+        """A ratchet, not a style rule: every independent knob doubles the
+        configurations tests and benches must cover (ROADMAP aim 2).  A new
+        field has to raise this number here and say which two callers need
+        different values; a deleted field lowers it."""
+        assert len(dataclasses.fields(ReCacheConfig)) <= 31
 
 
 class TestLookupAndAdmission:

@@ -39,8 +39,7 @@ from repro.engine.query import TableRef
 from repro.faults import runtime as faults
 
 from tests.conftest import build_engine
-from tests.oracle import Oracle
-from tests.test_batch_execution import _canonical
+from tests.oracle import Oracle, same_rows
 
 CHAOS_SEED = 20260808
 CHAOS_SCHEDULES = int(os.environ.get("RECACHE_CHAOS_SCHEDULES", "220"))
@@ -171,7 +170,7 @@ def baseline(dataset_dir):
     def run(query: Query):
         key = query.signature()
         if key not in cache:
-            cache[key] = _canonical(oracle.evaluate(query))
+            cache[key] = oracle.evaluate(query)
         return cache[key]
 
     return run
@@ -217,7 +216,7 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
                         pytest.fail(f"HANG: {query.label} never resolved under {context}")
                     else:
                         _OUTCOMES["ok"] += 1
-                        assert _canonical(report.results) == baseline(query), (
+                        assert same_rows(report.results, baseline(query)), (
                             f"parity violation on {query.label} under {context}"
                         )
 
@@ -230,7 +229,7 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
                 for q in queries
             ]
             for query, report in zip(replay, server.serve_all(replay, timeout=RESULT_TIMEOUT)):
-                assert _canonical(report.results) == baseline(query), (
+                assert same_rows(report.results, baseline(query)), (
                     f"post-fault parity violation on {query.label} under {context}"
                 )
                 _OUTCOMES["offloaded"] += report.offloaded

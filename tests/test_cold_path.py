@@ -26,7 +26,7 @@ from repro.engine.types import BOOL, FLOAT, INT, STRING, Field, RecordType
 from repro.faults import activate
 from repro.formats import CSVPlugin, DataSource, JSONPlugin, write_csv, write_json_lines
 from repro.layouts import ColumnarLayout
-from tests.oracle import Oracle, flatten, parse_source
+from tests.oracle import Oracle, flatten, parse_source, same_rows
 
 SCHEMA = RecordType(
     [Field("id", INT), Field("value", FLOAT), Field("flag", BOOL), Field("name", STRING)]
@@ -159,7 +159,7 @@ def test_chunked_scan_matches_the_oracle_parser(tmp_path_factory, fmt, spec):
         engine.register(DataSource("adv", path, fmt, SCHEMA))
         oracle = Oracle(engine.catalog)
         for asked in (query, bare, query, bare, query):
-            assert engine.execute(asked).results == oracle.evaluate(asked)
+            assert same_rows(engine.execute(asked).results, oracle.evaluate(asked))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_eager_admission_builds_no_row_dict(tmp_path, monkeypatch, fmt, adaptive
 
     with activate("scan.raw:latency:rate=0.0") as plan:
         report = engine.execute(query)
-    assert report.results == expected
+    assert same_rows(report.results, expected)
     assert report.misses == 1
     if not adaptive:
         assert report.admissions == {"eager": 1, "lazy": 0}
@@ -206,7 +206,7 @@ def test_eager_admission_builds_no_row_dict(tmp_path, monkeypatch, fmt, adaptive
     assert plan.snapshot()[0]["opportunities"] == len(records)
 
     again = engine.execute(query)  # a hit (or a lazy re-read): same answer, no rows either
-    assert again.results == expected and again.cache_hits == 1
+    assert same_rows(again.results, expected) and again.cache_hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.engine.compiler import (
     CompiledAggregate,
     compile_aggregates,
     compile_predicate,
-    compile_projection,
     compile_value,
 )
 from repro.engine.expressions import (
@@ -55,10 +54,6 @@ class TestCompiledPredicates:
     def test_arithmetic_value(self):
         expr = Arithmetic("+", Arithmetic("*", FieldRef("a"), Literal(2)), Literal(1))
         assert compile_value(expr)({"a": 3}) == 7
-
-    def test_projection(self):
-        project = compile_projection(["a", "missing"])
-        assert project({"a": 1, "b": 2}) == {"a": 1, "missing": None}
 
 
 class TestCompiledAggregates:

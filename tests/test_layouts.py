@@ -1,9 +1,10 @@
 """Tests for the cache layouts: striping, assembly, scans, conversion."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.compiler import compile_predicate
+from repro.engine.compiler import compile_batch_predicate
 from repro.engine.expressions import RangePredicate
 from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
 from repro.layouts import (
@@ -128,14 +129,15 @@ class TestLayouts:
 
     def test_columnar_dedupe_records(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
-        rows = list(layout.scan(fields=["key"], dedupe_records=True))
-        assert [row["key"] for row in rows] == [1, 2, 3]
+        (batch,) = layout.scan_batches(fields=["key"], dedupe_records=True)
+        assert batch.column("key") == [1, 2, 3]
 
-    def test_predicate_pushdown_in_scan(self):
+    def test_batch_predicate_over_a_scanned_batch(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
-        predicate = compile_predicate(RangePredicate("items.q", 2, 10))
-        rows = list(layout.scan(fields=["items.q"], predicate=predicate))
-        assert sorted(row["items.q"] for row in rows) == [2, 7]
+        predicate = compile_batch_predicate(RangePredicate("items.q", 2, 10))
+        (batch,) = layout.scan_batches(fields=["items.q"])
+        kept = batch.take(np.nonzero(predicate(batch))[0])
+        assert sorted(kept.column("items.q")) == [2, 7]
 
     def test_vectorized_range_filter_columnar(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
@@ -238,8 +240,6 @@ class TestParquetBatchFastPath:
     def test_numeric_array_keeps_nulls_aligned(self):
         """Regression: NULLs become NaN at their own record position, never
         skipped, so masks over several columns stay row-aligned."""
-        import numpy as np
-
         layout = build_layout(
             "parquet", NULLABLE_SCHEMA, NULLABLE_SCHEMA.field_names(), rows=NULLABLE_ROWS
         )

@@ -29,6 +29,7 @@ at the defaults).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -51,8 +52,8 @@ from repro.engine.types import FLOAT, INT, STRING, Field, RecordType
 from repro.formats import write_csv, write_json_lines
 from repro.workloads.nested import synthetic_order_lineitems
 from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
-from tests.oracle import Oracle
-from tests.test_batch_execution import _cache_counters, _canonical, _report_counters
+from tests.oracle import Oracle, same_rows
+from tests.test_batch_execution import _cache_counters, _report_counters
 
 PARITY_FUZZ_QUERIES = int(os.environ.get("RECACHE_PARITY_FUZZ_QUERIES", "100"))
 PARITY_FUZZ_JOIN_QUERIES = int(
@@ -374,8 +375,8 @@ def _run_oracle_parity(fuzz_dataset_dir, layout, make_query, count, seed_offset=
     for index in range(count):
         query = make_query(rng, index)
         rows_report = rows.execute(query)
-        columnar_report = columnar.execute(query, result_format="columnar")
-        assert _canonical(rows_report.results) == _canonical(oracle.evaluate(query)), (
+        columnar_report = columnar.execute(dataclasses.replace(query, result_format="columnar"))
+        assert same_rows(rows_report.results, oracle.evaluate(query)), (
             f"[{layout}] result differs from the oracle on query #{index} ({query.label}): "
             f"{query.signature()}"
         )
