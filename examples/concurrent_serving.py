@@ -1,7 +1,6 @@
-"""Concurrent serving: many clients, one shared sharded cache.
+"""Concurrent serving: many clients, one shared cache.
 
-Builds a TPC-H-style CSV file, wraps a :class:`repro.QueryEngine` configured
-with a 4-way :class:`~repro.core.sharded_cache.ShardedReCache` in an
+Builds a TPC-H-style CSV file, wraps a :class:`repro.QueryEngine` in an
 :class:`repro.EngineServer` thread pool, and drives it with zipfian-skewed
 closed-loop clients — first with one worker thread, then with four — printing
 the throughput and cache statistics of each serving window.
@@ -51,7 +50,7 @@ def main() -> None:
         time.sleep(0.005)
 
     for workers in (1, 4):
-        config = ReCacheConfig(shard_count=4, max_workers=workers, cache_size_limit=16_000_000)
+        config = ReCacheConfig(max_workers=workers, cache_size_limit=16_000_000)
         engine = QueryEngine(config)
         engine.register_csv("lineitem", csv_paths["lineitem"], TPCH_SCHEMAS["lineitem"])
 

@@ -21,7 +21,6 @@ The public API is re-exported here:
 
 from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
-from repro.core.sharded_cache import ShardedReCache
 from repro.engine.batch import RecordBatch
 from repro.engine.executor import QueryReport
 from repro.engine.server import EngineServer, merge_reports
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReCache",
-    "ShardedReCache",
     "ReCacheConfig",
     "QueryEngine",
     "EngineServer",

@@ -74,7 +74,7 @@ class FunctionInfo:
 
 
 class CallGraph:
-    """Functions, resolved call edges, per-site annotations and warnings."""
+    """Functions, resolved call edges and warnings."""
 
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
@@ -82,8 +82,6 @@ class CallGraph:
         self.edges: dict[str, set[str]] = {}
         #: id(ast.Call) -> resolved callee fids for that exact call site
         self.call_targets: dict[int, tuple[str, ...]] = {}
-        #: fid -> [(line, error names)] from ``# may-raise:`` annotations
-        self.site_raises: dict[str, list[tuple[int, frozenset[str]]]] = {}
         #: "path:line: message" for statically opaque, unannotated calls
         self.warnings: list[str] = []
         self._display_index: dict[str, list[str]] = {}
@@ -209,14 +207,11 @@ def _resolve_calls(
                     token,
                     f"dynamic-call target {token!r} matches no project function",
                 )
-        may_raise = parse_may_raise(comment)
-        if may_raise:
-            graph.site_raises.setdefault(info.fid, []).append((call.lineno, may_raise))
         if targets:
             unique = tuple(dict.fromkeys(targets))
             graph.call_targets[id(call)] = unique
             edges.update(unique)
-        elif _is_opaque(graph, info, call) and not may_raise:
+        elif _is_opaque(graph, info, call) and not parse_may_raise(comment):
             name = call.func.id if isinstance(call.func, ast.Name) else "?"
             _warn(
                 graph,

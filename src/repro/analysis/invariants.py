@@ -23,7 +23,6 @@ CONTRACTS_END_MARKER = "<!-- contracts:end -->"
 def _lock_classes() -> list[type]:
     from repro.core.cache_manager import ReCache
     from repro.core.circuit_breaker import SourceCircuitBreaker
-    from repro.core.sharded_cache import AtomicCounter, SharedBudget, ShardedReCache
     from repro.core.shm_registry import ShmRegistry
     from repro.engine.procpool import ProcessExecutionPool
     from repro.engine.server import EngineServer
@@ -31,10 +30,7 @@ def _lock_classes() -> list[type]:
 
     return [
         EngineServer,
-        ShardedReCache,
         ReCache,
-        AtomicCounter,
-        SharedBudget,
         SourceCircuitBreaker,
         _InjectorState,
         ShmRegistry,
@@ -60,10 +56,10 @@ def render_invariants_markdown() -> str:
     """The generated section body (without the begin/end markers)."""
     lines = [
         "Lock ranks must strictly increase along any nested acquisition",
-        "chain; equal ranks never nest (at most one per-shard lock is held",
-        "at a time).  Guarded fields may only be touched under their lock,",
-        "per the `GUARDED_BY` declarations checked by `recheck-lint`;",
-        "deliberate lock-free reads are marked `# unguarded-read:` inline.",
+        "chain; equal ranks never nest.  Guarded fields may only be touched",
+        "under their lock, per the `GUARDED_BY` declarations checked by",
+        "`recheck-lint`; deliberate lock-free reads are marked",
+        "`# unguarded-read:` inline.",
         "",
         "| Lock | Rank | Guards |",
         "|---|---|---|",

@@ -2,7 +2,7 @@
 
 Parses every ``.py`` file under the given paths and runs the eight rule
 families (guarded-by, lock-order + heavy-work, future-resolution,
-dtype-view, no-swallow, raise-flow + reservation-leak, hotpath,
+dtype-view, no-swallow, raise-flow, hotpath,
 shm-lifecycle).  Exits 1 when any violation is found; ``--json`` also
 writes a machine-readable report (archived as a CI artifact) carrying the
 inferred per-function exception sets, the call-graph warnings and the

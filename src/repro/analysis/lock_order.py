@@ -3,10 +3,10 @@
 ``lock-order``: within one function, nested ``with`` acquisitions must
 follow the declared partial order — every inner lock's rank must be
 *strictly greater* than every rank already held (equal ranks never nest:
-that is the shard-lock deadlock shape).  Ranks come from
+two same-rank locks have no safe tiebreak).  Ranks come from
 :data:`repro.analysis.order.LOCK_RANKS` for ``self.<attr>`` acquisitions
 (resolved against the enclosing class, aliases first), from
-``LOCK_RANKS_BY_ATTR`` for other receivers (``with shard._lock:``), and
+``LOCK_RANKS_BY_ATTR`` for other receivers (``with cache._lock:``), and
 from module-level ``RECHECK_LOCK_RANKS`` literals.  Unranked locks are
 tracked but unconstrained.  ``# caller-holds:`` contributes its rank at
 function entry.  Cross-function nesting (a held lock calling a method

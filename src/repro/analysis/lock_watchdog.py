@@ -17,9 +17,9 @@ on the held stack but unconstrained, so partially-labeled trees degrade
 gracefully instead of false-positiving.
 
 The static lock-order rule sees only lexically nested ``with`` blocks;
-this watchdog sees the dynamic truth — a shard lock held across a call
-that internally grabs the budget lock, callback re-entrancy, and
-anything else hidden behind indirection.
+this watchdog sees the dynamic truth — the cache lock held across a call
+that internally grabs a leaf lock, callback re-entrancy, and anything
+else hidden behind indirection.
 """
 
 from __future__ import annotations
@@ -78,10 +78,7 @@ class _WatchedLock:
         acquired = self.inner.acquire(blocking, timeout)
         watchdog = _current()
         if acquired and watchdog is not None:
-            # A LockOrderError here is fatal diagnostics by design: the test
-            # harness wants the inverted acquisition to stay visible, not be
-            # rolled back.
-            watchdog._record_acquire(self, _acquisition_site())  # recheck-lint: allow(reservation-leak)
+            watchdog._record_acquire(self, _acquisition_site())
         return acquired
 
     def release(self) -> None:

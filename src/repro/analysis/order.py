@@ -1,11 +1,9 @@
 """The declared lock partial order and the heavy-work call denylist.
 
 Lock ranks must strictly increase along any nested acquisition chain:
-server lifecycle first, then sharded-coordinator bookkeeping locks, then
-per-shard cache locks, then leaf counter/budget locks.  Two locks of the
-same rank must never be held together (there is no safe tiebreak), which
-is exactly how shard-lock pairs would deadlock — the cross-shard
-eviction round therefore holds at most one shard lock at a time.
+server lifecycle first, then the cache lock, then leaf locks.  Two locks
+of the same rank must never be held together (there is no safe
+tiebreak).
 
 Modules outside the core (e.g. the lint self-test corpus) can extend the
 table with a module-level ``RECHECK_LOCK_RANKS = {"Class._attr": rank}``
@@ -17,18 +15,13 @@ from __future__ import annotations
 #: (class name, lock attribute) -> rank; lower ranks are acquired first.
 LOCK_RANKS: dict[tuple[str, str], int] = {
     ("EngineServer", "_lifecycle"): 0,
-    ("ShardedReCache", "_sequence_lock"): 10,
-    ("ShardedReCache", "_balance_lock"): 11,
-    ("ShardedReCache", "_lookup_lock"): 12,
     ("ReCache", "_lock"): 20,
-    ("AtomicCounter", "_lock"): 30,
-    ("SharedBudget", "_lock"): 30,
     # Leaf locks of the failure-containment layer: nothing is acquired
     # under them, and they are never held while taking a cache lock.
     ("SourceCircuitBreaker", "_lock"): 30,
     ("_InjectorState", "_lock"): 30,
     # Leaf locks of the process-pool execution layer: the shm registry's
-    # lock may be taken under a shard's ReCache._lock (eviction retires the
+    # lock may be taken under the ReCache._lock (eviction retires the
     # entry's segment in the same critical section), so it must outrank 20;
     # neither lock ever wraps a cache or serving lock.
     ("ShmRegistry", "_lock"): 30,
@@ -36,15 +29,11 @@ LOCK_RANKS: dict[tuple[str, str], int] = {
 }
 
 #: Lock attribute names whose rank is recoverable even when acquired on a
-#: receiver other than ``self`` (e.g. ``with shard._lock:`` inside the
-#: sharded coordinator).  ``_lock`` maps to the per-shard ReCache tier —
-#: the only cross-object ``_lock`` acquisition in the tree.
+#: receiver other than ``self`` (e.g. ``with cache._lock:``), or on a class
+#: missing from ``LOCK_RANKS``.  ``_lock`` maps to the ReCache tier.
 LOCK_RANKS_BY_ATTR: dict[str, int] = {
     "_lifecycle": 0,
     "_backpressure": 0,
-    "_sequence_lock": 10,
-    "_balance_lock": 11,
-    "_lookup_lock": 12,
     "_lock": 20,
 }
 

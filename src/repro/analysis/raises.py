@@ -1,4 +1,4 @@
-"""Rules ``raise-flow`` and ``reservation-leak``.
+"""Rule ``raise-flow``.
 
 ``raise-flow`` infers, for every project function, the transitive set of
 :class:`~repro.core.errors.ReCacheError` subclasses it may raise: direct
@@ -22,26 +22,12 @@ Known over/under-approximations, all deliberate:
 * narrowing is type-based, not path-sensitive: a conditional re-raise counts
   as always re-raising (escape sets only ever over-approximate).
 
-``reservation-leak`` is the companion leak check: after a function acquires
-a :class:`~repro.core.sharded_cache.SharedBudget` reservation (a non-zero
-``self._reservation = ...`` store, a call to a method that makes one and
-returns without settling, or a bare ``lock.acquire()``), every following
-statement that may raise — a ``raise``, an annotated or opaque call, or a
-call whose transitive closure contains any ``raise`` — must sit inside a
-``try`` whose ``finally``/handler settles (``_settle_reservation``/
-``release``); otherwise the exception edge leaks the reservation and the
-budget underflows forever.  A ``# caller-settles: reservation`` comment on a
-``def`` line declares the admission protocol's split-ownership case: the
-function intentionally returns with the reservation outstanding, so *its*
-body is exempt while every call *to* it sets the held state in the caller
-(mirroring ``# caller-holds:`` for locks).  Suppress either rule per line
-with ``# recheck-lint: allow(raise-flow)`` / ``allow(reservation-leak)``.
+Suppress the rule per line with ``# recheck-lint: allow(raise-flow)``.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, build_call_graph, parse_may_raise
@@ -49,7 +35,6 @@ from repro.analysis.common import ClassInfo, Module, Violation
 from repro.analysis.contracts import RAISE_CONTRACTS
 
 RULE = "raise-flow"
-LEAK_RULE = "reservation-leak"
 
 #: error taxonomy root: every class transitively deriving from it is tracked
 TAXONOMY_ROOT = "ReCacheError"
@@ -374,259 +359,4 @@ def check(
                     ),
                 )
             )
-    violations.extend(_reservation_leaks(graph))
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Reservation/lock leak check
-# ---------------------------------------------------------------------------
-#: attribute calls that cannot raise in practice (bookkeeping primitives)
-_SAFE_LEAK_ATTRS = frozenset(
-    {
-        "get", "append", "extend", "pop", "popleft", "add", "discard",
-        "items", "keys", "values", "setdefault", "update", "remove",
-        "perf_counter", "monotonic", "locked",
-    }
-)
-
-_SETTLE_NAMES = frozenset({"_settle_reservation", "release"})
-
-_CALLER_SETTLES_RE = re.compile(r"caller-settles")
-
-
-def _caller_settles(info) -> bool:
-    return bool(_CALLER_SETTLES_RE.search(info.module.comment(info.node.lineno)))
-
-
-def _compute_may_raise_any(graph: CallGraph) -> dict[str, bool]:
-    """fid -> function (or anything it calls) contains any ``raise`` at all."""
-    direct: dict[str, bool] = {}
-    for fid, info in graph.functions.items():
-        direct[fid] = any(isinstance(node, ast.Raise) for node in ast.walk(info.node)) or bool(
-            graph.site_raises.get(fid)
-        )
-    result = dict(direct)
-    changed = True
-    while changed:
-        changed = False
-        for fid in graph.functions:
-            if result[fid]:
-                continue
-            if any(result.get(callee, False) for callee in graph.edges.get(fid, ())):
-                result[fid] = True
-                changed = True
-    return result
-
-
-def _assigns_reservation(node: ast.stmt) -> bool | None:
-    """True: non-zero ``self._reservation`` store; False: zeroing store."""
-    if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        return None
-    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-    for target in targets:
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr == "_reservation"
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            value = getattr(node, "value", None)
-            if isinstance(value, ast.Constant) and value.value == 0:
-                return False
-            return True
-    return None
-
-
-def _is_acquirer(info, graph: CallGraph) -> bool:
-    """Directly makes a non-zero reservation and returns without settling."""
-    makes = False
-    settles = False
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.stmt) and _assigns_reservation(node) is True:
-            makes = True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "_settle_reservation"
-        ):
-            settles = True
-    return makes and not settles
-
-
-def _call_attr(node: ast.Call) -> str | None:
-    return node.func.attr if isinstance(node.func, ast.Attribute) else None
-
-
-class _LeakScanner:
-    """Tracks the acquired-reservation state through one function body."""
-
-    def __init__(self, graph: CallGraph, info, acquirers: set[str], may_raise: dict[str, bool]):
-        self.graph = graph
-        self.info = info
-        self.acquirers = acquirers
-        self.may_raise = may_raise
-        self.acquired = False
-        self.violations: list[Violation] = []
-
-    def scan(self) -> list[Violation]:
-        self._walk(self.info.node.body, protected=False, cleanup=False)
-        return self.violations
-
-    # -- state triggers -----------------------------------------------------
-    def _update_state(self, stmt: ast.stmt) -> None:
-        """Apply this statement's *own* acquire/settle effects (not children's)."""
-        assigned = _assigns_reservation(stmt)
-        if assigned is not None:
-            self.acquired = assigned
-        for expr in self._own_exprs(stmt):
-            for node in ast.walk(expr):
-                if not isinstance(node, ast.Call):
-                    continue
-                attr = _call_attr(node)
-                if attr in _SETTLE_NAMES:
-                    self.acquired = False
-                elif attr == "acquire":
-                    self.acquired = True
-                elif self.graph.call_targets.get(id(node)) and any(
-                    target in self.acquirers
-                    for target in self.graph.call_targets[id(node)]
-                ):
-                    self.acquired = True
-
-    # -- risk ---------------------------------------------------------------
-    def _risky_call(self, node: ast.Call) -> str | None:
-        line_comment = self.info.module.comment(node.lineno)
-        attr = _call_attr(node)
-        if attr in _SETTLE_NAMES or attr == "acquire" or attr in _SAFE_LEAK_ATTRS:
-            return None
-        if parse_may_raise(line_comment):
-            return attr or getattr(node.func, "id", "?")
-        targets = self.graph.call_targets.get(id(node))
-        if targets:
-            if any(self.may_raise.get(t, False) for t in targets):
-                return self.graph.functions[targets[0]].display
-            return None
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-            import builtins
-
-            if (
-                name in dir(builtins)
-                or name in self.info.nested_names
-                or name in self.graph._classes
-            ):
-                return None
-            return name  # opaque local callable: conservatively risky
-        return None  # unresolved attribute call: external bookkeeping
-
-    def _flag(self, line: int, what: str) -> None:
-        if self.info.module.allows(line, LEAK_RULE):
-            return
-        self.violations.append(
-            Violation(
-                rule=LEAK_RULE,
-                path=str(self.info.module.path),
-                line=line,
-                message=(
-                    f"{self.info.display}: {what} while a reservation/lock is "
-                    "held with no enclosing try/finally that settles it — an "
-                    "exception here leaks the reservation "
-                    "(wrap in try/finally: _settle_reservation()/release())"
-                ),
-            )
-        )
-
-    # -- walking ------------------------------------------------------------
-    def _walk(self, stmts: list[ast.stmt], protected: bool, cleanup: bool) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt, protected, cleanup)
-
-    def _walk_stmt(self, stmt: ast.stmt, protected: bool, cleanup: bool) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        if isinstance(stmt, ast.Try):
-            body_protected = protected or self._try_settles(stmt)
-            self._walk(stmt.body, body_protected, cleanup)
-            self._walk(stmt.orelse, body_protected, cleanup)
-            for handler in stmt.handlers:
-                self._walk(handler.body, protected, True)
-            self._walk(stmt.finalbody, protected, True)
-            return
-        was_acquired = self.acquired
-        self._update_state(stmt)
-        if was_acquired and not (protected or cleanup):
-            if isinstance(stmt, ast.Raise):
-                self._flag(stmt.lineno, "raise")
-            else:
-                for node in self._own_exprs(stmt):
-                    for call in ast.walk(node):
-                        if not isinstance(call, ast.Call):
-                            continue
-                        risky = self._risky_call(call)
-                        if risky is not None:
-                            self._flag(call.lineno, f"call to {risky}() may raise")
-        if isinstance(stmt, ast.If):
-            # The branches are exclusive: merge their exit states instead of
-            # letting an acquisition in one arm bleed into the other.
-            before = self.acquired
-            self._walk(stmt.body, protected, cleanup)
-            body_out = None if _terminates(stmt.body) else self.acquired
-            self.acquired = before
-            self._walk(stmt.orelse, protected, cleanup)
-            orelse_out = (
-                None if stmt.orelse and _terminates(stmt.orelse) else self.acquired
-            )
-            exits = [state for state in (body_out, orelse_out) if state is not None]
-            self.acquired = any(exits) if exits else before
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._walk_stmt(child, protected, cleanup)
-
-    @staticmethod
-    def _own_exprs(stmt: ast.stmt) -> list[ast.expr]:
-        exprs: list[ast.expr] = []
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                exprs.append(child)
-            elif isinstance(child, ast.withitem):
-                exprs.append(child.context_expr)
-        return exprs
-
-    def _try_settles(self, stmt: ast.Try) -> bool:
-        cleanup: list[ast.stmt] = list(stmt.finalbody)
-        for handler in stmt.handlers:
-            cleanup.extend(handler.body)
-        for body_stmt in cleanup:
-            for node in ast.walk(body_stmt):
-                if isinstance(node, ast.Call) and _call_attr(node) in _SETTLE_NAMES:
-                    return True
-        return False
-
-
-def _terminates(stmts: list[ast.stmt]) -> bool:
-    """The block cannot fall through (so its state never merges forward)."""
-    return bool(stmts) and isinstance(
-        stmts[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )
-
-
-def _reservation_leaks(graph: CallGraph) -> list[Violation]:
-    acquirers = {
-        fid
-        for fid, info in graph.functions.items()
-        if _is_acquirer(info, graph) or _caller_settles(info)
-    }
-    may_raise = _compute_may_raise_any(graph)
-    violations: list[Violation] = []
-    for info in graph.functions.values():
-        if info.simple in ("__init__", "__post_init__"):
-            continue
-        if _caller_settles(info):
-            # Split-ownership protocol: this function hands its reservation
-            # to the caller, whose try/finally owns the exception edges.
-            continue
-        scanner = _LeakScanner(graph, info, acquirers, may_raise)
-        violations.extend(scanner.scan())
     return violations

@@ -18,7 +18,6 @@ from repro.core.config import ReCacheConfig
 from repro.core.cache_entry import CacheEntry, CacheKey, CacheStats, LayoutObservation
 from repro.core.benefit import benefit_metric
 from repro.core.cache_manager import CacheManagerStats, CacheMatch, ReCache
-from repro.core.sharded_cache import AtomicCounter, ShardedReCache, shard_limits
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.layout_selector import LayoutSelector, RowColumnSelector
 from repro.core.cost_model import LayoutCostModel
@@ -45,9 +44,6 @@ __all__ = [
     "CacheManagerStats",
     "CacheMatch",
     "ReCache",
-    "ShardedReCache",
-    "AtomicCounter",
-    "shard_limits",
     "AdmissionController",
     "AdmissionDecision",
     "LayoutSelector",

@@ -92,10 +92,6 @@ class ReCacheConfig:
     #: enable reuse of subsuming caches for range predicates (Section 3.3).
     enable_subsumption: bool = True
 
-    #: look up subsuming caches with the R-tree; False falls back to a linear
-    #: scan over cached predicates (ablation).
-    use_rtree_index: bool = True
-
     #: recompute the benefit metric from fresh measurements at every eviction
     #: pass (Section 5.1 reports up to 6% regression when this is disabled).
     recompute_benefit: bool = True
@@ -106,12 +102,6 @@ class ReCacheConfig:
     #: number of records per :class:`~repro.engine.batch.RecordBatch` produced
     #: by scans.
     batch_size: int = 1024
-
-    #: number of independently locked cache shards; 1 keeps the classic
-    #: single-``ReCache`` behaviour, >1 makes the engine build a
-    #: :class:`~repro.core.sharded_cache.ShardedReCache` so concurrent queries
-    #: stop serializing on one lock.
-    shard_count: int = 1
 
     #: worker threads of the :class:`~repro.engine.server.EngineServer`
     #: thread pool (the concurrent serving layer's degree of parallelism).
@@ -172,15 +162,12 @@ class ReCacheConfig:
 
     #: eviction-pressure load shedding: when the server's submission queue
     #: is full AND the fraction of the cache budget evicted within the
-    #: recent query window reaches this threshold, new submissions are
-    #: rejected with a typed :class:`~repro.core.errors.QueryRejected`
-    #: instead of queueing (``None`` disables shedding — the default keeps
-    #: the pre-existing block-until-capacity behaviour).
+    #: last ``SHED_PRESSURE_WINDOW`` (64) queries reaches this threshold, new
+    #: submissions are rejected with a typed
+    #: :class:`~repro.core.errors.QueryRejected` instead of queueing (``None``
+    #: disables shedding — the default keeps the pre-existing
+    #: block-until-capacity behaviour).
     shed_pressure_threshold: float | None = None
-
-    #: number of recent queries (by cache sequence) over which eviction
-    #: pressure is measured.
-    shed_pressure_window: int = 64
 
     #: seed of the fault plan installed from ``faults`` (nothing else reads
     #: it: timers draw from their own generator).
@@ -204,8 +191,6 @@ class ReCacheConfig:
             raise ValueError("timing_sample_rate must be in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         validate_execution_mode(self.execution_mode)
@@ -225,8 +210,6 @@ class ReCacheConfig:
             raise ValueError("breaker_cooldown must be >= 0")
         if self.shed_pressure_threshold is not None and self.shed_pressure_threshold <= 0:
             raise ValueError("shed_pressure_threshold must be positive or None")
-        if self.shed_pressure_window < 1:
-            raise ValueError("shed_pressure_window must be >= 1")
 
     def with_overrides(self, **overrides) -> "ReCacheConfig":
         """A copy of this configuration with the given fields replaced."""

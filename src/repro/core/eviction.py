@@ -32,9 +32,9 @@ class EvictionPolicy:
     """Interface shared by all eviction policies.
 
     Policies are not synchronized on their own: every callback runs under the
-    owning :class:`~repro.core.cache_manager.ReCache` instance's lock (one
-    policy instance per shard in the sharded cache), which is what keeps
-    mutable policy state such as the Greedy-Dual baseline consistent.
+    owning :class:`~repro.core.cache_manager.ReCache` instance's lock, which
+    is what keeps mutable policy state such as the Greedy-Dual baseline
+    consistent.
     """
 
     name = "abstract"
@@ -88,35 +88,6 @@ def size_aware_victims(
             remaining -= closer.nbytes
             break
     return victims
-
-
-def choose_global_victims(
-    entries: Sequence[CacheEntry], bytes_to_free: int
-) -> list[CacheEntry]:
-    """Pick eviction victims across *all* shards of a sharded cache.
-
-    The cross-shard admission-balancing round cannot use the per-shard
-    Greedy-Dual ``H(p)`` values — each shard maintains its own baseline ``L``,
-    so ``H`` values from different shards are not comparable.  Instead rank
-    every resident entry by the global benefit metric ``b(p)`` alone (the
-    single-pool view of Algorithm 1), collect the lowest-benefit candidates
-    until the deficit is covered, then apply the same size-aware phase-2 trim
-    the per-shard policy uses.
-    """
-    if bytes_to_free <= 0 or not entries:
-        return []
-    ranked = sorted(entries, key=benefit_metric)
-    candidates: list[CacheEntry] = []
-    freed = 0
-    for entry in ranked:
-        if freed >= bytes_to_free:
-            break
-        candidates.append(entry)
-        freed += entry.nbytes
-    if freed < bytes_to_free:
-        # Not enough evictable data anywhere: everything goes.
-        return candidates
-    return size_aware_victims(candidates, bytes_to_free)
 
 
 class ReCacheGreedyDualPolicy(EvictionPolicy):

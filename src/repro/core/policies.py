@@ -18,9 +18,7 @@
 
 The offline policies need to be told the future: the workload runner calls
 :meth:`OfflinePolicy.set_future_accesses` with the full access sequence before
-execution starts.  With a sharded cache each shard owns its own policy
-instance; the runner installs the full schedule on every instance (keys outside
-a shard are simply never consulted).
+execution starts.
 """
 
 from __future__ import annotations
@@ -156,12 +154,8 @@ class OfflinePolicy(EvictionPolicy):
         self._future = {key: sorted(positions) for key, positions in accesses.items()}
 
     def advance_to(self, sequence: int) -> None:
-        """Tell the policy what the current query sequence number is.
-
-        Monotone: the sharded cache pushes the global sequence to every shard
-        and pushes may arrive out of order, so the clock never moves backwards.
-        """
-        self._now = max(self._now, sequence)
+        """Tell the policy what the current query sequence number is."""
+        self._now = sequence
 
     def next_access(self, entry: CacheEntry) -> float:
         """Position of the entry's next access after now; +inf if never again."""

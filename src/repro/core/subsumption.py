@@ -12,8 +12,8 @@ The index can also operate without the R-tree (``use_rtree=False``), falling
 back to the naive linear scan; the ablation bench compares the two.
 
 The index itself is not synchronized: every call happens under the owning
-:class:`~repro.core.cache_manager.ReCache` instance's lock (one lock per shard
-in the sharded cache), which also keeps the timing counters consistent.
+:class:`~repro.core.cache_manager.ReCache` instance's lock, which also keeps
+the timing counters consistent.
 """
 
 from __future__ import annotations

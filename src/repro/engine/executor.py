@@ -34,7 +34,6 @@ from repro.core.cache_entry import LayoutObservation
 from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
 from repro.core.errors import CorruptedCacheError, DeadlineExceeded, WorkerCrashed
-from repro.core.sharded_cache import ShardedReCache
 from repro.engine.algebra import (
     AggregateNode,
     CacheScanNode,
@@ -107,7 +106,7 @@ class QueryReport:
     #: layout raised mid-scan (the result stays correct, just slower)
     degraded_scans: int = 0
     #: poisoned cache entries this query invalidated (evicted under the
-    #: shard lock with their budget share released)
+    #: cache lock with their bytes released)
     quarantined_entries: int = 0
     #: 1 when the serving tier rejected this query under eviction pressure
     #: (set by whoever converts the typed QueryRejected into a report)
@@ -163,7 +162,7 @@ class ExecutionContext:
     """
 
     catalog: DataSourceCatalog
-    recache: ReCache | ShardedReCache | None
+    recache: ReCache | None
     config: ReCacheConfig
     report: QueryReport
     sequence: int
@@ -245,10 +244,10 @@ def _record_cache_scan_reuse(
 def _quarantine_entry(node: CacheScanNode, ctx: ExecutionContext) -> None:
     """Invalidate a cache entry whose scan raised (audited no-swallow sink).
 
-    The entry is evicted under its shard lock with its budget reservation and
-    occupancy released; the query then degrades to a raw-source scan instead
-    of failing.  Racing queries that already hold the entry either finish
-    their own scan or hit the same fault and find the entry already gone.
+    The entry is evicted under the cache lock with its occupancy released;
+    the query then degrades to a raw-source scan instead of failing.  Racing
+    queries that already hold the entry either finish their own scan or hit
+    the same fault and find the entry already gone.
     """
     recache = ctx.recache
     if recache is not None and recache.quarantine(node.entry):
@@ -687,7 +686,7 @@ def _admit(run: _MaterializeRun, elapsed: float) -> None:
         # inconsistent buffered rows) cannot be materialized into a layout.
         # The sampling path guards its trial build the same way; skip the
         # admission cleanly instead of failing the whole query.
-        recache.note_skipped_admission(node.source, node.predicate)
+        recache.note_skipped_admission()
         run.caching_seconds += time.perf_counter() - build_started
         return
     run.caching_seconds += time.perf_counter() - build_started
@@ -928,7 +927,7 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
     operator_started = time.perf_counter()
     for scanned in source.scan_batches(node.fields, batch_size=batch_size, with_payload=True):
         # Admission only happens after the loop completes, so aborting on a
-        # deadline mid-scan leaves no cache state or budget reservation behind.
+        # deadline mid-scan leaves no cache state behind.
         _check_deadline(ctx)
         # A batch that straddles the end of the admission sample is split so
         # the decision happens after exactly ``sample_limit`` records.

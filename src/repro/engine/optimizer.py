@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cache_manager import ReCache
-from repro.core.sharded_cache import ShardedReCache
 from repro.engine.algebra import (
     AggregateNode,
     CacheScanNode,
@@ -81,7 +80,7 @@ def required_fields(query: Query, catalog: DataSourceCatalog, source: str) -> li
 def build_plan(
     query: Query,
     catalog: DataSourceCatalog,
-    recache: ReCache | ShardedReCache | None,
+    recache: ReCache | None,
     breaker=None,
 ) -> PlanInfo:
     """Build the cache-aware logical plan for ``query``.
@@ -118,7 +117,7 @@ def _plan_table(
     source: str,
     predicate,
     fields: list[str],
-    recache: ReCache | ShardedReCache | None,
+    recache: ReCache | None,
     info: PlanInfo,
 ) -> PlanNode:
     scan = ScanNode(source=source, fields=fields)

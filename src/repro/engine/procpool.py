@@ -1,7 +1,7 @@
 """Worker-process execution pool over shared-memory cached columns.
 
 This is the "escape the GIL" half of the serving tier: coordinator threads
-keep owning admission, eviction, ``SharedBudget`` accounting and future
+keep owning admission, eviction, byte accounting and future
 resolution, while the vectorized scan/aggregate work for cache-hit queries
 is shipped to worker *processes* as compact, picklable plan descriptors
 (:class:`ScanTask`).  Workers map the columns the :class:`ShmRegistry`

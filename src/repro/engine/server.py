@@ -2,11 +2,11 @@
 
 :class:`EngineServer` wraps a :class:`~repro.engine.session.QueryEngine` with a
 ``ThreadPoolExecutor`` so many clients can issue queries against one shared
-(sharded) ReCache.  Each query executes with its own
+ReCache.  Each query executes with its own
 :class:`~repro.engine.executor.ExecutionContext` and
 :class:`~repro.engine.executor.QueryReport` — nothing per-query is shared
-between threads — while lookups, admissions and evictions synchronize inside
-the cache manager (per shard, see :mod:`repro.core.sharded_cache`).
+between threads — while lookups, admissions and evictions synchronize on the
+cache manager's one lock (see :mod:`repro.core.cache_manager`).
 
 Two submission paths:
 
@@ -18,10 +18,9 @@ Two submission paths:
   ``coalesced=1``) and then *grouped* by data source and predicate overlap:
   each overlap group runs as one pool task via
   :meth:`~repro.engine.session.QueryEngine.execute_group`, widest predicate
-  first, so one shard-lock acquisition and one scan feed several requests and
-  the narrower queries in the group are served from the cache the first one
-  warmed.  Per-query futures resolve as results complete, not when the whole
-  batch finishes.
+  first, so one scan feeds several requests and the narrower queries in the
+  group are served from the cache the first one warmed.  Per-query futures
+  resolve as results complete, not when the whole batch finishes.
 
 Identical queries coalesce across ``Query.result_format`` (it shapes only the
 representation) and each duplicate's report carries the shared result in its

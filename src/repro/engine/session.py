@@ -23,7 +23,6 @@ from repro.core.cache_manager import ReCache
 from repro.core.circuit_breaker import SourceCircuitBreaker
 from repro.core.config import ReCacheConfig, validate_execution_mode
 from repro.core.errors import DeadlineExceeded, TransientScanError
-from repro.core.sharded_cache import ShardedReCache
 from repro.core.shm_registry import ShmRegistry
 from repro.faults import runtime as faults
 from repro.engine.executor import (
@@ -52,15 +51,10 @@ class QueryEngine:
     def __init__(
         self,
         config: ReCacheConfig | None = None,
-        recache: ReCache | ShardedReCache | None = None,
+        recache: ReCache | None = None,
     ) -> None:
         self.config = config or ReCacheConfig()
-        if recache is None:
-            if self.config.shard_count > 1:
-                recache = ShardedReCache(self.config)
-            else:
-                recache = ReCache(self.config)
-        self.recache = recache
+        self.recache = recache if recache is not None else ReCache(self.config)
         self.catalog = DataSourceCatalog()
         #: routes repeatedly faulting sources around the cache (see execute)
         self.breaker = SourceCircuitBreaker(
@@ -232,14 +226,14 @@ class QueryEngine:
 
         The server's batched submission path routes each group here: the group
         shares one worker, so the first query of an overlapping group warms the
-        cache and the rest are served from it in the same pass — one shard-lock
-        acquisition and one raw scan feeding several requests instead of N
-        independently queued executions.  ``on_report`` is invoked after each
-        query completes (the server uses it to resolve that query's future
-        immediately rather than when the whole group finishes).  A failing
-        query is isolated when ``on_error`` is given: the exception goes to the
-        callback, its report slot is ``None``, and the rest of the group still
-        executes; without the callback the exception propagates.
+        cache and the rest are served from it in the same pass — one raw scan
+        feeding several requests instead of N independently queued
+        executions.  ``on_report`` is invoked after each query completes (the
+        server uses it to resolve that query's future immediately rather than
+        when the whole group finishes).  A failing query is isolated when
+        ``on_error`` is given: the exception goes to the callback, its report
+        slot is ``None``, and the rest of the group still executes; without the
+        callback the exception propagates.
         """
         reports: list[QueryReport | None] = []
         for query in queries:

@@ -6,7 +6,7 @@ spec string (config knob ``faults`` or the ``RECACHE_FAULTS`` env var)::
     scope:kind[:key=value,...][;scope:kind...]
 
     scan.raw:io_error:rate=0.05,limit=2
-    scan.layout:corrupt:after=100;budget.reserve:budget_exhausted:rate=0.5
+    scan.layout:corrupt:after=100;server.worker:worker_crash:rate=0.5
 
 Scopes name *where* the fault can fire, kinds *what* fires:
 
@@ -15,7 +15,6 @@ scope      fault site
 ========== ================================================================
 scan.raw   CSV/JSON plugin scans (per record parsed)
 scan.layout cached-layout scans in the executor and layouts (per row/batch)
-budget.reserve ``SharedBudget.try_reserve`` (admission denied)
 server.worker  ``EngineServer`` worker threads (group dies mid-flight)
 ========== ================================================================
 
@@ -26,7 +25,6 @@ io_error   raise :class:`TransientScanError` (retryable)
 short_read raise :class:`TransientScanError` (truncated stream, retryable)
 corrupt    raise :class:`CorruptedCacheError` (poisoned cache entry)
 latency    ``time.sleep(delay)`` spike (default 1 ms)
-budget_exhausted force ``try_reserve`` to report no headroom
 worker_crash raise :class:`WorkerCrashed` in the serving worker
 ========== ================================================================
 
@@ -47,10 +45,8 @@ from dataclasses import dataclass
 
 from repro.core.errors import CorruptedCacheError, TransientScanError, WorkerCrashed
 
-SCOPES = frozenset({"scan.raw", "scan.layout", "budget.reserve", "server.worker"})
-KINDS = frozenset(
-    {"io_error", "short_read", "corrupt", "latency", "budget_exhausted", "worker_crash"}
-)
+SCOPES = frozenset({"scan.raw", "scan.layout", "server.worker"})
+KINDS = frozenset({"io_error", "short_read", "corrupt", "latency", "worker_crash"})
 
 _FLOAT_PARAMS = frozenset({"rate", "delay"})
 _INT_PARAMS = frozenset({"limit", "after"})
@@ -172,8 +168,8 @@ class FaultInjector:
 
     Call it at each opportunity — it either returns normally, sleeps (kind
     ``latency``), or raises the typed error of the first firing spec.  Use
-    :meth:`fires` for sites that need a boolean (budget exhaustion) instead
-    of an exception.
+    :meth:`fires` for sites that need a boolean (a real worker-process kill)
+    instead of an exception.
     """
 
     __slots__ = ("_states", "detail")
@@ -199,7 +195,7 @@ class FaultInjector:
                 raise WorkerCrashed(f"injected worker crash serving {site}")
             elif kind == "short_read":
                 raise TransientScanError(f"injected short read in {site}")
-            else:  # io_error / budget_exhausted used as an error site
+            else:  # io_error
                 raise TransientScanError(f"injected io error in {site}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Stopwatch:
@@ -148,7 +148,6 @@ class TimingBreakdown:
     cache_scan_time: float = 0.0
     lookup_time: float = 0.0
     total_time: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     def merge(self, other: "TimingBreakdown") -> None:
         self.operator_time += other.operator_time
@@ -156,16 +155,12 @@ class TimingBreakdown:
         self.cache_scan_time += other.cache_scan_time
         self.lookup_time += other.lookup_time
         self.total_time += other.total_time
-        for key, value in other.extras.items():
-            self.extras[key] = self.extras.get(key, 0.0) + value
 
     def as_dict(self) -> dict:
-        result = {
+        return {
             "operator_time": self.operator_time,
             "caching_time": self.caching_time,
             "cache_scan_time": self.cache_scan_time,
             "lookup_time": self.lookup_time,
             "total_time": self.total_time,
         }
-        result.update(self.extras)
-        return result

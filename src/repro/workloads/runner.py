@@ -117,18 +117,9 @@ class WorkloadRunner:
 
     # ------------------------------------------------------------------
     def _prepare_offline_policy(self, queries: list[Query]) -> None:
-        """Give clairvoyant policies the access schedule of the workload.
-
-        A sharded cache runs one policy instance per shard; every instance
-        receives the full schedule (a shard's policy only ever scores the
-        entries resident in its own shard, so the extra keys are inert).
-        """
-        policies = [
-            policy
-            for policy in self.engine.recache.eviction_policies()
-            if isinstance(policy, OfflinePolicy)
-        ]
-        if not policies:
+        """Give a clairvoyant policy the access schedule of the workload."""
+        policy = self.engine.recache.policy
+        if not isinstance(policy, OfflinePolicy):
             return
         base_sequence = self.engine.recache.sequence
         accesses: dict[str, list[int]] = {}
@@ -137,8 +128,7 @@ class WorkloadRunner:
             for table in query.tables:
                 key = CacheKey.for_select(table.source, table.predicate).as_string()
                 accesses.setdefault(key, []).append(sequence)
-        for policy in policies:
-            policy.set_future_accesses(accesses)
+        policy.set_future_accesses(accesses)
 
 
 def _measurement(index: int, query: Query, report: QueryReport) -> dict:

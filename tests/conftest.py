@@ -58,12 +58,9 @@ def assert_budget_conserved():
     """Register caches; teardown asserts their accounting returned to baseline.
 
     Usage: ``assert_budget_conserved(engine.recache)`` (returns the cache, so
-    it chains).  At teardown every tracked cache must satisfy conservation:
-    zero outstanding :class:`~repro.core.sharded_cache.SharedBudget`
-    reservations (every ``try_reserve`` was settled by a release) and
-    occupancy equal to the bytes of the entries actually resident — exactly
-    what a test that raises mid-admission, mid-eviction or mid-quarantine is
-    trying to violate.
+    it chains).  At teardown every tracked cache's occupancy must equal the
+    bytes of the entries actually resident — exactly what a test that raises
+    mid-admission, mid-eviction or mid-quarantine is trying to violate.
     """
     tracked = []
 
@@ -74,12 +71,6 @@ def assert_budget_conserved():
     yield track
 
     for recache in tracked:
-        budget = getattr(recache, "budget", None)
-        if budget is not None:
-            assert budget.reserved == 0, (
-                f"leaked budget reservation: {budget.reserved} bytes still "
-                "reserved after all queries settled"
-            )
         resident = sum(entry.nbytes for entry in recache.entries())
         assert recache.total_bytes == resident, (
             f"occupancy {recache.total_bytes} != resident entry bytes "

@@ -1,13 +1,12 @@
-"""Seeded ``raise-flow`` and ``reservation-leak`` violations for the self-test.
+"""Seeded ``raise-flow`` violation for the self-test.
 
 A self-contained mini error taxonomy (deriving from a local ``ReCacheError``
 root, exactly how the analyzer discovers the real one) plus a module-local
-``RECHECK_RAISE_CONTRACTS`` table.  The bad variants plant one deliberately
-escaping ``TransientScanError`` behind a contracted entry point and one
-reservation leaked across an exception edge; the good variants show every
-containment idiom the rules understand — handler narrowing, re-raise of an
-allowed error, ``# dynamic-call:``/``# may-raise:`` annotations, try/finally
-settling and the ``# caller-settles:`` split-ownership protocol.
+``RECHECK_RAISE_CONTRACTS`` table.  The bad variant plants one deliberately
+escaping ``TransientScanError`` behind a contracted entry point; the good
+variants show every containment idiom the rule understands — handler
+narrowing, re-raise of an allowed error and ``# dynamic-call:``/
+``# may-raise:`` annotations.
 """
 
 from __future__ import annotations
@@ -78,44 +77,3 @@ def poll_external(client):
     """Statically opaque external call, declared at the site."""
     return client.fetch()  # may-raise: DeadlineExceeded
 
-
-class MiniBudget:
-    """The shape of the pooled-admission reservation protocol, reduced."""
-
-    def __init__(self):
-        self._reservation = 0
-
-    def _settle_reservation(self):
-        self._reservation = 0
-
-    def _policy_hook(self, entry):
-        if entry.rejected:
-            raise TransientScanError("policy probe failed")
-
-    def bad_leaks_on_exception_edge(self, entry):
-        self._reservation = entry.nbytes
-        self._policy_hook(entry)  # PLANTED: reservation-leak
-        self._settle_reservation()
-
-    def good_settles_on_exception_edge(self, entry):
-        self._reservation = entry.nbytes
-        try:
-            self._policy_hook(entry)
-        finally:
-            self._settle_reservation()
-
-    def good_hands_off(self, entry):  # caller-settles: reservation
-        self._reservation = entry.nbytes
-        return entry.nbytes
-
-    def bad_caller_leaks(self, entry):
-        self.good_hands_off(entry)
-        self._policy_hook(entry)  # PLANTED: reservation-leak
-        self._settle_reservation()
-
-    def good_caller_settles(self, entry):
-        self.good_hands_off(entry)
-        try:
-            self._policy_hook(entry)
-        finally:
-            self._settle_reservation()

@@ -45,7 +45,7 @@ def _flat_query(index: int, low: float, width: float = 30.0) -> Query:
 
 @pytest.fixture()
 def server_engine(dataset_dir):
-    config = ReCacheConfig(shard_count=4, max_workers=4, admission_sample_records=50)
+    config = ReCacheConfig(max_workers=4, admission_sample_records=50)
     return build_engine(dataset_dir, config)
 
 
@@ -411,7 +411,7 @@ def test_run_batched_draws_the_same_streams_as_run(dataset_dir):
     pool = [_flat_query(i, float((i * 17) % 120)) for i in range(12)]
     sequences: list[list[list[str]]] = []
     for batched in (False, True):
-        engine = build_engine(dataset_dir, ReCacheConfig(shard_count=4))
+        engine = build_engine(dataset_dir, ReCacheConfig())
         with EngineServer(engine, max_workers=4) as server:
             runner = ConcurrentWorkloadRunner(server, clients=3, seed=99)
             if batched:
@@ -426,7 +426,7 @@ def test_run_batched_draws_the_same_streams_as_run(dataset_dir):
 
 
 def test_run_batched_coalesces_hot_draws(dataset_dir):
-    engine = build_engine(dataset_dir, ReCacheConfig(shard_count=2))
+    engine = build_engine(dataset_dir, ReCacheConfig())
     pool = [_flat_query(i, float((i * 17) % 120)) for i in range(6)]
     with EngineServer(engine, max_workers=2) as server:
         runner = ConcurrentWorkloadRunner(server, clients=2, seed=5)

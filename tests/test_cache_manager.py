@@ -56,7 +56,7 @@ class TestConfigValidation:
         configurations tests and benches must cover (ROADMAP aim 2).  A new
         field has to raise this number here and say which two callers need
         different values; a deleted field lowers it."""
-        assert len(dataclasses.fields(ReCacheConfig)) <= 31
+        assert len(dataclasses.fields(ReCacheConfig)) <= 28
 
 
 class TestLookupAndAdmission:
@@ -136,6 +136,46 @@ class TestCapacityAndEviction:
         # the first (covering) entry has been evicted, so no subsuming match
         assert cache.lookup("t", RangePredicate("x", 10, 20), ["x"]) is None
         assert cache.stats.evictions == 1
+
+    def test_upgrade_never_evicts_the_entry_being_upgraded(self):
+        """The eviction that makes room for a lazy entry's eager layout must
+        exclude that entry.
+
+        The entry is deliberately the lowest-benefit item in the cache and
+        large enough to cover the deficit alone: without the exclusion, the
+        eviction for its own upgrade would pick it as the one victim, evicting
+        it and discarding the built layout.
+        """
+        offsets = list(range(200))
+        filler = flat_layout(40)
+        eager = flat_layout(200)
+        growth = eager.nbytes - 8 * len(offsets)
+        limit = 8 * len(offsets) + filler.nbytes * 4 + growth // 2
+        # The deficit is positive and the lazy entry alone would cover it.
+        assert 0 < growth - growth // 2 <= 8 * len(offsets)
+        cache = ReCache(ReCacheConfig(cache_size_limit=limit))
+        cache.begin_query()
+        entry = cache.admit_lazy(
+            source="t",
+            source_format="csv",
+            predicate=RangePredicate("x", 1000, 1000.5),
+            fields=["x", "y"],
+            offsets=offsets,
+            operator_time=0.0001,  # lowest benefit in the cache
+            caching_time=0.0001,
+        )
+        assert entry is not None
+        for i in range(4):
+            assert admit(cache, "t", RangePredicate("x", i, i + 0.5), rows=40, t=20.0)
+
+        # The upgrade's growth cannot fit without evicting something.
+        assert cache.total_bytes + eager.nbytes - entry.nbytes > limit
+        assert cache.upgrade_lazy(entry, eager, caching_time=0.01)
+        assert cache.get_exact("t", RangePredicate("x", 1000, 1000.5)) is entry
+        assert not entry.is_lazy
+        assert cache.stats.evictions >= 1
+        assert cache.total_bytes <= limit
+        assert cache.total_bytes == sum(e.nbytes for e in cache.entries())
 
 
 class TestLayoutSwitchIntegration:
@@ -270,7 +310,7 @@ class TestOutOfLockLayoutSwitch:
             with cache._lock:
                 delta = other.nbytes - entry.nbytes
                 entry.replace_layout(other)
-                cache._adjust_occupancy(delta)
+                cache._occupancy += delta
             return converted, seconds
 
         monkeypatch.setattr(cm, "convert_layout", swap_mid_conversion)

@@ -11,14 +11,14 @@ one of two states:
 * a **typed error** (:class:`~repro.core.errors.ReCacheError` subclass),
 
 and never a hang (every ``future.result`` is bounded), never a stranded
-future, and never a leaked budget reservation or occupancy byte (checked
-after every schedule).
+future, and never an occupancy byte no resident entry holds (checked after
+every schedule).
 
 The default run executes ``RECACHE_CHAOS_SCHEDULES`` (220) schedules across
-five fault classes — raw-scan faults, cached-layout corruption, admission
-budget exhaustion, serving-worker crashes, real worker-*process* kills
-against the process pool (``execution_mode=processes``) — plus a mixed
-class combining them with deadlines.  When ``RECACHE_CHAOS_REPORT`` names a file, a JSON
+five fault classes — raw-scan faults, cached-layout corruption,
+serving-worker crashes, real worker-*process* kills against the process pool
+(``execution_mode=processes``), and a mixed class combining the first three
+with deadlines.  When ``RECACHE_CHAOS_REPORT`` names a file, a JSON
 summary of schedules, fault mix and outcome counts is written there (the CI
 chaos-suite step archives it).
 """
@@ -76,11 +76,6 @@ def _scan_layout_spec(rng: random.Random) -> str:
     return f"scan.layout:corrupt:rate={rate},limit={rng.randint(1, 2)}"
 
 
-def _budget_spec(rng: random.Random) -> str:
-    rate = rng.choice([1.0, 0.5])
-    return f"budget.reserve:budget_exhausted:rate={rate}"
-
-
 def _worker_spec(rng: random.Random) -> str:
     return f"server.worker:worker_crash:rate={rng.choice([1.0, 0.5])},limit={rng.randint(1, 2)}"
 
@@ -88,7 +83,6 @@ def _worker_spec(rng: random.Random) -> str:
 FAULT_CLASSES = {
     "scan-raw": lambda rng: _scan_raw_spec(rng),
     "scan-layout": lambda rng: _scan_layout_spec(rng),
-    "budget": lambda rng: _budget_spec(rng),
     "worker": lambda rng: _worker_spec(rng),
     # Same spec family as "worker", but served with execution_mode=processes:
     # the plan ships to the pool and the injector fires as a real os._exit in
@@ -96,7 +90,7 @@ FAULT_CLASSES = {
     "proc-worker": lambda rng: _worker_spec(rng),
     "mixed": lambda rng: ";".join(
         rng.sample(
-            [_scan_raw_spec(rng), _scan_layout_spec(rng), _budget_spec(rng), _worker_spec(rng)],
+            [_scan_raw_spec(rng), _scan_layout_spec(rng), _worker_spec(rng)],
             rng.randint(2, 3),
         )
     ),
@@ -146,7 +140,6 @@ def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
     # admission) so its crash schedules actually reach real worker children
     # instead of degenerating into in-process fallbacks.
     return ReCacheConfig(
-        shard_count=rng.choice([1, 2]),
         cache_size_limit=rng.choice([None, 64_000]),
         adaptive_admission=False if processes else rng.random() < 0.3,
         scan_retry_limit=2,
@@ -240,10 +233,6 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
 
     # No stranded futures / leaked backpressure capacity.
     assert server.queue_depth == 0, f"backpressure capacity leaked under {context}"
-    # No leaked budget reservation; occupancy equals resident entry bytes.
-    budget = getattr(engine.recache, "budget", None)
-    if budget is not None:
-        assert budget.reserved == 0, f"leaked budget reservation under {context}"
     resident = sum(entry.nbytes for entry in engine.recache.entries())
     assert engine.recache.total_bytes == resident, (
         f"occupancy {engine.recache.total_bytes} != resident {resident} under {context}"
@@ -256,7 +245,7 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
 
 
 def _class_budget() -> dict[str, int]:
-    """Split the schedule budget across the six fault classes."""
+    """Split the schedule budget across the five fault classes."""
     per = CHAOS_SCHEDULES // len(FAULT_CLASSES)
     counts = {name: per for name in FAULT_CLASSES}
     counts["mixed"] += CHAOS_SCHEDULES - per * len(FAULT_CLASSES)

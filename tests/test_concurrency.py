@@ -2,19 +2,16 @@
 
 Covers the three correctness fixes of the concurrency PR (positional-map
 completeness, the guarded admission build, the byte-budget re-check after
-eviction) plus thread-safety invariants of :class:`ShardedReCache` under a
-mixed hit/miss/evicting workload.
+eviction) plus thread-safety invariants of the one shared :class:`ReCache`
+under a mixed hit/miss/evicting workload.
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro import Query, QueryEngine, ReCache, ReCacheConfig, ShardedReCache
+from repro import Query, QueryEngine, ReCache, ReCacheConfig
 from repro.core.eviction import EvictionPolicy
-from repro.core.sharded_cache import shard_limits
 from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
 from repro.engine.server import EngineServer
 from repro.engine.types import FLOAT, INT, Field, RecordType
@@ -191,85 +188,10 @@ def test_lazy_upgrade_declined_when_budget_cannot_absorb_it():
 
 
 # ---------------------------------------------------------------------------
-# Sharding: placement, budget split, single-shard equivalence
-# ---------------------------------------------------------------------------
-def test_shard_limits_split_budget_exactly():
-    assert shard_limits(None, 4) == [None, None, None, None]
-    limits = shard_limits(1003, 4)
-    assert sum(limits) == 1003
-    assert max(limits) - min(limits) <= 1
-
-
-def test_sharded_routes_entries_to_home_shards():
-    cache = ShardedReCache(ReCacheConfig(), shard_count=4)
-    for i in range(12):
-        layout = _flat_layout(3)
-        cache.admit_eager("s", "csv", RangePredicate("value", float(i), float(i + 1)),
-                          ["id", "value"], layout, operator_time=0.1, caching_time=0.01)
-    assert len(cache) == 12
-    assert sum(len(shard) for shard in cache.shards) == 12
-    for entry in cache.entries():
-        assert cache.shard_for(entry.key).get_exact(entry.source, entry.predicate) is entry
-    assert cache.total_bytes == sum(e.nbytes for e in cache.entries())
-
-
-def test_single_shard_sharded_cache_matches_plain_recache(dataset_dir):
-    """The same sequential query sequence must produce identical decisions."""
-    def deterministic_config():
-        return ReCacheConfig(
-            cache_size_limit=64 * 1024,
-            eviction_policy="lru",
-            adaptive_admission=False,
-            layout_selection=False,
-            admission_sample_records=50,
-        )
-
-    plain = build_engine(dataset_dir, deterministic_config())
-    sharded_config = deterministic_config()
-    sharded = QueryEngine(sharded_config, recache=ShardedReCache(sharded_config, shard_count=1))
-    sharded.catalog = plain.catalog  # same files, same parsed sources
-
-    queries = []
-    for i in range(30):
-        low = float((i * 13) % 80)
-        queries.append(
-            Query.select_aggregate(
-                "flat",
-                RangePredicate("value", low, low + 25.0),
-                [AggregateSpec("sum", FieldRef("score"))],
-                label=f"q{i}",
-            )
-        )
-
-    for query in queries:
-        report_a = plain.execute(query)
-        report_b = sharded.execute(query)
-        assert report_a.exact_hits == report_b.exact_hits, query.label
-        assert report_a.subsumption_hits == report_b.subsumption_hits, query.label
-        assert report_a.misses == report_b.misses, query.label
-        assert report_a.results == report_b.results, query.label
-
-    stats_a, stats_b = plain.cache_stats, sharded.cache_stats
-    for field_name in ("lookups", "exact_hits", "subsumption_hits", "misses",
-                       "admissions_eager", "admissions_lazy", "admissions_skipped",
-                       "evictions", "evicted_bytes", "layout_switches", "lazy_upgrades"):
-        assert getattr(stats_a, field_name) == getattr(stats_b, field_name), field_name
-    assert {e.key.as_string() for e in plain.recache.entries()} == {
-        e.key.as_string() for e in sharded.recache.entries()
-    }
-    assert plain.recache.total_bytes == sharded.recache.total_bytes
-
-
-# ---------------------------------------------------------------------------
 # Stress: mixed hit/miss/evicting traffic from many threads
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("shard_count", [1, 4, 8])
-def test_sharded_stress_under_mixed_concurrent_traffic(dataset_dir, shard_count):
-    config = ReCacheConfig(
-        shard_count=shard_count,
-        cache_size_limit=48 * 1024,
-        admission_sample_records=50,
-    )
+def test_stress_under_mixed_concurrent_traffic(dataset_dir):
+    config = ReCacheConfig(cache_size_limit=48 * 1024, admission_sample_records=50)
     engine = build_engine(dataset_dir, config)
     recache = engine.recache
     limit = config.cache_size_limit
@@ -327,7 +249,7 @@ def test_sharded_stress_under_mixed_concurrent_traffic(dataset_dir, shard_count)
     assert stats.lookups == 8 * 25
 
     # No lost or phantom entries: the directory, the byte accounting and the
-    # subsumption indexes must agree.
+    # subsumption index must agree.
     entries = recache.entries()
     assert len(recache) == len(entries)
     assert recache.total_bytes == sum(entry.nbytes for entry in entries)

@@ -3,8 +3,7 @@
 The documented contract: ``choose_victims`` never frees fewer bytes than
 requested (unless the cache simply does not hold enough evictable data), and
 the phase-2 trim stops at the *smallest* candidate that alone covers the
-remaining deficit.  These properties also hold for the cross-shard variant
-``choose_global_victims`` used by the admission-balancing round.
+remaining deficit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from hypothesis import given, strategies as st
 from repro.core.cache_entry import CacheStats
 from repro.core.eviction import (
     ReCacheGreedyDualPolicy,
-    choose_global_victims,
     size_aware_victims,
     total_bytes,
 )
@@ -115,28 +113,3 @@ def test_choose_victims_without_size_awareness_still_covers_deficit():
     victims = policy.choose_victims(entries, bytes_to_free=120)
     assert total_bytes(victims) >= 120
 
-
-# ---------------------------------------------------------------------------
-# Cross-shard variant
-# ---------------------------------------------------------------------------
-def test_global_victims_rank_by_benefit_and_cover_deficit():
-    cheap = [_entry(100, operator_time=0.001) for _ in range(3)]
-    precious = [_entry(100, operator_time=50.0, reuse_count=4) for _ in range(3)]
-    victims = choose_global_victims(cheap + precious, bytes_to_free=250)
-    assert total_bytes(victims) >= 250
-    assert all(v in cheap for v in victims), "low-benefit entries evict first"
-
-
-@given(
-    st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=30),
-    st.data(),
-)
-def test_global_victims_never_free_fewer_bytes_than_requested(sizes, data):
-    entries = [_entry(size) for size in sizes]
-    need = data.draw(st.integers(min_value=1, max_value=sum(sizes)))
-    assert total_bytes(choose_global_victims(entries, need)) >= need
-
-
-def test_global_victims_empty_inputs():
-    assert choose_global_victims([], 100) == []
-    assert choose_global_victims([_entry(10)], 0) == []

@@ -106,7 +106,7 @@ def test_corrupt_layout_scan_quarantines_and_degrades(
     assert report.quarantined_entries == 1
     assert report.degraded_scans == 1
     assert report.results == warm.results and same_rows(report.results, baseline(query))
-    assert engine.recache.stats.extras.get("quarantined", 0) == 1
+    assert engine.recache.stats.quarantined == 1
 
 
 def test_quarantined_rows_query_parity(dataset_dir, baseline, assert_budget_conserved):
@@ -132,27 +132,6 @@ def test_quarantine_is_transparent_to_later_queries(dataset_dir, assert_budget_c
     clean = engine.execute(query)
     assert clean.quarantined_entries == 0
     assert clean.degraded_scans == 0
-
-
-# ---------------------------------------------------------------------------
-# Budget exhaustion: admission denied, query unaffected
-# ---------------------------------------------------------------------------
-def test_budget_exhaustion_denies_admission_not_results(
-    dataset_dir, baseline, assert_budget_conserved
-):
-    # A real byte limit makes the sharded cache enforce admissions through
-    # SharedBudget.try_reserve — the injected scope.
-    engine = build_engine(
-        dataset_dir,
-        ReCacheConfig(shard_count=2, cache_size_limit=1_000_000, adaptive_admission=False),
-    )
-    assert_budget_conserved(engine.recache)
-    query = flat_query()
-    with faults.activate("budget.reserve:budget_exhausted", seed=6):
-        report = engine.execute(query)
-    assert same_rows(report.results, baseline(query))
-    assert not engine.cache_entries()
-    assert engine.recache.budget.reserved == 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +305,7 @@ def test_worker_crash_fails_futures_typed_not_hung(dataset_dir, assert_budget_co
 
 
 # ---------------------------------------------------------------------------
-# Analyzer-surfaced containment regressions (raise-flow / reservation-leak)
+# Analyzer-surfaced containment regressions (raise-flow)
 # ---------------------------------------------------------------------------
 def test_conversion_fault_during_switch_quarantines_instead_of_raising(
     monkeypatch, assert_budget_conserved
@@ -377,26 +356,21 @@ def test_conversion_fault_during_switch_quarantines_instead_of_raising(
         )
         switched.append(cache.record_reuse(entry, 3.0, 0.001, observation))
     assert all(result is None for result in switched)  # fault contained
-    assert cache.stats.extras.get("quarantined", 0) == 1
+    assert cache.stats.quarantined == 1
     assert cache.stats.layout_switches == 0
     assert cache.total_bytes == 0  # quarantine evicted the poisoned entry
 
 
-def test_admission_hook_fault_settles_pooled_reservation(
+def test_admission_hook_fault_keeps_occupancy_equal_to_resident_bytes(
     monkeypatch, assert_budget_conserved
 ):
-    """A policy hook raising mid-install must not strand the pooled budget
-    reservation: the try/finally on admit_eager's exception edge settles it
-    (found by the reservation-leak rule)."""
+    """A policy hook raising mid-install must not leave occupancy counting
+    bytes that no resident entry holds (the teardown fixture checks)."""
     from repro.core.cache_manager import ReCache
-    from repro.core.sharded_cache import SharedBudget
     from repro.engine.types import FLOAT, Field, RecordType
     from repro.layouts import build_layout
 
-    budget = SharedBudget(limit=100_000)
-    cache = assert_budget_conserved(
-        ReCache(ReCacheConfig(cache_size_limit=50_000), shared_budget=budget)
-    )
+    cache = assert_budget_conserved(ReCache(ReCacheConfig(cache_size_limit=50_000)))
 
     def exploding_on_admit(self, entry, sequence):
         raise RuntimeError("policy bookkeeping bug")
@@ -416,9 +390,7 @@ def test_admission_hook_fault_settles_pooled_reservation(
             operator_time=1.0,
             caching_time=0.5,
         )
-    # The exception edge settled the reservation; accounting stays conserved
-    # (the teardown fixture re-checks occupancy == resident bytes).
-    assert budget.reserved == 0
+    assert cache.total_bytes == sum(entry.nbytes for entry in cache.entries())
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_parse_spec_with_params_and_detail():
 
 
 def test_spec_round_trips_through_as_string():
-    spec = parse_fault_spec("budget.reserve:budget_exhausted:rate=0.5,limit=2")
+    spec = parse_fault_spec("server.worker:worker_crash:rate=0.5,limit=2")
     assert parse_fault_spec(spec.as_string()) == spec
 
 
@@ -199,11 +199,11 @@ def test_env_var_installs_plan_at_import():
         "from repro.faults import runtime\n"
         "plan = runtime.active_plan()\n"
         "assert plan is not None and plan.seed == 11, plan\n"
-        "assert runtime.injector_for('budget.reserve') is not None\n"
+        "assert runtime.injector_for('server.worker') is not None\n"
         "print('ok')\n"
     )
     env = dict(os.environ)
-    env["RECACHE_FAULTS"] = "budget.reserve:budget_exhausted:rate=0.5"
+    env["RECACHE_FAULTS"] = "server.worker:worker_crash:rate=0.5"
     env["RECACHE_FAULTS_SEED"] = "11"
     env["PYTHONPATH"] = "src"
     result = subprocess.run(

@@ -50,12 +50,12 @@ def test_rlock_reentrancy_is_not_an_inversion():
 
 
 def test_equal_rank_pair_is_flagged():
-    """The shard-lock deadlock shape: two rank-20 locks held together."""
-    shard_a = watch(threading.Lock(), label="shard0._lock", rank=20)
-    shard_b = watch(threading.Lock(), label="shard1._lock", rank=20)
+    """The deadlock shape with no safe tiebreak: two rank-20 locks held together."""
+    cache_a = watch(threading.Lock(), label="cache0._lock", rank=20)
+    cache_b = watch(threading.Lock(), label="cache1._lock", rank=20)
     with LockWatchdog() as watchdog:
-        with shard_a:
-            with shard_b:
+        with cache_a:
+            with cache_b:
                 pass
     assert len(watchdog.violations) == 1
 

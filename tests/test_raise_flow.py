@@ -189,43 +189,6 @@ def test_module_contract_violation_and_handler_narrowing(tmp_path):
     assert "leaky may raise TransientScanError" in violations[0].message
 
 
-def test_caller_settles_splits_leak_ownership(tmp_path):
-    modules, classes, graph = project(
-        tmp_path,
-        budget=TAXONOMY
-        + """
-        class Pool:
-            def _settle_reservation(self):
-                self._reservation = 0
-
-            def probe(self, entry):
-                raise TransientScanError("probe")
-
-            def reserve(self, entry):  # caller-settles: reservation
-                self._reservation = entry.nbytes
-
-            def good_caller(self, entry):
-                self.reserve(entry)
-                try:
-                    self.probe(entry)
-                finally:
-                    self._settle_reservation()
-
-            def bad_caller(self, entry):
-                self.reserve(entry)
-                self.probe(entry)
-                self._settle_reservation()
-        """,
-    )
-    violations = raises.check(modules, classes, graph)
-    leaks = [v for v in violations if v.rule == "reservation-leak"]
-    # Only bad_caller leaks: reserve() itself is exempt (split ownership),
-    # and good_caller settles on the exception edge.
-    assert len(leaks) == 1
-    assert "Pool.bad_caller" in leaks[0].message
-    assert "call to Pool.probe() may raise" in leaks[0].message
-
-
 def test_hotpath_reachability_prunes_fallback_subtrees(tmp_path):
     modules, classes, graph = project(
         tmp_path,

@@ -41,9 +41,8 @@ def planted_expectations() -> set[tuple[str, str, int]]:
 
 def test_corpus_exercises_every_rule_family():
     planted_rules = {rule for _, rule, _ in planted_expectations()}
-    # lock-order and raise-flow each own a second rule; the corpus must
-    # cover those companions too.
-    assert planted_rules == set(CHECKERS) | {"heavy-work", "reservation-leak"}
+    # lock-order owns a second rule; the corpus must cover that companion too.
+    assert planted_rules == set(CHECKERS) | {"heavy-work"}
 
 
 def test_seeded_violations_fire_exactly_at_planted_lines():
@@ -98,10 +97,7 @@ def test_cli_exit_codes_and_json_report(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert data["tool"] == "recheck-lint"
     assert data["violation_count"] == len(planted_expectations())
-    assert {v["rule"] for v in data["violations"]} == set(CHECKERS) | {
-        "heavy-work",
-        "reservation-leak",
-    }
+    assert {v["rule"] for v in data["violations"]} == set(CHECKERS) | {"heavy-work"}
 
     assert lint_cli.main([str(ROOT / "src"), "--json", str(report_path)]) == 0
     data = json.loads(report_path.read_text())

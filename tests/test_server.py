@@ -6,7 +6,6 @@ import pytest
 
 from repro import EngineServer, Query, QueryEngine, QueryReport, ReCacheConfig, merge_reports
 from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
-from repro.core.sharded_cache import AtomicCounter
 from repro.utils.rng import ZipfianSampler, make_rng
 from repro.workloads.runner import ConcurrentWorkloadRunner
 
@@ -28,7 +27,7 @@ def _pool(n: int) -> list[Query]:
 
 @pytest.fixture()
 def server_engine(dataset_dir):
-    config = ReCacheConfig(shard_count=4, max_workers=4, admission_sample_records=50)
+    config = ReCacheConfig(max_workers=4, admission_sample_records=50)
     return build_engine(dataset_dir, config)
 
 
@@ -124,7 +123,7 @@ def test_concurrent_runner_streams_are_deterministic(dataset_dir):
     """Same seed => same per-client query sequences, independent of timing."""
     labels: list[list[list[str]]] = []
     for _ in range(2):
-        engine = build_engine(dataset_dir, ReCacheConfig(shard_count=4))
+        engine = build_engine(dataset_dir, ReCacheConfig())
         with EngineServer(engine, max_workers=4) as server:
             runner = ConcurrentWorkloadRunner(server, clients=3, seed=99)
             result = runner.run(_pool(12), queries_per_client=8, zipf_s=1.2)
@@ -137,7 +136,7 @@ def test_concurrent_runner_streams_are_deterministic(dataset_dir):
 
 
 def test_concurrent_runner_zipf_skews_toward_pool_head(dataset_dir):
-    engine = build_engine(dataset_dir, ReCacheConfig(shard_count=2))
+    engine = build_engine(dataset_dir, ReCacheConfig())
     with EngineServer(engine, max_workers=2) as server:
         runner = ConcurrentWorkloadRunner(server, clients=2, seed=5)
         result = runner.run(_pool(10), queries_per_client=40, zipf_s=1.5)
@@ -162,21 +161,3 @@ def test_zipfian_sampler_distribution():
     for rank in range(4):
         assert 800 < uniform_draws.count(rank) < 1200
 
-
-def test_atomic_counter_under_contention():
-    import threading
-
-    counter = AtomicCounter()
-
-    def bump():
-        for _ in range(2000):
-            counter.add(1)
-        for _ in range(1000):
-            counter.add(-1)
-
-    threads = [threading.Thread(target=bump) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert counter.value == 8 * 1000

@@ -46,7 +46,7 @@ def _wait_drained(server: EngineServer, timeout: float = 5.0) -> None:
 
 @pytest.fixture()
 def server(dataset_dir):
-    engine = build_engine(dataset_dir, ReCacheConfig(shard_count=2, max_workers=2))
+    engine = build_engine(dataset_dir, ReCacheConfig(max_workers=2))
     with EngineServer(engine) as srv:
         yield srv
 

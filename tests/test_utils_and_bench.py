@@ -51,10 +51,16 @@ class TestTiming:
 
     def test_timing_breakdown_merge(self):
         a = TimingBreakdown(operator_time=1.0, caching_time=0.5, total_time=2.0)
-        b = TimingBreakdown(operator_time=0.5, extras={"x": 1.0})
+        b = TimingBreakdown(operator_time=0.5, lookup_time=0.25)
         a.merge(b)
-        assert a.operator_time == 1.5 and a.extras["x"] == 1.0
-        assert "operator_time" in a.as_dict()
+        assert a.operator_time == 1.5 and a.lookup_time == 0.25
+        assert a.as_dict() == {
+            "operator_time": 1.5,
+            "caching_time": 0.5,
+            "cache_scan_time": 0.0,
+            "lookup_time": 0.25,
+            "total_time": 2.0,
+        }
 
 
 class TestUtils:
