@@ -1,24 +1,32 @@
 """Concurrent serving: many clients, one shared cache.
 
-Builds a TPC-H-style CSV file, wraps a :class:`repro.QueryEngine` in an
-:class:`repro.EngineServer` thread pool, and drives it with zipfian-skewed
-closed-loop clients — first with one worker thread, then with four — printing
-the throughput and cache statistics of each serving window.
+Builds a TPC-H-style CSV file, warms a :class:`repro.QueryEngine` on a pool of
+range aggregations, wraps it in an :class:`repro.EngineServer` and drives it
+with closed-loop client threads: each client draws a query from a Zipf
+distribution over the pool, calls ``server.execute`` and waits for the reply
+before sending its next request, until a fixed window closes.  The window runs
+once with one worker thread and once with four, printing throughput, latency
+percentiles and the cache hit rate of each.
 
 Run with::
 
-    python examples/concurrent_serving.py
+    PYTHONPATH=src python examples/concurrent_serving.py
 """
 
 from __future__ import annotations
 
+import random
 import tempfile
+import threading
 import time
 
 from repro import AggregateSpec, EngineServer, FieldRef, Query, QueryEngine, RangePredicate, ReCacheConfig
 from repro.utils import format_bytes
+from repro.utils.rng import ZipfianSampler
 from repro.workloads import TPCH_SCHEMAS, write_tpch_dataset
-from repro.workloads.runner import ConcurrentWorkloadRunner
+
+CLIENTS = 4
+WINDOW_SECONDS = 2.0
 
 
 def build_query_pool(pool_size: int = 20) -> list[Query]:
@@ -37,36 +45,51 @@ def build_query_pool(pool_size: int = 20) -> list[Query]:
     ]
 
 
+def serve_window(server: EngineServer, pool: list[Query], seed: int) -> list[float]:
+    """Run ``CLIENTS`` closed-loop clients for one window; return sorted latencies."""
+    sampler = ZipfianSampler(len(pool), s=1.1)
+    latencies: list[list[float]] = [[] for _ in range(CLIENTS)]
+    stop_at = time.perf_counter() + WINDOW_SECONDS
+
+    def client(index: int) -> None:
+        rng = random.Random(seed * 1000 + index)
+        while time.perf_counter() < stop_at:
+            query = pool[sampler.sample(rng)]
+            started = time.perf_counter()
+            server.execute(query, timeout=60.0)
+            latencies[index].append(time.perf_counter() - started)
+
+    threads = [threading.Thread(target=client, args=(index,)) for index in range(CLIENTS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return sorted(latency for per_client in latencies for latency in per_client)
+
+
 def main() -> None:
     data_dir = tempfile.mkdtemp(prefix="recache-serving-")
     print(f"Generating TPC-H style data under {data_dir} ...")
     csv_paths = write_tpch_dataset(data_dir, scale_factor=0.002, seed=42)
-
     pool = build_query_pool()
-    # Each served request also "delivers" its result to the remote client;
-    # worker threads overlap these waits, which is where the thread pool's
-    # throughput win comes from on a cache-hit-heavy workload.
-    def deliver(report) -> None:
-        time.sleep(0.005)
 
     for workers in (1, 4):
-        config = ReCacheConfig(max_workers=workers, cache_size_limit=16_000_000)
-        engine = QueryEngine(config)
+        engine = QueryEngine(ReCacheConfig(cache_size_limit=16_000_000))
         engine.register_csv("lineitem", csv_paths["lineitem"], TPCH_SCHEMAS["lineitem"])
-
-        # Warm the hot queries so the serving window is cache-hit-heavy.
+        # Warm the pool so the serving window is cache-hit-heavy.
         for query in pool:
             engine.execute(query)
 
-        with EngineServer(engine, response_hook=deliver) as server:
-            runner = ConcurrentWorkloadRunner(server, clients=4, seed=7)
-            result = runner.run(pool, label=f"{workers}-worker", queries_per_client=30, zipf_s=1.1)
+        with EngineServer(engine, max_workers=workers) as server:
+            latencies = serve_window(server, pool, seed=7)
 
-        stats = engine.cache_stats
+        p50 = latencies[len(latencies) // 2] * 1e3
+        p95 = latencies[int(len(latencies) * 0.95)] * 1e3
         print(
-            f"{workers} worker(s): {result.total_queries} queries in "
-            f"{result.wall_time:.2f}s -> {result.queries_per_second:.0f} q/s | "
-            f"hit rate {stats.hit_rate():.0%}, "
+            f"{workers} worker(s), {CLIENTS} clients: {len(latencies)} queries in "
+            f"{WINDOW_SECONDS:.0f}s -> {len(latencies) / WINDOW_SECONDS:.0f} q/s | "
+            f"p50 {p50:.2f} ms, p95 {p95:.2f} ms | "
+            f"hit rate {engine.cache_stats.hit_rate():.0%}, "
             f"{len(engine.recache.entries())} cached items, "
             f"{format_bytes(engine.recache.total_bytes)} resident"
         )

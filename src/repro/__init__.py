@@ -23,7 +23,7 @@ from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
 from repro.engine.batch import RecordBatch
 from repro.engine.executor import QueryReport
-from repro.engine.server import EngineServer, merge_reports
+from repro.engine.server import EngineServer
 from repro.engine.expressions import (
     AggregateSpec,
     And,
@@ -57,7 +57,6 @@ __all__ = [
     "QueryReport",
     "RecordBatch",
     "ColumnarResult",
-    "merge_reports",
     "Query",
     "TableRef",
     "JoinSpec",

@@ -40,9 +40,9 @@ RAISE_CONTRACTS: dict[str, frozenset[str]] = {
     "EngineServer.submit_batch": frozenset({"QueryRejected", "DeadlineExceeded"}),
     # The future resolver settles exceptions into futures; it leaks nothing.
     "EngineServer._resolve_execution": frozenset(),
-    # Worker threads re-raise into the pool *after* failing every remaining
-    # future (the pool swallows); the injected crash class is part of that.
-    "EngineServer._serve_group": frozenset(
+    # Worker threads re-raise into the pool *after* failing the execution's
+    # futures (the pool swallows); the injected crash class is part of that.
+    "EngineServer._serve": frozenset(
         {"WorkerCrashed", "TransientScanError", "DeadlineExceeded"}
     ),
     # -- retry envelope: TransientScanError stops here or is typed ----------
@@ -50,9 +50,6 @@ RAISE_CONTRACTS: dict[str, frozenset[str]] = {
     # process dying mid-offload surfaces as the typed crash error (budget
     # conserved; the server fails the affected futures, never strands them).
     "QueryEngine.execute": frozenset(
-        {"TransientScanError", "DeadlineExceeded", "WorkerCrashed"}
-    ),
-    "QueryEngine.execute_group": frozenset(
         {"TransientScanError", "DeadlineExceeded", "WorkerCrashed"}
     ),
     # -- executor: quarantine consumes corruption before the plan returns ---

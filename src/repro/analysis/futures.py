@@ -18,9 +18,11 @@ attribute — is scanned intraprocedurally:
   are lines carrying ``# recheck-lint: allow(future-resolution)``.
 
 The safe sets are deliberately small: bookkeeping/attribute calls that
-cannot raise in practice, plus helper methods whose own bodies guarantee
-settlement via try/finally (``_resolve_execution``/``_fail_execution``) —
-marking a sink safe is an audited, reviewable act, not a loophole.
+cannot raise in practice, plus the resolution sinks
+(:data:`RESOLUTION_SINKS`: the future setters and the server helpers
+``_settle``/``_resolve_execution``/``_fail_execution``, whose own bodies
+guarantee settlement) — marking a sink safe is an audited, reviewable act,
+not a loophole.
 """
 
 from __future__ import annotations
@@ -44,17 +46,23 @@ SAFE_NAMES: frozenset[str] = frozenset(
     }
 )
 
+#: Resolution sinks: the future's own terminal setters plus the server's
+#: helpers that settle futures internally (each settles in a ``finally`` or
+#: routes every failure to one that does).
+RESOLUTION_SINKS: frozenset[str] = frozenset(
+    {"set_result", "set_exception", "_settle", "_resolve_execution", "_fail_execution"}
+)
+
 #: Attribute (method) calls audited as safe: pure bookkeeping, lock/queue
-#: primitives, and resolution sinks that settle futures internally.
-SAFE_ATTRS: frozenset[str] = frozenset(
+#: primitives, and the resolution sinks.
+SAFE_ATTRS: frozenset[str] = RESOLUTION_SINKS | frozenset(
     {
-        "set_result", "set_exception", "done", "cancelled", "cancel",
+        "done", "cancelled", "cancel",
         "append", "extend", "pop", "popleft", "add", "discard", "get",
         "items", "keys", "values", "setdefault",
         "acquire", "release", "locked", "wait", "wait_for",
         "notify", "notify_all",
         "perf_counter", "monotonic",
-        "_settle", "_resolve_execution", "_fail_execution",
     }
 )
 
@@ -127,8 +135,7 @@ def _is_resolver_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr
-        in ("set_exception", "set_result", "_settle", "_resolve_execution", "_fail_execution")
+        and node.func.attr in RESOLUTION_SINKS
     )
 
 

@@ -54,6 +54,5 @@ HEAVY_CALL_ATTRS: frozenset[str] = frozenset(
         "sleep",
         "open",
         "execute",
-        "execute_group",
     }
 )

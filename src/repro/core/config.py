@@ -123,13 +123,6 @@ class ReCacheConfig:
     #: default) follows ``max_workers``.
     process_workers: int | None = None
 
-    #: backpressure bound of the server's submission queue: a ``submit`` /
-    #: ``submit_batch`` call blocks while this many queries are already
-    #: pending (queued or executing).  A batch is admitted atomically once
-    #: the depth falls below the bound, so the queue may transiently exceed
-    #: it by one batch.
-    max_pending_queries: int = 256
-
     #: fault-injection plan spec (see :mod:`repro.faults.plan` for the
     #: grammar, e.g. ``"scan.raw:io_error:rate=0.05"``).  Installed
     #: process-wide by :class:`~repro.engine.session.QueryEngine` on
@@ -137,10 +130,10 @@ class ReCacheConfig:
     #: hooks cost one ``None`` check per scan.
     faults: str | None = None
 
-    #: default per-query deadline in seconds (wall clock from submission /
-    #: execute start); ``None`` disables deadlines.  Overridable per query
-    #: via ``Query.deadline``.  An elapsed deadline surfaces as a typed
-    #: :class:`~repro.core.errors.DeadlineExceeded`.
+    #: default per-query deadline in seconds (wall clock from submission to
+    #: the server, else from ``execute``); ``None`` disables deadlines.
+    #: Overridable per query via ``Query.deadline``.  An elapsed deadline
+    #: surfaces as a typed :class:`~repro.core.errors.DeadlineExceeded`.
     default_deadline: float | None = None
 
     #: bounded retry for transient scan faults: how many times
@@ -196,8 +189,6 @@ class ReCacheConfig:
         validate_execution_mode(self.execution_mode)
         if self.process_workers is not None and self.process_workers < 1:
             raise ValueError("process_workers must be >= 1 or None")
-        if self.max_pending_queries < 1:
-            raise ValueError("max_pending_queries must be >= 1")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValueError("default_deadline must be positive or None")
         if self.scan_retry_limit < 0:

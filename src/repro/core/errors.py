@@ -15,7 +15,7 @@ bug escaping as a bare ``Exception``:
   because the queue is full while the cache is under eviction pressure.
 * :class:`DeadlineExceeded` — the query's per-query deadline elapsed
   (in queue or mid-execution).
-* :class:`WorkerCrashed` — an executor thread died mid-group; affected
+* :class:`WorkerCrashed` — an executor thread died mid-execution; affected
   futures are failed with this instead of hanging.
 """
 
@@ -43,4 +43,4 @@ class DeadlineExceeded(ReCacheError):
 
 
 class WorkerCrashed(ReCacheError):
-    """An executor worker died while serving this query's group."""
+    """An executor worker died while serving this query's execution."""

@@ -93,8 +93,7 @@ class QueryReport:
     coalesced: int = 0
     #: wait accumulated by coalesced duplicates between their own enqueue and
     #: the primary's resolution.  Kept out of ``queue_wait_time`` so N
-    #: duplicates of one execution cannot report N full queue waits (the
-    #: accounting bug that made batched-bench wait dwarf wall time).
+    #: duplicates of one execution cannot report N full queue waits.
     coalesced_wait_time: float = 0.0
     #: 1 when the cache-hit scan ran on the worker-process pool
     #: (``execution_mode="processes"``) instead of in-process
@@ -108,9 +107,6 @@ class QueryReport:
     #: poisoned cache entries this query invalidated (evicted under the
     #: cache lock with their bytes released)
     quarantined_entries: int = 0
-    #: 1 when the serving tier rejected this query under eviction pressure
-    #: (set by whoever converts the typed QueryRejected into a report)
-    shed: int = 0
     #: 1 when the query's deadline elapsed before a result was produced
     deadline_exceeded: int = 0
     label: str = ""
@@ -147,7 +143,6 @@ class QueryReport:
             "retries": self.retries,
             "degraded_scans": self.degraded_scans,
             "quarantined_entries": self.quarantined_entries,
-            "shed": self.shed,
             "deadline_exceeded": self.deadline_exceeded,
         }
 

@@ -53,11 +53,13 @@ class Query:
     #: dictionaries) or ``"columnar"`` (the
     #: :class:`~repro.engine.types.ColumnarResult` the rows are built from, no
     #: dictionary per row).  Deliberately NOT part of :meth:`signature`: it
-    #: shapes only the representation, so the serving tier coalesces identical
-    #: queries across formats and converts each duplicate's copy.
+    #: shapes only the representation, not the cache key.  The serving tier
+    #: coalesces identical queries only when their formats are equal, so every
+    #: duplicate can take the primary's result object as it is.
     result_format: str = "rows"
-    #: per-query deadline in seconds (wall clock from submission/execution
-    #: start), or ``None`` to follow ``ReCacheConfig.default_deadline``.
+    #: per-query deadline in seconds (wall clock from submission to the
+    #: server, else from ``execute``), or ``None`` to follow
+    #: ``ReCacheConfig.default_deadline``.
     #: Like the field above, deliberately NOT part of :meth:`signature`:
     #: the deadline shapes *when* a result must arrive, not *what* it is.
     #: The serving tier coalesces identical queries only when their deadlines

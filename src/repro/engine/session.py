@@ -17,7 +17,6 @@ import random
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Sequence
 
 from repro.core.cache_manager import ReCache
 from repro.core.circuit_breaker import SourceCircuitBreaker
@@ -97,7 +96,13 @@ class QueryEngine:
         """Build (but do not execute) the cache-aware plan for a query."""
         return build_plan(query, self.catalog, self.recache)
 
-    def execute(self, query: Query, *, execution_mode: str | None = None) -> QueryReport:
+    def execute(
+        self,
+        query: Query,
+        *,
+        execution_mode: str | None = None,
+        submitted_at: float | None = None,
+    ) -> QueryReport:
         """Execute a query and return its results plus execution report.
 
         ``report.results`` is a list of row dictionaries, or — when the query
@@ -107,7 +112,11 @@ class QueryEngine:
         either way.
 
         Failure containment: the query's deadline (``query.deadline`` falling
-        back to ``config.default_deadline``) spans all attempts; a
+        back to ``config.default_deadline``) counts from ``submitted_at`` — the
+        ``time.perf_counter()`` instant a serving layer queued the query;
+        default: now — and spans all attempts.  Each attempt checks it before
+        touching any cache state, so a query whose deadline ran out while
+        queued fails without executing.  A
         :class:`~repro.core.errors.TransientScanError` is retried up to
         ``config.scan_retry_limit`` times with jittered exponential backoff
         (admission happens only at scan completion, so a failed attempt
@@ -120,7 +129,9 @@ class QueryEngine:
             execution_mode = query.execution_mode or config.execution_mode
         validate_execution_mode(execution_mode)
         deadline = query.deadline if query.deadline is not None else config.default_deadline
-        deadline_at = time.perf_counter() + deadline if deadline is not None else None
+        if submitted_at is None:
+            submitted_at = time.perf_counter()
+        deadline_at = submitted_at + deadline if deadline is not None else None
         retry_limit = max(0, config.scan_retry_limit)
         attempt = 0
         while True:
@@ -157,6 +168,10 @@ class QueryEngine:
         execution_mode: str = "threads",
     ) -> QueryReport:
         """One planning + execution pass of :meth:`execute` (no retry logic)."""
+        if deadline_at is not None and time.perf_counter() >= deadline_at:
+            raise DeadlineExceeded(
+                f"query deadline expired before execution started (label={query.label!r})"
+            )
         report = QueryReport(label=query.label)
         sequence = self.recache.begin_query()
         started = time.perf_counter()
@@ -214,41 +229,6 @@ class QueryEngine:
             pool.shutdown(wait=wait)
         if registry is not None:
             registry.close()
-
-    def execute_group(
-        self,
-        queries: Sequence[Query],
-        *,
-        on_report: Callable[[Query, QueryReport], None] | None = None,
-        on_error: Callable[[Query, Exception], None] | None = None,
-    ) -> list["QueryReport | None"]:
-        """Execute a cache-affine group of queries back to back on this thread.
-
-        The server's batched submission path routes each group here: the group
-        shares one worker, so the first query of an overlapping group warms the
-        cache and the rest are served from it in the same pass — one raw scan
-        feeding several requests instead of N independently queued
-        executions.  ``on_report`` is invoked after each query completes (the
-        server uses it to resolve that query's future immediately rather than
-        when the whole group finishes).  A failing query is isolated when
-        ``on_error`` is given: the exception goes to the callback, its report
-        slot is ``None``, and the rest of the group still executes; without the
-        callback the exception propagates.
-        """
-        reports: list[QueryReport | None] = []
-        for query in queries:
-            try:
-                report = self.execute(query)
-            except Exception as exc:
-                if on_error is None:
-                    raise
-                on_error(query, exc)
-                reports.append(None)
-                continue
-            if on_report is not None:
-                on_report(query, report)
-            reports.append(report)
-        return reports
 
     # ------------------------------------------------------------------
     # Introspection

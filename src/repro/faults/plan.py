@@ -15,7 +15,7 @@ scope      fault site
 ========== ================================================================
 scan.raw   CSV/JSON plugin scans (per record parsed)
 scan.layout cached-layout scans in the executor and layouts (per row/batch)
-server.worker  ``EngineServer`` worker threads (group dies mid-flight)
+server.worker  ``EngineServer`` worker threads (execution dies mid-flight)
 ========== ================================================================
 
 ========== ================================================================

@@ -28,7 +28,7 @@ def make_rng(seed_or_rng: int | random.Random | None) -> random.Random:
 class ZipfianSampler:
     """Samples ranks ``0..n-1`` with probability proportional to ``1/(rank+1)^s``.
 
-    Used by the multi-client workload driver to skew each client's query
+    Used by the concurrent serving example to skew each client's query
     stream toward a small set of hot queries/sources, the access pattern a
     serving cache is built for.  The cumulative weights are precomputed so one
     sample costs a single binary search.

@@ -34,12 +34,7 @@ from repro.workloads.queries import (
     symantec_mixed_workload,
     yelp_spa_workload,
 )
-from repro.workloads.runner import (
-    ConcurrentWorkloadResult,
-    ConcurrentWorkloadRunner,
-    WorkloadResult,
-    WorkloadRunner,
-)
+from repro.workloads.runner import WorkloadResult, WorkloadRunner
 
 __all__ = [
     "TPCH_SCHEMAS",
@@ -64,6 +59,4 @@ __all__ = [
     "yelp_spa_workload",
     "WorkloadResult",
     "WorkloadRunner",
-    "ConcurrentWorkloadResult",
-    "ConcurrentWorkloadRunner",
 ]

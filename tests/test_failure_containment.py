@@ -251,6 +251,37 @@ def test_queued_past_deadline_fails_typed_not_hung(dataset_dir):
             slow_future.result(timeout=10.0)  # the slow query still completes
 
 
+def test_served_deadline_counts_from_submission(dataset_dir):
+    """Regression: the engine restarted a served query's deadline clock at
+    execution start, so time spent queued was free — a query with a 0.2 s
+    deadline queued behind a 0.15 s execution returned successfully ~0.3 s
+    after submission.  Both executions here are cache hits (no scan loop
+    checks the deadline mid-flight), so only a check against the submission
+    instant, made before the query touches the cache, can fail it."""
+    engine = build_engine(dataset_dir, ReCacheConfig())
+    warm = flat_query(label="warm")
+    engine.execute(warm)
+    original_attempt = engine._execute_attempt
+
+    def slow_attempt(*args, **kwargs):
+        time.sleep(0.15)
+        return original_attempt(*args, **kwargs)
+
+    engine._execute_attempt = slow_attempt
+    deadlined = Query(
+        tables=warm.tables, aggregates=warm.aggregates, deadline=0.2, label="deadlined"
+    )
+    with EngineServer(engine, max_workers=1) as server:
+        first = server.submit(warm)
+        second = server.submit(deadlined)
+        assert first.result(timeout=10.0).cache_hits == 1
+        # Queued ~0.15 s (under its deadline), then ~0.15 s more before the
+        # attempt begins: past 0.2 s from submission, so it must not run.
+        with pytest.raises(DeadlineExceeded):
+            second.result(timeout=10.0)
+    assert engine.query_count == 2  # the warm-up and the first request only
+
+
 # ---------------------------------------------------------------------------
 # Load shedding under eviction pressure
 # ---------------------------------------------------------------------------

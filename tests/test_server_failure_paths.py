@@ -1,13 +1,11 @@
 """Regression tests: every failure path resolves futures and frees capacity.
 
-Three bugs fixed in the serving layer, each locked down here:
+Two failure shapes of the serving layer, each locked down here:
 
-* ``execute_group`` failing *outside* the per-query callbacks left the
-  group's futures unresolved forever and leaked their pending slots;
+* the engine raising inside a worker must fail every future of the
+  execution, coalesced duplicates included, and return their pending slots;
 * ``submit_batch`` failing after the pending-count bump (e.g. the pool
-  rejecting work) leaked backpressure capacity and stranded futures;
-* a raising ``response_hook`` could leave later duplicates of a coalesced
-  execution unresolved.
+  rejecting work) must not leak backpressure capacity or strand futures.
 
 The contract: a client blocked on a returned future ALWAYS gets a result or
 an exception, and ``queue_depth`` always returns to zero, so backpressure
@@ -56,11 +54,11 @@ class _Boom(RuntimeError):
 
 
 def test_engine_failure_outside_callbacks_resolves_every_future(server):
-    """A broken session must fail the whole group's futures, not hang them."""
-    def broken_execute_group(queries, **kwargs):
-        raise _Boom("session broke before any callback ran")
+    """A broken session must fail every execution's futures, not hang them."""
+    def broken_execute(query, **kwargs):
+        raise _Boom("session broke")
 
-    server.engine.execute_group = broken_execute_group
+    server.engine.execute = broken_execute
     try:
         futures = server.submit_batch([_query(i, float(10 * i)) for i in range(4)])
         for future in futures:
@@ -68,7 +66,7 @@ def test_engine_failure_outside_callbacks_resolves_every_future(server):
                 future.result(timeout=5.0)
         _wait_drained(server)
     finally:
-        del server.engine.execute_group
+        del server.engine.execute
     # Capacity is intact: the same server still serves normally.
     report = server.execute(_query(99, 20.0))
     assert report.rows_returned == 1
@@ -93,24 +91,24 @@ def test_pool_rejection_rolls_back_pending_and_strands_no_future(server):
 
 
 def test_partial_enqueue_fails_only_the_stranded_groups(server):
-    """Groups already in flight settle themselves; the rest fail cleanly."""
+    """Executions already in flight settle themselves; the rest fail cleanly."""
     real_submit = server._pool.submit
     calls = []
 
     def submit_once_then_fail(fn, *args, **kwargs):
         calls.append(fn)
         if len(calls) > 1:
-            raise _Boom("pool full after the first group")
+            raise _Boom("pool full after the first execution")
         return real_submit(fn, *args, **kwargs)
 
     server._pool.submit = submit_once_then_fail
     try:
-        # Two disjoint intervals on the same source: two overlap groups.
+        # Two distinct queries: two executions, one pool task each.
         queries = [_query(0, 0.0), _query(1, 100.0)]
         with pytest.raises(_Boom):
             server.submit_batch(queries)
         assert len(calls) == 2
-        _wait_drained(server)  # the in-flight group settles itself
+        _wait_drained(server)  # the in-flight execution settles itself
     finally:
         del server._pool.submit
     report = server.execute(_query(97, 40.0))
@@ -118,29 +116,12 @@ def test_partial_enqueue_fails_only_the_stranded_groups(server):
     _wait_drained(server)
 
 
-def test_raising_response_hook_still_resolves_futures(server):
-    def broken_hook(report):
-        raise _Boom("delivery failed")
-
-    server.response_hook = broken_hook
-    try:
-        future = server.submit(_query(96, 50.0))
-        with pytest.raises(_Boom):
-            future.result(timeout=5.0)
-        _wait_drained(server)
-    finally:
-        server.response_hook = None
-    report = server.execute(_query(95, 60.0))
-    assert report.rows_returned == 1
-    _wait_drained(server)
-
-
 def test_coalesced_duplicates_fail_exceptionally_with_the_primary(server):
     """Duplicates of a failing execution must not hang on their futures."""
-    def broken_execute_group(queries, **kwargs):
-        raise _Boom("no callbacks")
+    def broken_execute(query, **kwargs):
+        raise _Boom("engine failed")
 
-    server.engine.execute_group = broken_execute_group
+    server.engine.execute = broken_execute
     try:
         duplicate = _query(94, 70.0)
         futures = server.submit_batch([duplicate, duplicate, duplicate])
@@ -148,6 +129,7 @@ def test_coalesced_duplicates_fail_exceptionally_with_the_primary(server):
         for future in futures:
             with pytest.raises(_Boom):
                 future.result(timeout=5.0)
+        assert server.coalesced_served == 0  # failed duplicates count as no service
         _wait_drained(server)
     finally:
-        del server.engine.execute_group
+        del server.engine.execute
