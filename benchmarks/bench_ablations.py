@@ -1,7 +1,7 @@
 """Ablation benches for the design choices called out in DESIGN.md."""
 
 from repro.bench.experiments import (
-    ablation_admission_extrapolation,
+    ablation_admission_estimator,
     ablation_benefit_recompute,
     ablation_eviction_order,
     ablation_subsumption_index,
@@ -42,9 +42,9 @@ def test_ablation_timing_sampling(run_experiment):
     assert totals["sampled_1pct"] > 0
 
 
-def test_ablation_admission_extrapolation(run_experiment):
+def test_ablation_admission_estimator(run_experiment):
     result = run_experiment(
-        ablation_admission_extrapolation, num_queries=15, scale_factor=0.002
+        ablation_admission_estimator, num_queries=15, scale_factor=0.002
     )
     for name, stats in result.items():
         print(

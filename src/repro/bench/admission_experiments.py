@@ -21,12 +21,10 @@ def _admission_config(kind: str, threshold: float = 0.10) -> ReCacheConfig:
     """Configuration for one of the admission comparison points."""
     if kind == "none":
         return ReCacheConfig(caching_enabled=False)
-    if kind == "lazy":
-        return ReCacheConfig(always_lazy=True, upgrade_lazy_on_reuse=False)
-    if kind == "eager":
-        return ReCacheConfig(adaptive_admission=False)
+    if kind in ("lazy", "eager"):
+        return ReCacheConfig(admission=kind)
     if kind == "recache":
-        return ReCacheConfig(adaptive_admission=True, admission_threshold=threshold)
+        return ReCacheConfig(admission="reactive", admission_threshold=threshold)
     raise ValueError(f"unknown admission configuration {kind!r}")
 
 

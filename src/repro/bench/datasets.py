@@ -1,6 +1,6 @@
 """Shared dataset setup for the experiment drivers.
 
-Experiments need the TPC-H, orderLineitems, Symantec-style and Yelp-style files
+Experiments need the TPC-H, Symantec-style and Yelp-style files
 on disk.  Writing them is cheap but not free, so the builders below memoize the
 generated files in a per-process temporary directory keyed by their parameters;
 every bench that asks for the same dataset reuses the same files.
@@ -14,12 +14,7 @@ from pathlib import Path
 from repro.core.config import ReCacheConfig
 from repro.engine.session import QueryEngine
 from repro.workloads.symantec import SYMANTEC_CSV_SCHEMA, SYMANTEC_JSON_SCHEMA, write_symantec_dataset
-from repro.workloads.tpch import (
-    ORDER_LINEITEMS_SCHEMA,
-    TPCH_SCHEMAS,
-    write_order_lineitems_json,
-    write_tpch_dataset,
-)
+from repro.workloads.tpch import TPCH_SCHEMAS, write_tpch_dataset
 from repro.workloads.yelp import YELP_SCHEMAS, write_yelp_dataset
 
 _root: Path | None = None
@@ -44,14 +39,6 @@ def tpch_files(scale_factor: float = 0.001, seed: int = 42, lineitem_json: bool 
             directory, scale_factor=scale_factor, seed=seed, json_tables=json_tables
         )
     return _generated[key]
-
-
-def order_lineitems_file(scale_factor: float = 0.0005, seed: int = 42) -> Path:
-    key = ("orderLineitems", scale_factor, seed)
-    if key not in _generated:
-        directory = bench_data_root() / f"ol_{scale_factor}_{seed}"
-        _generated[key] = {"orderLineitems": write_order_lineitems_json(directory, scale_factor, seed)}
-    return _generated[key]["orderLineitems"]
 
 
 def symantec_files(json_records: int = 1200, csv_records: int = 4000, seed: int = 23) -> dict[str, Path]:
@@ -86,15 +73,6 @@ def tpch_engine(
         engine.register_csv(table, paths[table], schema)
     if lineitem_json:
         engine.register_json("lineitem_json", paths["lineitem_json"], TPCH_SCHEMAS["lineitem"])
-    return engine
-
-
-def order_lineitems_engine(config: ReCacheConfig, scale_factor: float = 0.0005, seed: int = 42) -> QueryEngine:
-    """A query engine with the nested orderLineitems JSON file registered."""
-    engine = QueryEngine(config)
-    engine.register_json(
-        "orderLineitems", order_lineitems_file(scale_factor, seed), ORDER_LINEITEMS_SCHEMA
-    )
     return engine
 
 

@@ -59,7 +59,7 @@ def _run_eviction_config(
     config = ReCacheConfig(
         cache_size_limit=cache_size,
         eviction_policy=policy,
-        adaptive_admission=False,
+        admission="eager",
         recompute_benefit=recompute_benefit,
     )
     engine = tpch_engine(config, scale_factor=scale_factor, lineitem_json=True)
@@ -151,7 +151,7 @@ def ablation_timing_sampling(
     """Sampled (<1%) vs per-record timing instrumentation overhead."""
     totals = {}
     for label, rate in (("sampled_1pct", 0.01), ("per_record", 1.0)):
-        config = ReCacheConfig(adaptive_admission=False, timing_sample_rate=rate)
+        config = ReCacheConfig(admission="eager", timing_sample_rate=rate)
         engine = tpch_engine(config, scale_factor=scale_factor)
         runner = WorkloadRunner(engine)
         result = runner.run(spj_tpch_workload(num_queries=num_queries, seed=seed), label=label)
@@ -164,19 +164,16 @@ def ablation_timing_sampling(
     }
 
 
-def ablation_admission_extrapolation(
+def ablation_admission_estimator(
     num_queries: int = 25,
     scale_factor: float = 0.004,
     seed: int = 13,
 ) -> dict:
-    """The to1/tc1..to2/tc2 extrapolation vs the naive sample-local estimator."""
+    """The to1/tc1..to2/tc2 extrapolation (``"reactive"``) vs the naive
+    sample-local estimator (``"sample-local"``)."""
     results = {}
-    for label, extrapolate in (("extrapolated", True), ("naive", False)):
-        config = ReCacheConfig(
-            adaptive_admission=True,
-            admission_extrapolation=extrapolate,
-            admission_sample_records=100,
-        )
+    for label, policy in (("extrapolated", "reactive"), ("naive", "sample-local")):
+        config = ReCacheConfig(admission=policy, admission_sample_records=100)
         engine = tpch_engine(config, scale_factor=scale_factor)
         runner = WorkloadRunner(engine)
         run = runner.run(spj_tpch_workload(num_queries=num_queries, seed=seed), label=label)

@@ -28,7 +28,7 @@ Figure 15b             :func:`figure15b_yelp_diverse`
 Ablations              :func:`ablation_benefit_recompute`,
                        :func:`ablation_eviction_order`,
                        :func:`ablation_timing_sampling`,
-                       :func:`ablation_admission_extrapolation`,
+                       :func:`ablation_admission_estimator`,
                        :func:`ablation_subsumption_index`
 =====================  =======================================================
 """
@@ -40,7 +40,7 @@ from repro.bench.admission_experiments import (
 )
 from repro.bench.eviction_experiments import (
     FIGURE14_POLICIES,
-    ablation_admission_extrapolation,
+    ablation_admission_estimator,
     ablation_benefit_recompute,
     ablation_eviction_order,
     ablation_subsumption_index,
@@ -86,6 +86,6 @@ __all__ = [
     "ablation_benefit_recompute",
     "ablation_eviction_order",
     "ablation_timing_sampling",
-    "ablation_admission_extrapolation",
+    "ablation_admission_estimator",
     "ablation_subsumption_index",
 ]

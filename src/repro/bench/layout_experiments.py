@@ -12,12 +12,10 @@ import time
 from typing import Sequence
 
 from repro.core.cache_entry import LayoutObservation
-from repro.core.config import ReCacheConfig
 from repro.core.cost_model import LayoutCostModel, closest_compute_cost, percentage_error
 from repro.engine.calibration import split_scan_cost
 from repro.engine.compiler import compile_predicate
-from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
-from repro.engine.query import Query, TableRef
+from repro.engine.expressions import RangePredicate
 from repro.layouts import ColumnarLayout, ParquetLayout, build_layout
 from repro.utils.rng import make_rng
 from repro.workloads.nested import (
@@ -27,9 +25,7 @@ from repro.workloads.nested import (
     synthetic_order_lineitems,
 )
 from repro.workloads.queries import AttributeSchedule
-from repro.workloads.runner import WorkloadRunner
 from repro.workloads.tpch import TPCH_FIELD_RANGES
-from repro.bench.datasets import order_lineitems_engine
 from repro.bench.reporting import closeness_to_optimal, fraction_below
 
 
@@ -352,28 +348,3 @@ def _run_auto_layout(records, queries) -> tuple[list[float], int]:
             switches += 1
         times.append(scan_time)
     return times, switches
-
-
-def _warm_query() -> Query:
-    """An unconstrained select over orderLineitems touching every numeric field."""
-    fields = list(TPCH_FIELD_RANGES["orderLineitems"])
-    aggregates = [AggregateSpec("count", FieldRef(field)) for field in fields]
-    return Query(tables=[TableRef("orderLineitems", None)], aggregates=aggregates, label="warm")
-
-
-def _order_lineitems_engine_queries(
-    num_queries: int, schedule: AttributeSchedule, seed: int
-) -> list[Query]:
-    """Engine-level SPA queries matching the Section 4.1 workload shape."""
-    shapes = _order_lineitems_layout_queries(num_queries, schedule, seed)
-    queries = []
-    for shape in shapes:
-        aggregates = [AggregateSpec("sum", FieldRef(field)) for field in shape["fields"]]
-        queries.append(
-            Query(
-                tables=[TableRef("orderLineitems", shape["predicate"])],
-                aggregates=aggregates,
-                label=f"fig9-{shape['index']}",
-            )
-        )
-    return queries

@@ -30,7 +30,7 @@ def _layout_config(name: str, cache_size: int | None = None, eviction: str = "re
     return ReCacheConfig(
         cache_size_limit=cache_size,
         eviction_policy=eviction,
-        adaptive_admission=False,
+        admission="eager",
         **options,
     )
 
@@ -202,7 +202,7 @@ def _figure15_run(queries, engine_builder, cache_size: int) -> dict:
     totals = {}
     tails = {}
     for name, options in _FIG15_CONFIGS.items():
-        config = ReCacheConfig(cache_size_limit=cache_size, adaptive_admission=False, **options)
+        config = ReCacheConfig(cache_size_limit=cache_size, admission="eager", **options)
         engine = engine_builder(config)
         result = WorkloadRunner(engine).run(queries, label=f"fig15-{name}")
         series[name] = result.cumulative_times

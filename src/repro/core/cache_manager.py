@@ -101,7 +101,9 @@ class ReCache:
         self.policy: EvictionPolicy = make_policy(
             self.config.eviction_policy, recompute_benefit=self.config.recompute_benefit
         )
+        #: the only reader of the admission settings (policy, threshold, sample)
         self.admission = AdmissionController(
+            policy=self.config.admission,
             overhead_threshold=self.config.admission_threshold,
             sample_records=self.config.admission_sample_records,
         )
@@ -198,16 +200,15 @@ class ReCache:
                 self.stats.exact_hits += 1
                 return CacheMatch(entry=entry, exact=True, lookup_time=lookup_time)
 
-            if self.config.enable_subsumption:
-                matches = self.subsumption.find_subsuming(
-                    source, predicate, fields, exclude_key=key.as_string()
-                )
-                if matches:
-                    # Prefer the smallest subsuming cache: cheapest to scan.
-                    best = min(matches, key=lambda e: e.nbytes)
-                    lookup_time = time.perf_counter() - started
-                    self.stats.subsumption_hits += 1
-                    return CacheMatch(entry=best, exact=False, lookup_time=lookup_time)
+            matches = self.subsumption.find_subsuming(
+                source, predicate, fields, exclude_key=key.as_string()
+            )
+            if matches:
+                # Prefer the smallest subsuming cache: cheapest to scan.
+                best = min(matches, key=lambda e: e.nbytes)
+                lookup_time = time.perf_counter() - started
+                self.stats.subsumption_hits += 1
+                return CacheMatch(entry=best, exact=False, lookup_time=lookup_time)
 
             self.stats.misses += 1
             return None

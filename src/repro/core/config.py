@@ -1,16 +1,19 @@
 """Configuration knobs of the ReCache cache manager.
 
-Every configurable behaviour from the paper is exposed here so that the
-benchmarks can turn individual mechanisms on and off (the four configurations
-of Figure 15, the threshold sweep of Figure 12b, the policy comparison of
-Figure 14, and the ablation benches).
+Every field is read by a paper figure, a behaviour test or the README's
+configuration table: the admission policy of Figures 12-13 and the
+extrapolation ablation (``admission``), the threshold sweep of Figure 12b,
+the layout configurations of Figures 10, 11 and 15, and the policy
+comparison of Figure 14.  A mechanism nobody varies is a module constant
+beside the code that uses it, not a field here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
+
+from repro.core.admission import validate_admission_policy
 
 
 #: execution strategies accepted by the ``execution_mode`` knobs
@@ -61,15 +64,12 @@ class ReCacheConfig:
     #: before the admission decision is made.
     admission_sample_records: int = 200
 
-    #: if False, every cache is built eagerly (the "Eager Caching" baseline).
-    adaptive_admission: bool = True
-
-    #: use the paper's to1/tc1..to2/tc2 extrapolation when estimating caching
-    #: overhead; False falls back to the naive sample-local ratio (ablation).
-    admission_extrapolation: bool = True
-
-    #: if True, only record offsets are ever cached (the "Lazy Caching" baseline).
-    always_lazy: bool = False
+    #: admission policy, one of :data:`~repro.core.admission.ADMISSION_POLICIES`:
+    #: ``"reactive"`` samples and extrapolates ``to1/tc1..to2/tc2`` (the
+    #: paper's), ``"sample-local"`` samples with the naive estimator (the
+    #: extrapolation ablation), ``"eager"`` / ``"lazy"`` are the "Eager
+    #: Caching" / "Lazy Caching" baselines (lazy entries never upgrade).
+    admission: str = "reactive"
 
     #: disable caching entirely (the "No Caching" baseline of Figure 13).
     caching_enabled: bool = True
@@ -89,15 +89,9 @@ class ReCacheConfig:
     #: (Section 5.1 recommends < 1%).
     timing_sample_rate: float = 0.01
 
-    #: enable reuse of subsuming caches for range predicates (Section 3.3).
-    enable_subsumption: bool = True
-
     #: recompute the benefit metric from fresh measurements at every eviction
     #: pass (Section 5.1 reports up to 6% regression when this is disabled).
     recompute_benefit: bool = True
-
-    #: upgrade a lazy cache to an eager one the first time it is reused.
-    upgrade_lazy_on_reuse: bool = True
 
     #: number of records per :class:`~repro.engine.batch.RecordBatch` produced
     #: by scans.
@@ -139,12 +133,9 @@ class ReCacheConfig:
     #: bounded retry for transient scan faults: how many times
     #: ``QueryEngine.execute`` re-runs a query after a
     #: :class:`~repro.core.errors.TransientScanError` before letting it
-    #: propagate.
+    #: propagate (with jittered exponential backoff from
+    #: :data:`~repro.engine.session.SCAN_RETRY_BACKOFF`).
     scan_retry_limit: int = 2
-
-    #: base of the jittered exponential backoff between scan retries, in
-    #: seconds (attempt ``n`` sleeps ``backoff * 2^n * uniform(0.5, 1.0)``).
-    scan_retry_backoff: float = 0.005
 
     #: consecutive per-source faults before the circuit breaker opens and
     #: queries against that source route around the cache entirely.
@@ -172,6 +163,7 @@ class ReCacheConfig:
                 f"unknown eviction policy {self.eviction_policy!r}; "
                 f"expected one of {EVICTION_POLICIES}"
             )
+        validate_admission_policy(self.admission)
         if not 0.0 < self.admission_threshold <= 1.0:
             raise ValueError("admission_threshold must be in (0, 1]")
         if self.cache_size_limit is not None and self.cache_size_limit <= 0:
@@ -193,18 +185,12 @@ class ReCacheConfig:
             raise ValueError("default_deadline must be positive or None")
         if self.scan_retry_limit < 0:
             raise ValueError("scan_retry_limit must be >= 0")
-        if self.scan_retry_backoff < 0:
-            raise ValueError("scan_retry_backoff must be >= 0")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be >= 1")
         if self.breaker_cooldown < 0:
             raise ValueError("breaker_cooldown must be >= 0")
         if self.shed_pressure_threshold is not None and self.shed_pressure_threshold <= 0:
             raise ValueError("shed_pressure_threshold must be positive or None")
-
-    def with_overrides(self, **overrides) -> "ReCacheConfig":
-        """A copy of this configuration with the given fields replaced."""
-        return dataclasses.replace(self, **overrides)
 
     @classmethod
     def unlimited(cls, **overrides) -> "ReCacheConfig":
@@ -219,7 +205,7 @@ class ReCacheConfig:
             eviction_policy="lru",
             layout_selection=False,
             default_nested_layout="columnar",
-            adaptive_admission=False,
+            admission="eager",
         )
 
     @classmethod
@@ -230,21 +216,5 @@ class ReCacheConfig:
             eviction_policy="recache",
             layout_selection=False,
             default_nested_layout="parquet",
-            adaptive_admission=False,
+            admission="eager",
         )
-
-    @classmethod
-    def baseline_columnar_greedy(cls, cache_size_limit: int | None = None) -> "ReCacheConfig":
-        """The Columnar/Greedy baseline configuration of Figure 15."""
-        return cls(
-            cache_size_limit=cache_size_limit,
-            eviction_policy="recache",
-            layout_selection=False,
-            default_nested_layout="columnar",
-            adaptive_admission=False,
-        )
-
-    @classmethod
-    def full_recache(cls, cache_size_limit: int | None = None, **overrides) -> "ReCacheConfig":
-        """The full ReCache configuration (all reactive mechanisms enabled)."""
-        return cls(cache_size_limit=cache_size_limit, **overrides)

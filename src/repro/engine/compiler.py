@@ -74,17 +74,6 @@ def _cached_closure(key: str, build: Callable[[], object]):
     return value
 
 
-def compiled_closure_cache_size() -> int:
-    """Number of memoized compiled closures (introspection for tests)."""
-    with _CLOSURE_LOCK:
-        return len(_CLOSURE_CACHE)
-
-
-def clear_compiled_closure_cache() -> None:
-    with _CLOSURE_LOCK:
-        _CLOSURE_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # Row compilers
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ class ExecutionContext:
     """
 
     catalog: DataSourceCatalog
-    recache: ReCache | None
+    recache: ReCache
     config: ReCacheConfig
     report: QueryReport
     sequence: int
@@ -214,8 +214,6 @@ def _record_cache_scan_reuse(
     accessed_nested: bool,
 ) -> None:
     """Feed one cache-scan measurement to the layout selector and policies."""
-    recache = ctx.recache
-    assert recache is not None
     data_cost, compute_cost = split_scan_cost(scan_time, scanned_rows * max(1, len(wanted)))
     observation = LayoutObservation(
         query_index=ctx.sequence,
@@ -226,7 +224,7 @@ def _record_cache_scan_reuse(
         columns_accessed=max(1, len(wanted)),
         accessed_nested=accessed_nested,
     )
-    switched = recache.record_reuse(
+    switched = ctx.recache.record_reuse(
         node.entry, scan_time=scan_time, lookup_time=node.lookup_time, observation=observation
     )
     if switched:
@@ -244,8 +242,7 @@ def _quarantine_entry(node: CacheScanNode, ctx: ExecutionContext) -> None:
     queries that already hold the entry either finish their own scan or hit
     the same fault and find the entry already gone.
     """
-    recache = ctx.recache
-    if recache is not None and recache.quarantine(node.entry):
+    if ctx.recache.quarantine(node.entry):
         ctx.report.quarantined_entries += 1
 
 
@@ -257,12 +254,19 @@ def _degraded_raw_batches(node: CacheScanNode, ctx: ExecutionContext) -> list[Re
     scan's output bit for bit.
     """
     ctx.report.degraded_scans += 1
-    source = ctx.catalog.get(node.entry.source)
-    batch_predicate = compile_batch_predicate(node.residual_predicate)
-    dedupe = _record_level_semantics(source, node.fields)
+    return _raw_filtered_scan(ctx, node.entry.source, node.fields, node.residual_predicate)
+
+
+def _raw_filtered_scan(
+    ctx: ExecutionContext, source_name: str, fields: list[str], predicate
+) -> list[RecordBatch]:
+    """Filter a raw-source scan by ``predicate``: no materializer, no cache."""
+    source = ctx.catalog.get(source_name)
+    batch_predicate = compile_batch_predicate(predicate)
+    dedupe = _record_level_semantics(source, fields)
     started = time.perf_counter()
     output = filter_batches(
-        source.scan_batches(node.fields, batch_size=ctx.config.batch_size),
+        source.scan_batches(fields, batch_size=ctx.config.batch_size),
         batch_predicate,
         dedupe_records=dedupe,
     )
@@ -327,8 +331,6 @@ def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry
     locks live — and degrades to the in-process fallback.
     """
     recache = ctx.recache
-    if recache is None:
-        return None
     if ctx.deadline_at is not None:
         # Deadline checks fire inside scan loops; a shipped task cannot be
         # interrupted mid-flight, so deadline queries stay in-process.
@@ -425,14 +427,9 @@ def _execute_lazy_cache_scan(
     """
     entry = node.entry
     recache = ctx.recache
-    assert recache is not None
     source = ctx.catalog.get(entry.source)
     batch_predicate = compile_batch_predicate(node.residual_predicate)
-    upgrade = (
-        ctx.config.upgrade_lazy_on_reuse
-        and not ctx.config.always_lazy
-        and not entry.upgrade_blocked
-    )
+    upgrade = recache.admission.upgrades_lazy and not entry.upgrade_blocked
     # When the lazy entry is about to be upgraded, parse complete tuples so the
     # resulting eager cache can serve any later query over this source.
     all_fields = source.flattened_schema.field_names()
@@ -483,20 +480,6 @@ def _execute_lazy_cache_scan(
     return output
 
 
-def _initial_admission_mode(ctx: ExecutionContext, source: DataSource) -> str | None:
-    """The admission mode fixed before scanning, or ``None`` to sample first."""
-    config = ctx.config
-    recache = ctx.recache
-    assert recache is not None
-    if config.always_lazy:
-        return "lazy"
-    if not config.adaptive_admission:
-        return "eager"
-    if recache.admission.should_skip_sampling(recache.has_hot_entries(source.name)):
-        return "eager"
-    return None
-
-
 @dataclass
 class _MaterializeRun:
     """The state of one materializing scan (one cache miss), batch to batch."""
@@ -511,8 +494,8 @@ class _MaterializeRun:
     layout_name: str
     #: every leaf of the source: the cached entry can serve any later query
     cache_fields: list[str]
-    #: "eager" / "lazy", or ``None`` while the admission sample is running
-    mode: str | None
+    #: the admission decision, or ``None`` while the admission sample is running
+    mode: AdmissionDecision | None
     #: times one batch's caching block in every N once the sample is over
     timer: SampledTimer
     #: query-relative clock and caching time when the scan started
@@ -572,7 +555,7 @@ def _materialize_batch(run: _MaterializeRun, batch: RecordBatch) -> None:
             run.timer.maybe_stop()
 
     run.records_seen += batch.record_count
-    if sampling and run.records_seen >= run.ctx.config.admission_sample_records:
+    if sampling and run.records_seen >= run.ctx.recache.admission.sample_records:
         _decide_admission(run)
 
 
@@ -587,9 +570,9 @@ def _collect_cache_payload(
     # Flat source: rows are records, and out_indexes is the satisfying set.
     satisfied = batch.records_with_true(mask) if run.nested else out_indexes
     picked = satisfied.tolist()  # rowwise-fallback: record ordinals leave NumPy once per batch, to index the payload list and to be stored as lazy offsets
-    if run.mode != "eager":
+    if run.mode is not AdmissionDecision.EAGER:
         run.offsets.extend(map(run.records_seen.__add__, picked))
-    if run.mode == "lazy":
+    if run.mode is AdmissionDecision.LAZY:
         return
     payload = batch.records
     if len(picked) < batch.record_count:
@@ -623,10 +606,8 @@ def _build_cache_layout(run: _MaterializeRun):
 
 
 def _decide_admission(run: _MaterializeRun) -> None:
-    """Build the sample cache, extrapolate the overhead, pick eager or lazy."""
+    """Build the sample cache, estimate the overhead, pick eager or lazy."""
     ctx = run.ctx
-    recache = ctx.recache
-    assert recache is not None
     # Building the sample's eager cache is genuine caching work: include it in
     # the sampled caching time so the extrapolation sees the full cost.
     build_started = time.perf_counter()
@@ -642,15 +623,10 @@ def _decide_admission(run: _MaterializeRun) -> None:
         sample_records=run.records_seen,
         total_records=_estimate_total_records(run.source, run.records_seen, run.bytes_seen),
     )
-    if ctx.config.admission_extrapolation:
-        decision = recache.admission.decide(sample)
-    else:
-        decision = recache.admission.decide_naive(sample)
-    if decision is AdmissionDecision.LAZY:
-        run.mode = "lazy"
+    run.mode = ctx.recache.admission.decide(sample)
+    if run.mode is AdmissionDecision.LAZY:
         run.columns, run.row_counts, run.records = {}, [], []
     else:
-        run.mode = "eager"
         run.offsets = []
 
 
@@ -658,8 +634,7 @@ def _admit(run: _MaterializeRun, elapsed: float) -> None:
     """Admit the materialized result into ReCache (adds the build to caching time)."""
     ctx, node = run.ctx, run.node
     recache = ctx.recache
-    assert recache is not None
-    if run.mode == "lazy":
+    if run.mode is AdmissionDecision.LAZY:
         entry = recache.admit_lazy(
             source=node.source,
             source_format=run.source.format,
@@ -743,27 +718,15 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
 
 
 def _execute_select_batched(node: SelectNode, ctx: ExecutionContext) -> list[RecordBatch]:
-    """Select over a raw scan with no materializer (caching disabled)."""
+    """Select with no materializer (caching disabled, or the source's breaker open)."""
+    if isinstance(node.child, ScanNode):
+        return _raw_filtered_scan(ctx, node.child.source, node.child.fields, node.predicate)
     batch_predicate = compile_batch_predicate(node.predicate)
-    if not isinstance(node.child, ScanNode):
-        return filter_batches(_execute_batches(node.child, ctx), batch_predicate)
-    source = ctx.catalog.get(node.child.source)
-    fields = node.child.fields
-    dedupe = _record_level_semantics(source, fields)
-    started = time.perf_counter()
-    output = filter_batches(
-        source.scan_batches(fields, batch_size=ctx.config.batch_size),
-        batch_predicate,
-        dedupe_records=dedupe,
-    )
-    ctx.report.operator_time += time.perf_counter() - started
-    return output
+    return filter_batches(_execute_batches(node.child, ctx), batch_predicate)
 
 
 def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> list[RecordBatch]:
     entry = node.entry
-    recache = ctx.recache
-    assert recache is not None
     ctx.report.lookup_time += node.lookup_time
     if node.exact:
         ctx.report.exact_hits += 1
@@ -879,35 +842,22 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
     file ordinals), as the admission sample decided.
     """
     source = ctx.catalog.get(node.source)
-    recache = ctx.recache
+    admission = ctx.recache.admission
     config = ctx.config
-    batch_predicate = compile_batch_predicate(node.predicate)
     nested = source.is_nested()
     ctx.report.misses += 1
-
-    dedupe_output = _record_level_semantics(source, node.fields)
     batch_size = config.batch_size
-
-    if recache is None or not config.caching_enabled:
-        started = time.perf_counter()
-        output = filter_batches(
-            source.scan_batches(node.fields, batch_size=batch_size),
-            batch_predicate,
-            dedupe_records=dedupe_output,
-        )
-        ctx.report.operator_time += time.perf_counter() - started
-        return output
 
     run = _MaterializeRun(
         ctx=ctx,
         node=node,
         source=source,
-        batch_predicate=batch_predicate,
-        dedupe_output=dedupe_output,
+        batch_predicate=compile_batch_predicate(node.predicate),
+        dedupe_output=_record_level_semantics(source, node.fields),
         nested=nested,
         layout_name=config.default_nested_layout if nested else config.default_flat_layout,
         cache_fields=source.flattened_schema.field_names(),
-        mode=_initial_admission_mode(ctx, source),
+        mode=admission.initial_mode(ctx.recache.has_hot_entries(source.name)),
         # One timing decision covers a whole batch, so the per-batch sampling
         # rate is scaled by the batch size: the expected number of *records*
         # whose caching work gets timed follows ``timing_sample_rate``, while
@@ -917,7 +867,7 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
         to1=time.perf_counter() - ctx.query_started,
         tc1=ctx.report.caching_time,
     )
-    sample_limit = config.admission_sample_records
+    sample_limit = admission.sample_records
 
     operator_started = time.perf_counter()
     for scanned in source.scan_batches(node.fields, batch_size=batch_size, with_payload=True):
@@ -936,7 +886,7 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
     elapsed = time.perf_counter() - operator_started
     run.caching_seconds += run.timer.estimated_total
     if run.mode is None:
-        run.mode = "eager"
+        run.mode = AdmissionDecision.EAGER
     _admit(run, elapsed)
 
     ctx.report.operator_time += max(0.0, elapsed - run.caching_seconds)

@@ -80,7 +80,7 @@ def required_fields(query: Query, catalog: DataSourceCatalog, source: str) -> li
 def build_plan(
     query: Query,
     catalog: DataSourceCatalog,
-    recache: ReCache | None,
+    recache: ReCache,
     breaker=None,
 ) -> PlanInfo:
     """Build the cache-aware logical plan for ``query``.
@@ -117,11 +117,11 @@ def _plan_table(
     source: str,
     predicate,
     fields: list[str],
-    recache: ReCache | None,
+    recache: ReCache,
     info: PlanInfo,
 ) -> PlanNode:
     scan = ScanNode(source=source, fields=fields)
-    if recache is None or not recache.config.caching_enabled:
+    if not recache.config.caching_enabled:
         return SelectNode(child=scan, predicate=predicate)
 
     match = recache.lookup(source, predicate, fields)

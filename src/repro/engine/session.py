@@ -36,6 +36,10 @@ from repro.engine.query import Query
 from repro.engine.types import RecordType
 from repro.formats.datafile import DataSource, DataSourceCatalog
 
+#: base of the jittered exponential backoff between transient-scan retries,
+#: in seconds (attempt ``n`` sleeps ``SCAN_RETRY_BACKOFF * 2^n * uniform(0.5, 1)``)
+SCAN_RETRY_BACKOFF = 0.005
+
 
 class QueryEngine:
     """Cache-accelerated query engine over raw heterogeneous data files.
@@ -47,13 +51,9 @@ class QueryEngine:
     before the first concurrent query — registration is not synchronized.
     """
 
-    def __init__(
-        self,
-        config: ReCacheConfig | None = None,
-        recache: ReCache | None = None,
-    ) -> None:
+    def __init__(self, config: ReCacheConfig | None = None) -> None:
         self.config = config or ReCacheConfig()
-        self.recache = recache if recache is not None else ReCache(self.config)
+        self.recache = ReCache(self.config)
         self.catalog = DataSourceCatalog()
         #: routes repeatedly faulting sources around the cache (see execute)
         self.breaker = SourceCircuitBreaker(
@@ -149,7 +149,7 @@ class QueryEngine:
                     ) from exc
                 # Jittered exponential backoff; the jitter needs no
                 # determinism (fault schedules are seeded independently).
-                backoff = config.scan_retry_backoff * (2**attempt)
+                backoff = SCAN_RETRY_BACKOFF * (2**attempt)
                 time.sleep(backoff * (0.5 + random.random() / 2))
                 attempt += 1
                 continue

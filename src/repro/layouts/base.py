@@ -109,9 +109,6 @@ class CacheLayout:
         wanted = list(fields) if fields is not None else list(self.fields)
         return batches_from_row_iter(self.scan(fields=wanted), wanted, batch_size)  # rowwise-fallback: compatibility bridge for layouts without a native batched scan
 
-    def available_fields(self) -> list[str]:
-        return list(self.fields)
-
     def supports_fields(self, fields: Sequence[str]) -> bool:
         """True when every requested field is present in the cached data."""
         available = set(self.fields)

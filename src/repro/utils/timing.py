@@ -1,4 +1,4 @@
-"""Timing primitives used to instrument query execution and caching.
+"""Sampled timing of the caching work a scan performs.
 
 The paper stresses that naive per-record ``clock_gettime`` instrumentation adds
 5-10% overhead to queries, and that ReCache instead samples timing system calls
@@ -12,65 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-
-
-class Stopwatch:
-    """A simple cumulative stopwatch around :func:`time.perf_counter`.
-
-    The stopwatch can be started and stopped repeatedly; ``elapsed`` is the sum
-    of all completed intervals (plus the running one, if any).  It can also be
-    used as a context manager::
-
-        watch = Stopwatch()
-        with watch:
-            do_work()
-        print(watch.elapsed)
-    """
-
-    def __init__(self) -> None:
-        self._accumulated = 0.0
-        self._started_at: float | None = None
-
-    def start(self) -> None:
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the cumulative elapsed time."""
-        if self._started_at is not None:
-            self._accumulated += time.perf_counter() - self._started_at
-            self._started_at = None
-        return self._accumulated
-
-    def reset(self) -> None:
-        self._accumulated = 0.0
-        self._started_at = None
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
-    @property
-    def elapsed(self) -> float:
-        extra = 0.0
-        if self._started_at is not None:
-            extra = time.perf_counter() - self._started_at
-        return self._accumulated + extra
-
-    def add(self, seconds: float) -> None:
-        """Add an externally measured interval to the accumulated time."""
-        self._accumulated += seconds
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Stopwatch(elapsed={self.elapsed:.6f}s)"
 
 
 class SampledTimer:
@@ -132,35 +73,3 @@ class SampledTimer:
         self._sampled_count = 0
         self._observed_count = 0
         self._pending = None
-
-
-@dataclass
-class TimingBreakdown:
-    """Per-query timing breakdown accumulated by the executor.
-
-    Attributes mirror the measurements the ReCache benefit metric needs
-    (Section 5.1): operator execution time ``t``, caching time ``c``, cache
-    scan time ``s`` and cache lookup time ``l``.
-    """
-
-    operator_time: float = 0.0
-    caching_time: float = 0.0
-    cache_scan_time: float = 0.0
-    lookup_time: float = 0.0
-    total_time: float = 0.0
-
-    def merge(self, other: "TimingBreakdown") -> None:
-        self.operator_time += other.operator_time
-        self.caching_time += other.caching_time
-        self.cache_scan_time += other.cache_scan_time
-        self.lookup_time += other.lookup_time
-        self.total_time += other.total_time
-
-    def as_dict(self) -> dict:
-        return {
-            "operator_time": self.operator_time,
-            "caching_time": self.caching_time,
-            "cache_scan_time": self.cache_scan_time,
-            "lookup_time": self.lookup_time,
-            "total_time": self.total_time,
-        }

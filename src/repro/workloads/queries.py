@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.engine.expressions import AggregateSpec, And, FieldRef, RangePredicate
+from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
 from repro.engine.query import JoinSpec, Query, TableRef
 from repro.engine.types import RecordType
 from repro.utils.rng import make_rng
@@ -378,11 +378,3 @@ def yelp_spa_workload(
             )
         )
     return queries
-
-
-def conjunctive_predicate(fields_and_ranges: dict[str, tuple[float, float]]):
-    """Helper: build a conjunction of range predicates (used in tests/examples)."""
-    predicates = [RangePredicate(field, low, high) for field, (low, high) in fields_and_ranges.items()]
-    if len(predicates) == 1:
-        return predicates[0]
-    return And(predicates)

@@ -3,9 +3,8 @@
 Runs a sequence of queries against a :class:`~repro.engine.session.QueryEngine`
 and collects the per-query and cumulative measurements every figure of the
 evaluation is built from (execution time, caching overhead, hit counts, layout
-switches).  It also knows how to feed the clairvoyant eviction policies their
-future access schedule, and how to pre-populate caches when an experiment wants
-to isolate cache *performance* from cache *construction* (Figures 1 and 9).
+switches).  It also feeds the clairvoyant eviction policies their future
+access schedule.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ class WorkloadResult:
             running += entry["total_time"]
             series.append(running)
         return series
-
-    @property
-    def execution_times(self) -> list[float]:
-        return [entry["total_time"] for entry in self.per_query]
 
     @property
     def caching_overheads(self) -> list[float]:
@@ -93,15 +88,6 @@ class WorkloadRunner:
             report = self.engine.execute(query)
             result.per_query.append(_measurement(index, query, report))
         return result
-
-    def warm_caches(self, queries: list[Query]) -> None:
-        """Execute queries once to populate caches, discarding the measurements.
-
-        Figures 1 and 9 pre-populate the caches so the measured curves isolate
-        cache-scan performance from cache construction.
-        """
-        for query in queries:
-            self.engine.execute(query)
 
     # ------------------------------------------------------------------
     def _prepare_offline_policy(self, queries: list[Query]) -> None:

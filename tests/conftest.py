@@ -50,6 +50,12 @@ def build_engine(dataset_dir, config: ReCacheConfig) -> QueryEngine:
     return eng
 
 
+@pytest.fixture()
+def fast_retries(monkeypatch):
+    """Short transient-scan retry backoff for tests that retry many faults."""
+    monkeypatch.setattr("repro.engine.session.SCAN_RETRY_BACKOFF", 0.0005)
+
+
 # ---------------------------------------------------------------------------
 # Budget/occupancy conservation — the chaos suite's leak detector
 # ---------------------------------------------------------------------------

@@ -54,23 +54,29 @@ class TestAdmissionController:
         sample = AdmissionSample(
             to1=10.0, tc1=0.0, to2=10.1, tc2=0.1, sample_records=1_000, total_records=1_000_000
         )
-        controller = AdmissionController(overhead_threshold=0.10)
-        assert controller.naive_overhead(sample) == pytest.approx(0.0099, rel=1e-2)
-        assert controller.decide_naive(sample) is AdmissionDecision.EAGER
+        controller = AdmissionController("reactive", overhead_threshold=0.10)
         assert controller.projected_overhead(sample) > 0.5
         assert controller.decide(sample) is AdmissionDecision.LAZY
+        naive = AdmissionController("sample-local", overhead_threshold=0.10)
+        assert naive.naive_overhead(sample) == pytest.approx(0.0099, rel=1e-2)
+        assert naive.decide(sample) is AdmissionDecision.EAGER
 
     def test_high_overhead_goes_lazy(self):
         sample = AdmissionSample(to1=0.0, tc1=0.0, to2=1.0, tc2=0.5, sample_records=10, total_records=100)
-        assert AdmissionController(0.10).decide(sample) is AdmissionDecision.LAZY
+        assert AdmissionController().decide(sample) is AdmissionDecision.LAZY
 
     def test_small_file_clamps_total_records(self):
         sample = AdmissionSample(to1=0.0, tc1=0.0, to2=1.0, tc2=0.05, sample_records=100, total_records=10)
         assert sample.total_records == 100
 
     def test_working_set_shortcut(self):
-        assert AdmissionController.should_skip_sampling(True)
-        assert not AdmissionController.should_skip_sampling(False)
+        # A hot source skips the sample; the fixed policies never sample.
+        eager, lazy = AdmissionDecision.EAGER, AdmissionDecision.LAZY
+        expected = {"reactive": None, "sample-local": None, "eager": eager, "lazy": lazy}
+        for policy, cold in expected.items():
+            controller = AdmissionController(policy)
+            assert controller.initial_mode(source_is_hot=False) is cold
+            assert controller.initial_mode(source_is_hot=True) is (cold or eager)
 
     @given(
         st.floats(0, 10), st.floats(0, 10), st.floats(0, 10), st.integers(1, 1000), st.integers(1, 100000)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ class TestExecutionParity:
     def make_engine(self, dataset_dir):
         def build(**overrides):
             overrides.setdefault("admission_sample_records", 50)
-            overrides.setdefault("adaptive_admission", False)
+            overrides.setdefault("admission", "eager")
             overrides.setdefault("layout_selection", False)
             return build_engine(dataset_dir, ReCacheConfig(**overrides))
 
@@ -140,20 +141,12 @@ class TestExecutionParity:
     def test_eager_workload_parity(self, make_engine):
         assert_parity(make_engine, FLAT_NESTED_WORKLOAD)
 
-    def test_always_lazy_parity(self, make_engine):
-        def lazy_engine(**overrides):
-            overrides["always_lazy"] = True
-            return make_engine(**overrides)
-
-        assert_parity(lazy_engine, FLAT_NESTED_WORKLOAD)
+    def test_lazy_admission_parity(self, make_engine):
+        assert_parity(partial(make_engine, admission="lazy"), FLAT_NESTED_WORKLOAD)
 
     def test_lazy_upgrade_parity(self, make_engine):
-        def upgrade_engine(**overrides):
-            # Lazy admission on the first query, upgraded to eager on reuse.
-            overrides["adaptive_admission"] = True
-            overrides["admission_threshold"] = 1e-9
-            return make_engine(**overrides)
-
+        # Lazy admission on the first query, upgraded to eager on reuse.
+        upgrade_engine = partial(make_engine, admission="reactive", admission_threshold=1e-9)
         queries = [
             _spa("flat", "id", 50, 150, [("sum", "value")], "cold"),
             _spa("flat", "id", 50, 150, [("sum", "value")], "upgrading-hit"),
@@ -169,46 +162,26 @@ class TestExecutionParity:
         assert_parity(upgrade_engine, queries)
 
     def test_eviction_parity(self, make_engine):
-        def bounded_engine(**overrides):
-            overrides["cache_size_limit"] = 6_000
-            return make_engine(**overrides)
-
         queries = [
             _spa("flat", "id", 0, 100, [("sum", "value")], "a"),
             _spa("flat", "id", 100, 200, [("sum", "value")], "b"),
             _spa("flat", "id", 200, 300, [("sum", "value")], "c"),
             _spa("flat", "id", 0, 100, [("sum", "value")], "a-again"),
         ]
-        assert_parity(bounded_engine, queries)
+        assert_parity(partial(make_engine, cache_size_limit=6_000), queries)
 
     def test_row_layout_parity(self, make_engine):
-        def row_engine(**overrides):
-            overrides["default_flat_layout"] = "row"
-            return make_engine(**overrides)
-
-        queries = FLAT_NESTED_WORKLOAD[:3]
-        assert_parity(row_engine, queries)
+        assert_parity(partial(make_engine, default_flat_layout="row"), FLAT_NESTED_WORKLOAD[:3])
 
     def test_columnar_nested_layout_parity(self, make_engine):
-        def columnar_engine(**overrides):
-            overrides["default_nested_layout"] = "columnar"
-            return make_engine(**overrides)
-
+        columnar_engine = partial(make_engine, default_nested_layout="columnar")
         assert_parity(columnar_engine, FLAT_NESTED_WORKLOAD[3:6])
 
     def test_batch_size_one_degenerate_case(self, make_engine):
-        def tiny_batches(**overrides):
-            overrides["batch_size"] = 1
-            return make_engine(**overrides)
-
-        assert_parity(tiny_batches, FLAT_NESTED_WORKLOAD)
+        assert_parity(partial(make_engine, batch_size=1), FLAT_NESTED_WORKLOAD)
 
     def test_caching_disabled_parity(self, make_engine):
-        def no_cache(**overrides):
-            overrides["caching_enabled"] = False
-            return make_engine(**overrides)
-
-        assert_parity(no_cache, FLAT_NESTED_WORKLOAD)
+        assert_parity(partial(make_engine, caching_enabled=False), FLAT_NESTED_WORKLOAD)
 
     def test_there_is_one_executor_and_no_knob_to_pick_another(self, make_engine):
         engine = make_engine()
@@ -239,7 +212,7 @@ class TestEdgeCaseParity:
         return tmp_path
 
     def _engine(self, edge_dir, **overrides):
-        overrides.setdefault("adaptive_admission", False)
+        overrides.setdefault("admission", "eager")
         overrides.setdefault("layout_selection", False)
         engine = QueryEngine(ReCacheConfig(**overrides))
         engine.register_csv("empty_csv", edge_dir / "empty.csv", FLAT_SCHEMA)
@@ -272,7 +245,7 @@ class TestEdgeCaseParity:
             {},
             {"default_nested_layout": "columnar"},
             {"default_nested_layout": "columnar", "default_flat_layout": "row"},
-            {"always_lazy": True},
+            {"admission": "lazy"},
         ],
         ids=["no-cache", "parquet", "columnar", "row", "lazy"],
     )
@@ -287,7 +260,7 @@ class TestEdgeCaseParity:
             "\n".join(json.dumps(record) for record in pinned.BASKET_RECORDS), encoding="utf-8"
         )
         engine = QueryEngine(
-            ReCacheConfig(adaptive_admission=False, layout_selection=False, **overrides)
+            ReCacheConfig(**{"admission": "eager", "layout_selection": False, **overrides})
         )
         engine.register_csv("people", tmp_path / "people.csv", pinned.PEOPLE)
         engine.register_json("baskets", tmp_path / "baskets.json", pinned.BASKETS)

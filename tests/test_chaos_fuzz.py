@@ -141,9 +141,8 @@ def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
     # instead of degenerating into in-process fallbacks.
     return ReCacheConfig(
         cache_size_limit=rng.choice([None, 64_000]),
-        adaptive_admission=False if processes else rng.random() < 0.3,
+        admission="eager" if processes or rng.random() >= 0.3 else "reactive",
         scan_retry_limit=2,
-        scan_retry_backoff=0.0005,
         max_workers=2,
         execution_mode="processes" if processes else "threads",
         # timing-driven layout switches can silently de-export hot entries;
@@ -253,7 +252,7 @@ def _class_budget() -> dict[str, int]:
 
 
 @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
-def test_chaos_schedules(dataset_dir, baseline, fault_class):
+def test_chaos_schedules(dataset_dir, baseline, fault_class, fast_retries):
     for index in range(_class_budget()[fault_class]):
         _run_schedule(dataset_dir, baseline, fault_class, index)
 

@@ -152,7 +152,7 @@ def test_chunked_scan_matches_the_oracle_parser(tmp_path_factory, fmt, spec):
     query = Query(tables=[TableRef("adv", Comparison(">=", FieldRef("id"), Literal(60)))])
     bare = Query(tables=[TableRef("adv")])
     for config in (
-        ReCacheConfig(always_lazy=True, upgrade_lazy_on_reuse=False),
+        ReCacheConfig(admission="lazy"),
         ReCacheConfig(),
     ):
         engine = QueryEngine(config)
@@ -180,7 +180,7 @@ def test_eager_admission_builds_no_row_dict(tmp_path, monkeypatch, fmt, adaptive
         write_csv(path, SCHEMA, records)
     else:
         write_json_lines(path, records)
-    engine = QueryEngine(ReCacheConfig(adaptive_admission=adaptive))
+    engine = QueryEngine(ReCacheConfig(admission="reactive" if adaptive else "eager"))
     engine.register(DataSource("data", path, fmt, SCHEMA))
     query = Query.select_aggregate(
         "data", RangePredicate("id", 100, 1200), [AggregateSpec("sum", FieldRef("value"))]

@@ -97,7 +97,7 @@ def test_blank_lines_do_not_shift_lazy_record_ordinals(tmp_path):
 
     # End-to-end: a lazy cache stores yielded ordinals; reusing it re-reads
     # records through the map and must return the same rows as the raw scan.
-    engine = QueryEngine(ReCacheConfig(always_lazy=True, upgrade_lazy_on_reuse=False))
+    engine = QueryEngine(ReCacheConfig(admission="lazy"))
     engine.register_csv("gaps", path, SMALL_SCHEMA)
     query = Query.select_aggregate(
         "gaps",
@@ -116,7 +116,7 @@ def test_blank_lines_do_not_shift_lazy_record_ordinals(tmp_path):
 # Regression: guarded admission build
 # ---------------------------------------------------------------------------
 def test_failed_layout_build_skips_admission_cleanly(tmp_path, monkeypatch):
-    config = ReCacheConfig(adaptive_admission=False)  # straight to the eager path
+    config = ReCacheConfig(admission="eager")  # straight to the eager path
     engine = QueryEngine(config)
     engine.register_csv("small", _write_small_csv(tmp_path), SMALL_SCHEMA)
 

@@ -102,11 +102,11 @@ class TestExecutionConsistency:
     def test_nested_query_consistency_across_configs(self, dataset_dir):
         configs = {
             "none": ReCacheConfig(caching_enabled=False),
-            "parquet": ReCacheConfig(adaptive_admission=False, default_nested_layout="parquet"),
+            "parquet": ReCacheConfig(admission="eager", default_nested_layout="parquet"),
             "columnar": ReCacheConfig(
-                adaptive_admission=False, default_nested_layout="columnar", layout_selection=False
+                admission="eager", default_nested_layout="columnar", layout_selection=False
             ),
-            "lazy": ReCacheConfig(always_lazy=True, upgrade_lazy_on_reuse=False),
+            "lazy": ReCacheConfig(admission="lazy"),
         }
         queries = [
             nested_query(),
@@ -152,23 +152,54 @@ class TestExecutionConsistency:
 
 class TestCachingBehaviour:
     def test_lazy_config_admits_offsets_only(self, dataset_dir):
-        engine = build_engine(dataset_dir, ReCacheConfig(always_lazy=True, upgrade_lazy_on_reuse=False))
+        engine = build_engine(dataset_dir, ReCacheConfig(admission="lazy"))
         engine.execute(flat_query())
         entries = engine.cache_entries()
         assert entries and all(entry.is_lazy for entry in entries)
 
     def test_lazy_entry_upgraded_on_reuse(self, dataset_dir):
-        config = ReCacheConfig(always_lazy=False, adaptive_admission=True, admission_threshold=0.0001,
-                               admission_sample_records=20)
+        config = ReCacheConfig(
+            admission="reactive", admission_threshold=0.0001, admission_sample_records=20
+        )
         engine = build_engine(dataset_dir, config)
         engine.execute(nested_query())
         assert any(entry.is_lazy for entry in engine.cache_entries())
         engine.execute(nested_query())
         assert engine.cache_stats.lazy_upgrades >= 1
 
+    @pytest.mark.parametrize(
+        "admission, threshold, decided",
+        # Caching time never exceeds query time: a 1.0 threshold is never
+        # crossed (eager) and a 1e-6 one always is (lazy).
+        [("eager", 0.1, "eager"), ("lazy", 0.1, "lazy")]
+        + [(policy, 1.0, "eager") for policy in ("reactive", "sample-local")]
+        + [(policy, 1e-6, "lazy") for policy in ("reactive", "sample-local")],
+    )
+    def test_each_admission_policy_decides_deterministically(
+        self, dataset_dir, admission, threshold, decided
+    ):
+        config = ReCacheConfig(
+            admission=admission, admission_threshold=threshold, admission_sample_records=50
+        )
+        engine = build_engine(dataset_dir, config)
+        report = engine.execute(nested_query())  # a miss on a cold source
+        assert report.admissions == {"eager": 0, "lazy": 0, decided: 1}
+        # A lazy entry upgrades on reuse under every policy but "lazy" (row i
+        # of flat.csv has id i, so these are the offsets of the predicate).
+        fields = engine.catalog.get("flat").flattened_schema.field_names()
+        engine.recache.admit_lazy(
+            "flat", "csv", RangePredicate("id", 50, 150), fields, list(range(50, 151)), 1.0, 0.0
+        )
+        upgrades = int(admission != "lazy")
+        assert engine.execute(flat_query(50, 150)).lazy_upgrades == upgrades
+        stats = engine.cache_stats
+        assert (stats.admissions_eager, stats.admissions_lazy, stats.lazy_upgrades) == (
+            report.admissions["eager"], report.admissions["lazy"] + 1, upgrades
+        )
+
     def test_eviction_under_memory_pressure(self, dataset_dir):
         engine = build_engine(
-            dataset_dir, ReCacheConfig(cache_size_limit=30_000, adaptive_admission=False)
+            dataset_dir, ReCacheConfig(cache_size_limit=30_000, admission="eager")
         )
         for i in range(6):
             engine.execute(flat_query(i * 10, i * 10 + 200, label=f"q{i}"))
@@ -202,7 +233,7 @@ class TestWorkloadRunner:
     def test_offline_policy_receives_schedule(self, dataset_dir):
         engine = build_engine(
             dataset_dir,
-            ReCacheConfig(eviction_policy="offline-farthest", adaptive_admission=False),
+            ReCacheConfig(eviction_policy="offline-farthest", admission="eager"),
         )
         runner = WorkloadRunner(engine)
         queries = [flat_query(0, 100), flat_query(0, 100), flat_query(50, 80)]

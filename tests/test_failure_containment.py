@@ -54,10 +54,9 @@ def baseline(dataset_dir):
 # ---------------------------------------------------------------------------
 # Retry-with-backoff on transient scan faults
 # ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("fast_retries")
 def test_transient_scan_fault_is_retried(dataset_dir, baseline, assert_budget_conserved):
-    engine = build_engine(
-        dataset_dir, ReCacheConfig(scan_retry_limit=2, scan_retry_backoff=0.001)
-    )
+    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=2))
     assert_budget_conserved(engine.recache)
     query = flat_query()
     with faults.activate("scan.raw:io_error:limit=1", seed=3):
@@ -66,10 +65,9 @@ def test_transient_scan_fault_is_retried(dataset_dir, baseline, assert_budget_co
     assert same_rows(report.results, baseline(query))
 
 
+@pytest.mark.usefixtures("fast_retries")
 def test_retry_limit_exhaustion_surfaces_typed_error(dataset_dir, assert_budget_conserved):
-    engine = build_engine(
-        dataset_dir, ReCacheConfig(scan_retry_limit=1, scan_retry_backoff=0.001)
-    )
+    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=1))
     assert_budget_conserved(engine.recache)
     with faults.activate("scan.raw:io_error", seed=3):  # every attempt faults
         with pytest.raises(TransientScanError):
@@ -78,10 +76,8 @@ def test_retry_limit_exhaustion_surfaces_typed_error(dataset_dir, assert_budget_
     assert not engine.cache_entries()
 
 
-def test_failed_attempts_do_not_count_queries(dataset_dir):
-    engine = build_engine(
-        dataset_dir, ReCacheConfig(scan_retry_limit=3, scan_retry_backoff=0.001)
-    )
+def test_failed_attempts_do_not_count_queries(dataset_dir, fast_retries):
+    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=3))
     with faults.activate("scan.raw:io_error:limit=2", seed=5):
         report = engine.execute(flat_query())
     assert report.retries == 2
@@ -94,9 +90,9 @@ def test_failed_attempts_do_not_count_queries(dataset_dir):
 def test_corrupt_layout_scan_quarantines_and_degrades(
     dataset_dir, baseline, assert_budget_conserved
 ):
-    # adaptive_admission=False forces an eager (materialized-layout) entry —
+    # admission="eager" forces a materialized-layout entry —
     # the corrupt fault targets layout scans, not lazy raw re-reads.
-    engine = build_engine(dataset_dir, ReCacheConfig(adaptive_admission=False))
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="eager"))
     assert_budget_conserved(engine.recache)
     query = flat_query()
     warm = engine.execute(query)  # warms the cache
@@ -110,7 +106,7 @@ def test_corrupt_layout_scan_quarantines_and_degrades(
 
 
 def test_quarantined_rows_query_parity(dataset_dir, baseline, assert_budget_conserved):
-    engine = build_engine(dataset_dir, ReCacheConfig(adaptive_admission=False))
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="eager"))
     assert_budget_conserved(engine.recache)
     query = flat_rows_query()
     engine.execute(query)
@@ -122,7 +118,7 @@ def test_quarantined_rows_query_parity(dataset_dir, baseline, assert_budget_cons
 
 
 def test_quarantine_is_transparent_to_later_queries(dataset_dir, assert_budget_conserved):
-    engine = build_engine(dataset_dir, ReCacheConfig(adaptive_admission=False))
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="eager"))
     assert_budget_conserved(engine.recache)
     query = flat_query()
     engine.execute(query)
@@ -215,11 +211,9 @@ def test_config_default_deadline_applies(dataset_dir):
         engine.execute(flat_query())
 
 
-def test_deadline_expiring_during_retries_is_typed(dataset_dir):
-    engine = build_engine(
-        dataset_dir,
-        ReCacheConfig(scan_retry_limit=50, scan_retry_backoff=0.05),
-    )
+def test_deadline_expiring_during_retries_is_typed(dataset_dir, monkeypatch):
+    monkeypatch.setattr("repro.engine.session.SCAN_RETRY_BACKOFF", 0.05)
+    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=50))
     query = Query(
         tables=[TableRef("flat", RangePredicate("value", 0.0, 1e9))],
         aggregates=[AggregateSpec("count", FieldRef("id"))],
@@ -436,7 +430,7 @@ def test_disabled_fault_hooks_cost_under_two_percent_of_a_cache_hit(dataset_dir)
     assert faults.active_plan() is None
     engine = build_engine(
         dataset_dir,
-        ReCacheConfig(adaptive_admission=False, layout_selection=False),
+        ReCacheConfig(admission="eager", layout_selection=False),
     )
     query = flat_query()
     engine.execute(query)  # warm the cache

@@ -136,7 +136,7 @@ LAYOUT_CONFIGS = {
 
 def _build_engine(directory, layout_overrides: dict) -> QueryEngine:
     config = ReCacheConfig(
-        adaptive_admission=False,  # deterministic eager admission
+        admission="eager",  # deterministic admission
         layout_selection=False,  # keep the pinned layout throughout
         admission_sample_records=40,
         **layout_overrides,

@@ -1,7 +1,5 @@
 """Tests for the utility helpers, reporting and the bench harness plumbing."""
 
-import time
-
 import pytest
 
 from repro.bench.related_work import TABLE1_REQUIREMENTS, table1_related_work
@@ -21,23 +19,10 @@ from repro.engine.calibration import (
 )
 from repro.utils import format_bytes, format_seconds, make_rng
 from repro.utils.rng import spawn
-from repro.utils.timing import SampledTimer, Stopwatch, TimingBreakdown
+from repro.utils.timing import SampledTimer
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.002)
-        first = watch.elapsed
-        with watch:
-            time.sleep(0.002)
-        assert watch.elapsed > first
-        watch.reset()
-        assert watch.elapsed == 0.0
-        watch.add(1.5)
-        assert watch.elapsed == pytest.approx(1.5)
-
     def test_sampled_timer_estimates_total(self):
         timer = SampledTimer(sample_rate=0.5, rng=make_rng(1))
         for _ in range(200):
@@ -48,19 +33,6 @@ class TestTiming:
         assert timer.estimated_total >= 0.0
         with pytest.raises(ValueError):
             SampledTimer(sample_rate=0.0)
-
-    def test_timing_breakdown_merge(self):
-        a = TimingBreakdown(operator_time=1.0, caching_time=0.5, total_time=2.0)
-        b = TimingBreakdown(operator_time=0.5, lookup_time=0.25)
-        a.merge(b)
-        assert a.operator_time == 1.5 and a.lookup_time == 0.25
-        assert a.as_dict() == {
-            "operator_time": 1.5,
-            "caching_time": 0.5,
-            "cache_scan_time": 0.0,
-            "lookup_time": 0.25,
-            "total_time": 2.0,
-        }
 
 
 class TestUtils:
