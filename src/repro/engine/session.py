@@ -10,9 +10,6 @@ breakdown the benchmarks consume.
 
 from __future__ import annotations
 
-# recheck-lint: check-no-swallow — except blocks in this module must re-raise,
-# wrap in a typed error, or route through an audited containment sink.
-
 import random
 import threading
 import time

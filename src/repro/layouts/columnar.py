@@ -165,7 +165,7 @@ class ColumnarLayout(CacheLayout):
             yield batch
 
     # -- vectorized range filtering -------------------------------------------
-    def numeric_array(self, name: str) -> np.ndarray | None:  # returns: flat-view
+    def numeric_array(self, name: str) -> np.ndarray | None:
         """A float64 view of one column (missing values become NaN).
 
         Returns ``None`` for columns that are not genuinely numeric (digit

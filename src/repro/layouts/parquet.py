@@ -238,7 +238,7 @@ class ParquetLayout(CacheLayout):
             )
 
     # -- vectorized range filtering (non-nested columns only) ------------------
-    def numeric_array(self, name: str) -> np.ndarray | None:  # returns: flat-view
+    def numeric_array(self, name: str) -> np.ndarray | None:
         """A float64 view of a non-nested numeric column (one value per record).
 
         Definition levels are honored structurally: a flat stripe stores

@@ -90,7 +90,7 @@ class StripedColumn:
             self._entry_validity = self.definition_array() == self.max_definition
         return self._entry_validity
 
-    def numeric_entries(self) -> np.ndarray | None:  # returns: flat-view
+    def numeric_entries(self) -> np.ndarray | None:
         """Cached float64 view of the raw entry values, or ``None``.
 
         ``None`` entries (missing/empty collections and NULL atoms) become
@@ -130,7 +130,7 @@ class StripedColumn:
         offsets = self.entry_offsets()
         return offsets[1:] - offsets[:-1]
 
-    def flat_values(self, record_count: int) -> list | None:  # returns: flat-view
+    def flat_values(self, record_count: int) -> list | None:
         """The per-record value list of a non-repeated column, or ``None``.
 
         A flat (non-repeated) column stripes exactly one entry per record, in

@@ -1,8 +1,6 @@
-"""Shared fixtures: small on-disk datasets, engine builders, lock watchdog."""
+"""Shared fixtures: small on-disk datasets, engine builders, budget checks."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -83,41 +81,3 @@ def assert_budget_conserved():
             f"{resident}: admission/eviction accounting leaked"
         )
 
-
-# ---------------------------------------------------------------------------
-# Runtime lock-order watchdog (tsan-lite) — see repro.analysis.lock_watchdog
-# ---------------------------------------------------------------------------
-@pytest.fixture()
-def lock_watchdog():
-    """An installed lock-order watchdog; fails the test on any inversion."""
-    from repro.analysis.lock_watchdog import LockWatchdog
-
-    watchdog = LockWatchdog().install()
-    try:
-        yield watchdog
-        watchdog.assert_clean()
-    finally:
-        watchdog.uninstall()
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _lock_watchdog_session():
-    """Under ``RECACHE_LOCK_WATCHDOG=1`` run the whole session watched.
-
-    Session-scoped on purpose: locks are created at object construction, so a
-    per-test install would miss locks built by session fixtures, and a
-    function-scoped autouse fixture would trip Hypothesis' function-scoped
-    fixture health check.  Inversions recorded anywhere in the run fail the
-    session at teardown with both acquisition sites in the message.
-    """
-    if os.environ.get("RECACHE_LOCK_WATCHDOG") != "1":
-        yield
-        return
-    from repro.analysis.lock_watchdog import LockWatchdog
-
-    watchdog = LockWatchdog().install()
-    try:
-        yield
-        watchdog.assert_clean()
-    finally:
-        watchdog.uninstall()

@@ -3,11 +3,12 @@
 Covers the three correctness fixes of the concurrency PR (positional-map
 completeness, the guarded admission build, the byte-budget re-check after
 eviction) plus thread-safety invariants of the one shared :class:`ReCache`
-under a mixed hit/miss/evicting workload.
+under a mixed hit/miss/evicting workload and under raw cache-level churn.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro import Query, QueryEngine, ReCache, ReCacheConfig
@@ -235,7 +236,8 @@ def test_stress_under_mixed_concurrent_traffic(dataset_dir):
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "client thread hung (deadlock?)"
 
     assert not errors, errors[:1]
     assert not budget_violations, f"byte budget exceeded: {max(budget_violations)} > {limit}"
@@ -256,3 +258,55 @@ def test_stress_under_mixed_concurrent_traffic(dataset_dir):
     assert recache.total_bytes <= limit
     for entry in entries:
         assert recache.get_exact(entry.source, entry.predicate) is entry
+
+
+def test_cache_churn_never_deadlocks():
+    """Concurrent admit/lookup/quarantine on one small cache.
+
+    Eight client threads hammer a :class:`ReCache` hard enough that
+    admissions constantly evict, while lookups, exact probes and quarantines
+    of entries other threads may already have evicted interleave with them.
+    A tiny switch interval forces preemption inside critical sections; the
+    bounded joins turn a deadlock into a failure instead of a hang.
+    """
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        limit = _flat_layout(25).nbytes * 5
+        cache = ReCache(ReCacheConfig(cache_size_limit=limit))
+        errors: list[Exception] = []
+
+        def client(worker: int) -> None:
+            try:
+                for step in range(30):
+                    index = worker * 1000 + step
+                    rows = 25 + (index % 3) * 10
+                    predicate = RangePredicate("value", float(index), float(index) + 0.5)
+                    cache.begin_query()
+                    entry = cache.admit_eager(
+                        "s", "csv", predicate, ["id", "value"], _flat_layout(rows),
+                        operator_time=0.1 + step * 0.01, caching_time=0.01,
+                    )
+                    cache.lookup("s", predicate, ["id", "value"])
+                    cache.get_exact("s", predicate)
+                    if entry is not None and step % 7 == 0:
+                        cache.quarantine(entry)
+                    assert cache.total_bytes <= limit, "byte budget violated"
+            except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "client thread hung (deadlock?)"
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+    assert not errors
+    assert cache.total_bytes <= limit
+    assert cache.total_bytes == sum(e.nbytes for e in cache.entries())
+    # Enough churn to exercise capacity eviction, not just happy admits.
+    capacity_evictions = cache.stats.evictions - cache.stats.quarantined
+    assert capacity_evictions >= 1

@@ -13,7 +13,11 @@ import dataclasses
 import glob
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,62 @@ def _alive(pid: int) -> bool:
             return handle.read().split()[2] != "Z"
     except OSError:
         return False
+
+
+_DROP_ENGINE_SCRIPT = textwrap.dedent(
+    """
+    import gc
+    import os
+    import sys
+    from pathlib import Path
+
+    from repro import AggregateSpec, FieldRef, Query, RangePredicate, ReCacheConfig
+    from tests.conftest import build_engine
+
+    if __name__ == "__main__":
+        config = ReCacheConfig(
+            admission_sample_records=50, execution_mode="processes", layout_selection=False
+        )
+        engine = build_engine(Path(sys.argv[1]), config)
+        query = Query.select_aggregate(
+            "flat",
+            RangePredicate("value", 0.0, 100.0),
+            [AggregateSpec("sum", FieldRef("score"))],
+            label="dropped",
+        )
+        reports = [engine.execute(query) for _ in range(3)]
+        assert reports[-1].offloaded == 1, "the hit was not offloaded"
+        print(os.getpid())
+        del engine, reports
+        gc.collect()
+    """
+)
+
+
+def test_engine_dropped_without_close_leaves_no_segments(dataset_dir, tmp_path):
+    """A process that never calls ``close_workers()`` still unlinks at exit.
+
+    The child offloads a hit (which exports a segment), drops the engine
+    unclosed and exits; nothing named after its pid may stay in /dev/shm.
+    """
+    root = Path(__file__).resolve().parents[1]
+    script = tmp_path / "drop_engine.py"
+    script.write_text(_DROP_ENGINE_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    done = subprocess.run(
+        [sys.executable, str(script), str(dataset_dir)],
+        env=env,
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    child_pid = int(done.stdout.split()[-1])
+    leaked = glob.glob(f"/dev/shm/rcshm-{child_pid}-*")
+    for path in leaked:
+        os.unlink(path)
+    assert leaked == [], f"segments outlived their process: {leaked}"
 
 
 def test_eviction_retires_the_entrys_segment(dataset_dir):

@@ -1,8 +1,8 @@
 """Whole-project call-graph construction for the interprocedural rules.
 
 Builds a conservative static call graph over the already-parsed
-:class:`~repro.analysis.common.Module` trees and the classes collected by
-:func:`~repro.analysis.common.collect_classes`:
+:class:`tools.recheck_lint.common.Module` trees and the classes collected by
+:func:`tools.recheck_lint.common.collect_classes`:
 
 * plain-name calls resolve to the calling module's own top-level function of
   that name when it defines one (Python's actual binding rule), otherwise to
@@ -36,7 +36,7 @@ import builtins
 import re
 from dataclasses import dataclass, field
 
-from repro.analysis.common import ClassInfo, Module
+from .common import ClassInfo, Module
 
 _DYNAMIC_CALL_RE = re.compile(r"dynamic-call:\s*([\w.]+(?:\s*,\s*[\w.]+)*)")
 _MAY_RAISE_RE = re.compile(r"may-raise:\s*(\w+(?:\s*,\s*\w+)*)")

@@ -1,8 +1,7 @@
 """Declared containment contracts and hot-path roots for the interprocedural rules.
 
-Mirrors :mod:`repro.analysis.order`'s rank table: the *declarations* live in
-one central registry so the README section, the ``raise-flow``/``hotpath``
-checkers and reviewers all read the same source of truth.
+The *declarations* live in one central registry so the ``raise-flow``/
+``hotpath`` checkers and reviewers all read the same source of truth.
 
 ``RAISE_CONTRACTS`` maps a function (``"Class.method"`` or a bare top-level
 function name) to the complete set of :class:`~repro.core.errors.ReCacheError`
@@ -21,7 +20,7 @@ encodes the failure-containment architecture directly:
 
 ``HOT_PATH_ROOTS`` names the vectorized entry points of the batched pipeline;
 the hotpath rule walks the call graph from these roots and flags per-row
-Python work in anything reachable (see :mod:`repro.analysis.hotpath`).
+Python work in anything reachable (see :mod:`.hotpath`).
 
 Modules outside the core (the lint self-test corpus) can extend either table
 with module-level literals, merged per-module by the checkers::

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.common import ClassInfo, Module, Violation
+from .common import ClassInfo, Module, Violation
 
 RULE = "future-resolution"
 MARKER = "recheck-lint: check-futures"

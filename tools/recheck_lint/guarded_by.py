@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.common import ClassInfo, Module, Violation, with_lock_attrs
+from .common import ClassInfo, Module, Violation, with_lock_attrs
 
 RULE = "guarded-by"
 _EXEMPT_METHODS = {"__init__", "__post_init__"}

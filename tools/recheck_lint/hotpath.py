@@ -4,7 +4,7 @@ The batched executor exists because per-row Python iteration is the
 throughput cliff the benchmarks measure (a ~0.97x Symantec regression,
 recorded in CHANGES.md, was exactly one of these loops sneaking back in).
 This rule walks the project call graph from the vectorized roots declared in
-:data:`repro.analysis.contracts.HOT_PATH_ROOTS` (extendable per module with a
+:data:`tools.recheck_lint.contracts.HOT_PATH_ROOTS` (extendable per module with a
 ``RECHECK_HOTPATH_ROOTS`` literal) and flags any *reachable* function that:
 
 * materializes rows from batches (``to_rows``/``iter_rows`` calls,
@@ -31,9 +31,9 @@ import ast
 import re
 from collections import deque
 
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.common import ClassInfo, Module, Violation
-from repro.analysis.contracts import HOT_PATH_ROOTS
+from .callgraph import CallGraph, build_call_graph
+from .common import ClassInfo, Module, Violation
+from .contracts import HOT_PATH_ROOTS
 
 RULE = "hotpath"
 

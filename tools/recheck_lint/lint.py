@@ -1,8 +1,7 @@
-"""recheck-lint CLI: ``python -m repro.analysis.lint src [--json report.json]``.
+"""recheck-lint CLI: ``python -m tools.recheck_lint.lint src [--json report.json]``.
 
-Parses every ``.py`` file under the given paths and runs the eight rule
-families (guarded-by, lock-order + heavy-work, future-resolution,
-dtype-view, no-swallow, raise-flow, hotpath,
+Parses every ``.py`` file under the given paths and runs the six rule
+families (guarded-by, heavy-work, future-resolution, raise-flow, hotpath,
 shm-lifecycle).  Exits 1 when any violation is found; ``--json`` also
 writes a machine-readable report (archived as a CI artifact) carrying the
 inferred per-function exception sets, the call-graph warnings and the
@@ -17,26 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import (
-    dtype_views,
-    futures,
-    guarded_by,
-    hotpath,
-    lock_order,
-    no_swallow,
-    raises,
-    shm_lifecycle,
-)
-from repro.analysis.callgraph import build_call_graph
-from repro.analysis.common import Module, Violation, collect_classes, iter_py_files
+from . import futures, guarded_by, heavy_work, hotpath, raises, shm_lifecycle
+from .callgraph import build_call_graph
+from .common import Module, Violation, collect_classes, iter_py_files
 
 #: rule-family name -> checker; each gets (modules, classes, graph).
 CHECKERS = {
     "guarded-by": guarded_by.check,
-    "lock-order": lock_order.check,
+    "heavy-work": heavy_work.check,
     "future-resolution": futures.check,
-    "dtype-view": dtype_views.check,
-    "no-swallow": no_swallow.check,
     "raise-flow": raises.check,
     "hotpath": hotpath.check,
     "shm-lifecycle": shm_lifecycle.check,
@@ -80,7 +68,7 @@ def run_lint(paths: list[Path], rules: list[str] | None = None) -> tuple[list[Vi
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="recheck-lint",
-        description="Concurrency/dtype invariant checker for the ReCache tree.",
+        description="Static invariant checker for the ReCache tree.",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument("--json", metavar="PATH", help="write a JSON report here")

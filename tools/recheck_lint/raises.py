@@ -3,13 +3,13 @@
 ``raise-flow`` infers, for every project function, the transitive set of
 :class:`~repro.core.errors.ReCacheError` subclasses it may raise: direct
 ``raise`` statements and ``# may-raise:`` site annotations seed the sets,
-call edges from the project :mod:`~repro.analysis.callgraph` propagate them,
+call edges from the project :mod:`tools.recheck_lint.callgraph` propagate them,
 and ``except`` clauses narrow them — an ``except`` catches the matching
 subset (subclasses included), a bare ``raise``/``raise exc`` in the handler
 re-raises exactly what it caught, and raises *inside* handler bodies escape
 the try that owns the handler.  The resulting escape sets are checked against
 the declared containment contracts
-(:data:`repro.analysis.contracts.RAISE_CONTRACTS`, extendable per module with
+(:data:`tools.recheck_lint.contracts.RAISE_CONTRACTS`, extendable per module with
 a ``RECHECK_RAISE_CONTRACTS`` literal): a contracted function whose inferred
 set exceeds its declaration is flagged at its ``def`` line.
 
@@ -30,9 +30,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.callgraph import CallGraph, build_call_graph, parse_may_raise
-from repro.analysis.common import ClassInfo, Module, Violation
-from repro.analysis.contracts import RAISE_CONTRACTS
+from .callgraph import CallGraph, build_call_graph, parse_may_raise
+from .common import ClassInfo, Module, Violation
+from .contracts import RAISE_CONTRACTS
 
 RULE = "raise-flow"
 

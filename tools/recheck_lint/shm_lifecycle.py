@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.common import ClassInfo, Module, Violation
+from .common import ClassInfo, Module, Violation
 
 RULE = "shm-lifecycle"
 MARKER = "recheck-lint: check-shm-lifecycle"

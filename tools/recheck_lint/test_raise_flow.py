@@ -11,9 +11,9 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import hotpath, raises
-from repro.analysis.callgraph import build_call_graph, parse_may_raise
-from repro.analysis.common import Module, collect_classes
+from . import hotpath, raises
+from .callgraph import build_call_graph, parse_may_raise
+from .common import Module, collect_classes
 
 
 def project(tmp_path: Path, **files: str):
