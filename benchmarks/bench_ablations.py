@@ -5,7 +5,6 @@ from repro.bench.experiments import (
     ablation_benefit_recompute,
     ablation_eviction_order,
     ablation_subsumption_index,
-    ablation_timing_sampling,
 )
 
 
@@ -30,16 +29,6 @@ def test_ablation_eviction_order(run_experiment):
     )
     # The size-aware heuristic exists to evict fewer items for the same space.
     assert result["size_aware_evictions"] <= result["plain_evictions"]
-
-
-def test_ablation_timing_sampling(run_experiment):
-    result = run_experiment(ablation_timing_sampling, num_queries=12, scale_factor=0.002)
-    totals = result["totals"]
-    print(
-        f"sampled(1%)={totals['sampled_1pct']:.2f}s per-record={totals['per_record']:.2f}s "
-        f"(per-record overhead {result['per_record_overhead_pct']:+.1f}%)"
-    )
-    assert totals["sampled_1pct"] > 0
 
 
 def test_ablation_admission_estimator(run_experiment):

@@ -6,8 +6,7 @@ JSON>CSV heuristic, the Vectorwise and MonetDB recyclers, and two offline
 table is served from JSON to add cost asymmetry).  The ablation experiments
 quantify the individual design choices called out in DESIGN.md: recomputing the
 benefit metric on every eviction pass, the size-descending eviction order, the
-sampled timing instrumentation, the admission extrapolation, and the R-tree
-subsumption index.
+admission extrapolation, and the R-tree subsumption index.
 """
 
 from __future__ import annotations
@@ -140,27 +139,6 @@ def ablation_eviction_order(
         "plain_total_s": plain.total_time,
         "size_aware_evictions": size_aware_engine.cache_stats.evictions,
         "plain_evictions": plain_engine.cache_stats.evictions,
-    }
-
-
-def ablation_timing_sampling(
-    num_queries: int = 20,
-    scale_factor: float = 0.003,
-    seed: int = 13,
-) -> dict:
-    """Sampled (<1%) vs per-record timing instrumentation overhead."""
-    totals = {}
-    for label, rate in (("sampled_1pct", 0.01), ("per_record", 1.0)):
-        config = ReCacheConfig(admission="eager", timing_sample_rate=rate)
-        engine = tpch_engine(config, scale_factor=scale_factor)
-        runner = WorkloadRunner(engine)
-        result = runner.run(spj_tpch_workload(num_queries=num_queries, seed=seed), label=label)
-        totals[label] = result.total_time
-    return {
-        "totals": totals,
-        "per_record_overhead_pct": percent_reduction(
-            totals["per_record"], totals["sampled_1pct"]
-        ),
     }
 
 

@@ -27,7 +27,6 @@ Figure 15a             :func:`figure15a_symantec_diverse`
 Figure 15b             :func:`figure15b_yelp_diverse`
 Ablations              :func:`ablation_benefit_recompute`,
                        :func:`ablation_eviction_order`,
-                       :func:`ablation_timing_sampling`,
                        :func:`ablation_admission_estimator`,
                        :func:`ablation_subsumption_index`
 =====================  =======================================================
@@ -44,7 +43,6 @@ from repro.bench.eviction_experiments import (
     ablation_benefit_recompute,
     ablation_eviction_order,
     ablation_subsumption_index,
-    ablation_timing_sampling,
     figure14_eviction_policies,
 )
 from repro.bench.layout_experiments import (
@@ -85,7 +83,6 @@ __all__ = [
     "figure15b_yelp_diverse",
     "ablation_benefit_recompute",
     "ablation_eviction_order",
-    "ablation_timing_sampling",
     "ablation_admission_estimator",
     "ablation_subsumption_index",
 ]

@@ -85,10 +85,6 @@ class ReCacheConfig:
     #: "Parquet" / "Rel. Columnar" baselines of Figures 9, 10 and 15).
     layout_selection: bool = True
 
-    #: fraction of records on which timing system calls are issued
-    #: (Section 5.1 recommends < 1%).
-    timing_sample_rate: float = 0.01
-
     #: recompute the benefit metric from fresh measurements at every eviction
     #: pass (Section 5.1 reports up to 6% regression when this is disabled).
     recompute_benefit: bool = True
@@ -154,7 +150,7 @@ class ReCacheConfig:
     shed_pressure_threshold: float | None = None
 
     #: seed of the fault plan installed from ``faults`` (nothing else reads
-    #: it: timers draw from their own generator).
+    #: it).
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -172,8 +168,6 @@ class ReCacheConfig:
             raise ValueError(f"unknown layout {self.default_nested_layout!r}")
         if self.default_flat_layout not in ("columnar", "row"):
             raise ValueError(f"unknown flat layout {self.default_flat_layout!r}")
-        if not 0.0 < self.timing_sample_rate <= 1.0:
-            raise ValueError("timing_sample_rate must be in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_workers < 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.cache_entry import CacheEntry, LayoutObservation
 from repro.core.cost_model import LayoutCostModel, SwitchEstimate, closest_compute_cost
@@ -64,8 +63,9 @@ class LayoutSelector:
         """Evaluate the switch condition for ``entry`` given its window."""
         if entry.is_lazy or entry.layout is None:
             return LayoutDecision(None, None)
-        # Flat relational data never benefits from the Parquet layout; the
-        # row-vs-column decision for it is handled by RowColumnSelector.
+        # Flat relational data never benefits from the Parquet layout, and a
+        # flat entry never switches at all: RowColumnSelector is constructed
+        # only by tests, so nothing chooses between row and column for it.
         if not entry.layout.schema.nested_paths():
             return LayoutDecision(None, None)
 
@@ -126,9 +126,6 @@ class ColumnAccessProfile:
     row_count: int
     #: one entry per observed query: the set of columns it accessed
     query_column_sets: list[frozenset[str]]
-
-    def record_query(self, columns: Sequence[str]) -> None:
-        self.query_column_sets.append(frozenset(columns))
 
 
 class RowColumnSelector:

@@ -240,17 +240,33 @@ class RecordBatch:
     # ------------------------------------------------------------------
     def take(self, indexes) -> "RecordBatch":
         """A new batch holding the rows at ``indexes`` (record info dropped)."""
-        index_list = indexes.tolist() if isinstance(indexes, np.ndarray) else list(indexes)  # rowwise-fallback: take() gathers object columns through Python; numeric columns regather via the float64 views below
+        positions = np.asarray(indexes, dtype=np.intp)
+        index_list = positions.tolist()  # rowwise-fallback: take() gathers object columns through Python; numeric columns regather via the float64 views below
         columns = {
             name: [col[i] for i in index_list] for name, col in self.columns.items()  # rowwise-fallback: object-column gather (see take() note above)
         }
         taken = RecordBatch(columns, row_count=len(index_list))
         for name, array in self._numeric.items():
             if array is not None:
-                taken._numeric[name] = array[index_list]
+                taken._numeric[name] = array[positions]
         for name, array in self._validity.items():
-            taken._validity[name] = array[index_list]
+            taken._validity[name] = array[positions]
         return taken
+
+    def merge(self, other: "RecordBatch") -> "RecordBatch":
+        """This batch's columns followed by ``other``'s (equal row counts).
+
+        A name both batches hold keeps its position here but takes ``other``'s
+        values and views; record information is dropped.
+        """
+        merged = RecordBatch({**self.columns, **other.columns}, row_count=self._row_count)
+        for name in merged.columns:
+            owner = other if name in other.columns else self
+            if owner._numeric.get(name) is not None:
+                merged._numeric[name] = owner._numeric[name]
+            if name in owner._validity:
+                merged._validity[name] = owner._validity[name]
+        return merged
 
     def project(self, fields: Sequence[str]) -> "RecordBatch":
         """Restrict the batch to ``fields`` (missing fields become ``None``)."""
@@ -313,20 +329,6 @@ def rows_from_batches(batches: Sequence[RecordBatch]) -> list[dict]:  # rowwise-
     for batch in batches:
         rows.extend(batch.to_rows())
     return rows
-
-
-def batches_from_row_iter(
-    row_iter, fields: Sequence[str] | None, batch_size: int
-) -> Iterator[RecordBatch]:
-    """Chunk a row-dictionary iterator into batches of ``batch_size`` rows."""
-    buffer: list[dict] = []
-    for row in row_iter:
-        buffer.append(row)
-        if len(buffer) >= batch_size:
-            yield RecordBatch.from_rows(buffer, fields)
-            buffer = []
-    if buffer:
-        yield RecordBatch.from_rows(buffer, fields)
 
 
 def concat_batches(batches: Sequence[RecordBatch]) -> RecordBatch:

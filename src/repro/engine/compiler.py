@@ -102,91 +102,45 @@ def compile_value(expr: Expression) -> Callable[[dict], object]:
 
 
 class CompiledAggregate:
-    """Running state for one aggregate, specialized to its function."""
+    """One aggregate specialized to its input expression."""
 
     def __init__(self, spec: AggregateSpec) -> None:
         self.spec = spec
         self._value_of = compile_value(spec.expr)
-        self._count = 0
-        self._sum = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
 
     def batch_values(self, batch: RecordBatch) -> list:
         """The aggregate's input values for every row of a batch.
 
         A plain field reference reads the column directly; compound
-        expressions evaluate the compiled row closure over minimal row
-        dictionaries restricted to the referenced fields.
+        expressions evaluate the compiled row closure per row.
         """
         expr = self.spec.expr
         if isinstance(expr, FieldRef):
             return batch.column(expr.path)
-        fields = sorted(expr.referenced_fields())
-        columns = [batch.column(name) for name in fields]
-        value_of = self._value_of
-        return [
-            value_of({name: col[i] for name, col in zip(fields, columns)})
-            for i in range(batch.row_count)
-        ]
-
-    def update_batch(self, batch: RecordBatch) -> None:
-        """Fold a whole batch into the running state.
-
-        Accumulation walks the column in row order, skipping ``None``, so the
-        floating-point result is that of a plain left-to-right fold whatever
-        the batch boundaries.
-        """
-        values = self.batch_values(batch)
-        func = self.spec.func
-        if func in ("sum", "avg"):
-            count = 0
-            total = self._sum
-            for value in values:
-                if value is None:
-                    continue
-                count += 1
-                total += value
-            self._count += count
-            self._sum = total
-        elif func == "count":
-            self._count += sum(1 for value in values if value is not None)
-        elif func == "min":
-            best = self._min
-            count = 0
-            for value in values:
-                if value is None:
-                    continue
-                count += 1
-                best = value if best is None else min(best, value)
-            self._min = best
-            self._count += count
-        else:  # max
-            best = self._max
-            count = 0
-            for value in values:
-                if value is None:
-                    continue
-                count += 1
-                best = value if best is None else max(best, value)
-            self._max = best
-            self._count += count
-
-    def result(self) -> object:
-        func = self.spec.func
-        if func == "count":
-            return self._count
-        if func == "sum":
-            return self._sum
-        if func == "avg":
-            return self._sum / self._count if self._count else None
-        if func == "min":
-            return self._min
-        return self._max
+        return _per_row(self._value_of, batch, sorted(expr.referenced_fields()))
 
 
 def compile_aggregates(specs: Sequence[AggregateSpec]) -> list[CompiledAggregate]:
     return [CompiledAggregate(spec) for spec in specs]
+
+
+def _per_row(  # rowwise-fallback: the one per-row evaluator, for expressions NumPy cannot take
+    function: Callable[[dict], object], batch: RecordBatch, fields: list[str]
+) -> list:
+    """``function(row)`` for every row of ``batch``, in row order.
+
+    One preallocated row dict of ``fields`` is rebound in place per row: the
+    compiled closures only read it synchronously, so reuse is safe and saves
+    a dict allocation per row.
+    """
+    columns = [(name, batch.column(name)) for name in fields]
+    row = dict.fromkeys(fields)
+    out = []
+    for i in range(batch.row_count):
+        for name, column in columns:
+            row[name] = column[i]
+        out.append(function(row))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +336,7 @@ def compile_batch_predicate(expr: Expression | None) -> Callable[[RecordBatch], 
                 mask = vector(batch)
                 if mask is not None:
                     return mask
-            pairs = [(name, batch.column(name)) for name in fields]
-            count = batch.row_count
-            out = np.empty(count, dtype=bool)
-            # One preallocated row dict, rebound in place per row: the
-            # compiled closure only reads it synchronously, so reuse is safe
-            # and saves a dict allocation per row.
-            row = dict.fromkeys(fields)
-            for i in range(count):
-                for name, col in pairs:  # rowwise-fallback: non-vectorizable predicates interpret per row — the audited parity fallback
-                    row[name] = col[i]
-                out[i] = row_predicate(row)
-            return out
+            return np.array(_per_row(row_predicate, batch, fields), dtype=bool)
 
         return evaluate
 

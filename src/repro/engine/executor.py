@@ -11,7 +11,7 @@ columns become cache layouts.
 The most involved piece is the materializer, which reproduces ReCache's
 reactive admission behaviour (Section 5.2): it caches the first records of a
 scan both eagerly and lazily while measuring the time spent on caching work
-(sampled per batch), extrapolates the caching overhead to the end of the
+(one clock pair per batch), extrapolates the caching overhead to the end of the
 file, and downgrades to lazy (offsets-only) caching when the projected
 overhead exceeds the configured threshold.  Cache scans measure the
 data/compute costs that feed the layout selector, and lazy caches are upgraded
@@ -31,7 +31,12 @@ from repro.core.admission import AdmissionDecision, AdmissionSample
 from repro.core.cache_entry import LayoutObservation
 from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
-from repro.core.errors import CorruptedCacheError, DeadlineExceeded, WorkerCrashed
+from repro.core.errors import (
+    CorruptedCacheError,
+    DeadlineExceeded,
+    TransientScanError,
+    WorkerCrashed,
+)
 from repro.engine.algebra import (
     AggregateNode,
     CacheScanNode,
@@ -50,13 +55,13 @@ from repro.engine.operators import (
     filter_batches,
     hash_join_batches,
     project_batches,
+    select_rows,
 )
 from repro.engine.procpool import ScanTask
 from repro.engine.types import ColumnarResult
 from repro.faults import runtime as faults
 from repro.formats.datafile import DataSource, DataSourceCatalog
 from repro.layouts import build_layout
-from repro.utils.timing import SampledTimer
 
 
 @dataclass
@@ -441,24 +446,20 @@ def _execute_lazy_cache_scan(
     output: list[RecordBatch] = []
     cached_columns: dict[str, list] = {name: [] for name in all_fields}
     cached_counts: list[int] = []
+    # The complete tuples are for the cache; the query still sees only its
+    # own fields, as it does on every other path.
+    output_fields = node.fields if upgrade else None
     for batch in source.read_record_batches(
         offsets, all_fields if upgrade else node.fields, batch_size=ctx.config.batch_size
     ):
-        wanted = batch
         if upgrade:
             for name, column in batch.columns.items():
                 cached_columns[name].extend(column)
             if nested:
                 cached_counts.extend(batch.record_row_counts)
-            # The complete tuples are for the cache; the query still sees only
-            # its own fields, as it does on every other path.
-            wanted = batch.project(node.fields)
-        mask = batch_predicate(wanted)
-        indexes = batch.first_true_per_record(mask) if dedupe else np.nonzero(mask)[0]
-        if len(indexes) == batch.row_count:
-            output.append(wanted)
-        elif len(indexes):
-            output.append(wanted.take(indexes))
+        selected, _ = select_rows(batch, batch_predicate(batch), dedupe, output_fields)
+        if selected is not None:
+            output.append(selected)
     scan_time = time.perf_counter() - started
     ctx.report.cache_scan_time += scan_time
 
@@ -497,8 +498,6 @@ class _MaterializeRun:
     cache_fields: list[str]
     #: the admission decision, or ``None`` while the admission sample is running
     mode: AdmissionDecision | None
-    #: times one batch's caching block in every N once the sample is over
-    timer: SampledTimer
     #: query-relative clock and caching time when the scan started
     to1: float
     tc1: float
@@ -525,38 +524,21 @@ def _materialize_batch(run: _MaterializeRun, batch: RecordBatch) -> None:
     means additionally converting the remaining fields of every satisfying
     record — from the payload the scan attached, never from the file again —
     and that extra work is what is timed as caching time (Section 5.1: ``c``
-    includes "the time spent parsing the cached fields of each record"):
-    exact timestamps around the caching block while sampling, one
-    :class:`SampledTimer` start/stop pair per batch afterwards.
+    includes "the time spent parsing the cached fields of each record"): one
+    clock pair around each batch's caching block, about 0.1% of the records at
+    the default batch size (the paper asks for fewer than 1%).
     """
     run.bytes_seen += batch.total_record_bytes
     mask = run.batch_predicate(batch)
-    out_indexes = batch.first_true_per_record(mask) if run.dedupe_output else np.nonzero(mask)[0]
-    kept = None
-    if len(out_indexes) == batch.row_count:
-        # Everything matched: pass the columns through without a copy, but
-        # shed the caching payload so the query output does not pin it.
-        kept = batch.project(batch.field_names())
-    elif len(out_indexes):
-        kept = batch.take(out_indexes)
+    kept, out_indexes = select_rows(batch, mask, run.dedupe_output)
     if kept is not None:
         run.output.append(kept)
-
-    sampling = run.mode is None
-    if kept is not None or sampling:
-        if sampling:
-            cache_started = time.perf_counter()
-        else:
-            run.timer.maybe_start()
-        if kept is not None:
-            _collect_cache_payload(run, batch, mask, out_indexes, kept)
-        if sampling:
-            run.caching_seconds += time.perf_counter() - cache_started
-        else:
-            run.timer.maybe_stop()
+        cache_started = time.perf_counter()
+        _collect_cache_payload(run, batch, mask, out_indexes, kept)
+        run.caching_seconds += time.perf_counter() - cache_started
 
     run.records_seen += batch.record_count
-    if sampling and run.records_seen >= run.ctx.recache.admission.sample_records:
+    if run.mode is None and run.records_seen >= run.ctx.recache.admission.sample_records:
         _decide_admission(run)
 
 
@@ -703,11 +685,11 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
     if isinstance(plan, ProjectNode):
         return project_batches(_execute_batches(plan.child, ctx), plan.fields)
     if isinstance(plan, CacheScanNode):
-        return _execute_cache_scan_batched(plan, ctx)
+        return _execute_cache_scan(plan, ctx)
     if isinstance(plan, MaterializeNode):
-        return _execute_materialize_batched(plan, ctx)
+        return _execute_materialize(plan, ctx)
     if isinstance(plan, SelectNode):
-        return _execute_select_batched(plan, ctx)
+        return _execute_select(plan, ctx)
     if isinstance(plan, ScanNode):
         source = ctx.catalog.get(plan.source)
         return list(source.scan_batches(plan.fields or None, batch_size=ctx.config.batch_size))
@@ -718,7 +700,7 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
     raise TypeError(f"cannot execute plan node of type {type(plan).__name__}")
 
 
-def _execute_select_batched(node: SelectNode, ctx: ExecutionContext) -> list[RecordBatch]:
+def _execute_select(node: SelectNode, ctx: ExecutionContext) -> list[RecordBatch]:
     """Select with no materializer (caching disabled, or the source's breaker open)."""
     if isinstance(node.child, ScanNode):
         return _raw_filtered_scan(ctx, node.child.source, node.child.fields, node.predicate)
@@ -726,7 +708,7 @@ def _execute_select_batched(node: SelectNode, ctx: ExecutionContext) -> list[Rec
     return filter_batches(_execute_batches(node.child, ctx), batch_predicate)
 
 
-def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> list[RecordBatch]:
+def _execute_cache_scan(node: CacheScanNode, ctx: ExecutionContext) -> list[RecordBatch]:
     entry = node.entry
     ctx.report.lookup_time += node.lookup_time
     if node.exact:
@@ -745,7 +727,9 @@ def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> l
         # and (on first reuse) upgrades the entry to an eager one.
         try:
             return _execute_lazy_cache_scan(node, ctx, offsets)
-        except DeadlineExceeded:
+        except (DeadlineExceeded, TransientScanError):
+            # A raw-file fault says nothing about the entry: the query is
+            # retried, and the breaker sees it (see QueryEngine.execute).
             raise
         except Exception:
             _quarantine_entry(node, ctx)
@@ -783,7 +767,7 @@ def _execute_cache_scan_batched(node: CacheScanNode, ctx: ExecutionContext) -> l
 def _scan_layout_batches(
     node: CacheScanNode, ctx: ExecutionContext, layout, dedupe: bool
 ) -> tuple[list[RecordBatch], int]:
-    """The batched layout-scan body of :func:`_execute_cache_scan_batched`.
+    """The layout-scan body of :func:`_execute_cache_scan`.
 
     Factored out so the caller can wrap the whole scan in the poisoned-entry
     containment handler; returns ``(batches, scanned_rows)``.
@@ -823,18 +807,16 @@ def _scan_layout_batches(
             fields=wanted, batch_size=ctx.config.batch_size, **scan_kwargs
         ):
             scanned_rows += batch.row_count
-            indexes = np.nonzero(batch_predicate(batch))[0]
-            if len(indexes) == batch.row_count:
-                batches.append(batch)  # everything matched: no copy needed
-            elif len(indexes):
-                batches.append(batch.take(indexes))
+            selected, _ = select_rows(batch, batch_predicate(batch))
+            if selected is not None:
+                batches.append(selected)
         if layout_name in ("columnar", "row") and dedupe:
             # The dedup scan still walks every flattened row internally.
             scanned_rows = layout.flattened_row_count
     return batches, scanned_rows
 
 
-def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -> list[RecordBatch]:
+def _execute_materialize(node: MaterializeNode, ctx: ExecutionContext) -> list[RecordBatch]:
     """The materializer (cache-miss path) over record batches.
 
     Each scanned batch goes through :func:`_materialize_batch`; when the scan
@@ -859,12 +841,6 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
         layout_name=config.default_nested_layout if nested else config.default_flat_layout,
         cache_fields=source.flattened_schema.field_names(),
         mode=admission.initial_mode(ctx.recache.has_hot_entries(source.name)),
-        # One timing decision covers a whole batch, so the per-batch sampling
-        # rate is scaled by the batch size: the expected number of *records*
-        # whose caching work gets timed follows ``timing_sample_rate``, while
-        # the clock overhead per record shrinks by ~batch_size (at the default
-        # 1024-record batches and 1% record rate every batch is timed).
-        timer=SampledTimer(sample_rate=min(1.0, config.timing_sample_rate * batch_size)),
         to1=time.perf_counter() - ctx.query_started,
         tc1=ctx.report.caching_time,
     )
@@ -885,7 +861,6 @@ def _execute_materialize_batched(node: MaterializeNode, ctx: ExecutionContext) -
             _materialize_batch(run, scanned)
 
     elapsed = time.perf_counter() - operator_started
-    run.caching_seconds += run.timer.estimated_total
     if run.mode is None:
         run.mode = AdmissionDecision.EAGER
     _admit(run, elapsed)

@@ -41,28 +41,42 @@ def _check_join_columns(
         )
 
 
+def select_rows(
+    batch: RecordBatch,
+    mask: np.ndarray,
+    dedupe_records: bool = False,
+    fields: Sequence[str] | None = None,
+) -> tuple[RecordBatch | None, np.ndarray]:
+    """The rows of one batch that a predicate mask selects: ``(selected, indexes)``.
+
+    ``indexes`` are the selected row positions; ``selected`` holds those rows
+    (restricted to ``fields`` when given), or is ``None`` when none survive.
+    ``dedupe_records`` keeps only the first selected row of each original
+    record (the nested algebra's record-level semantics).  The output never
+    carries the batch's record information or caching payload, and a batch
+    whose rows all survive shares its columns instead of copying them.
+    """
+    indexes = batch.first_true_per_record(mask) if dedupe_records else np.nonzero(mask)[0]
+    if not len(indexes):
+        return None, indexes
+    selected = batch.project(batch.field_names() if fields is None else fields)
+    if len(indexes) < batch.row_count:
+        selected = selected.take(indexes)
+    return selected, indexes
+
+
 def filter_batches(
     batches,
     batch_predicate: Callable[[RecordBatch], np.ndarray],
     dedupe_records: bool = False,
 ) -> list[RecordBatch]:
-    """Apply a compiled batch predicate, keeping only non-empty batches.
-
-    ``dedupe_records`` keeps the first satisfying row of each original record
-    (the nested algebra's record-level semantics).  A batch whose rows all
-    survive is passed through untouched instead of being copied.
-    """
+    """Apply a compiled batch predicate to each batch (see :func:`select_rows`),
+    keeping only non-empty batches."""
     output: list[RecordBatch] = []
     for batch in batches:
-        mask = batch_predicate(batch)
-        if dedupe_records:
-            indexes = batch.first_true_per_record(mask)
-        else:
-            indexes = np.nonzero(mask)[0]
-        if len(indexes) == batch.row_count:
-            output.append(batch)
-        elif len(indexes):
-            output.append(batch.take(indexes))
+        selected, _ = select_rows(batch, batch_predicate(batch), dedupe_records)
+        if selected is not None:
+            output.append(selected)
     return output
 
 
@@ -89,9 +103,9 @@ def hash_join_batches(
     slices, the probe resolves whole key columns to those codes — via NumPy
     ``searchsorted`` over the float64 views when both key columns are
     numeric, one dict pass otherwise — and the matched (probe, build) row
-    indexes are expanded as arrays, never through per-row list appends.  The
-    output gathers whole columns by those index arrays and re-uses any
-    already-built float64 views of the inputs.
+    indexes are expanded as arrays, never through per-row list appends.  Each
+    side's output rows are one :meth:`RecordBatch.take`, which regathers any
+    already-built float64 and validity views of the inputs.
     """
     left = concat_batches(list(left_batches)) if left_batches else RecordBatch({}, 0)
     right = concat_batches(list(right_batches)) if right_batches else RecordBatch({}, 0)
@@ -107,36 +121,9 @@ def hash_join_batches(
     probe_indexes, build_indexes = _factorized_probe(build, build_key, probe, probe_key)
     if len(probe_indexes) == 0:
         return []
-    probe_list = probe_indexes.tolist()  # rowwise-fallback: join output gathers object columns through Python; numeric columns regather from the float64 views
-    build_list = build_indexes.tolist()  # rowwise-fallback: join output gathers object columns through Python (see above)
-    # Merged field order: build fields first, probe-only fields appended,
-    # shared names carrying probe values.
-    build_fields = build.field_names()
-    probe_fields = set(probe.field_names())
-    columns: dict[str, list] = {}
-    gathered_from: dict[str, tuple[RecordBatch, np.ndarray]] = {}
-    for name in build_fields:
-        if name in probe_fields:
-            source_batch, indexes, index_list = probe, probe_indexes, probe_list
-        else:
-            source_batch, indexes, index_list = build, build_indexes, build_list
-        source = source_batch.column(name)
-        columns[name] = [source[i] for i in index_list]  # rowwise-fallback: object-column gather of the join output (numeric views reseeded below)
-        gathered_from[name] = (source_batch, indexes)
-    for name in probe.field_names():
-        if name not in columns:
-            source = probe.column(name)
-            columns[name] = [source[i] for i in probe_list]  # rowwise-fallback: object-column gather of the join output (numeric views reseeded below)
-            gathered_from[name] = (probe, probe_indexes)
-    joined = RecordBatch(columns, row_count=len(probe_list))
-    # Numeric views already built on the inputs (layouts pre-seed them, the
-    # probe builds the key views) gather straight into the output, so a
-    # downstream aggregate/filter never re-scans the joined columns.
-    for name, (source_batch, indexes) in gathered_from.items():
-        view = source_batch._numeric.get(name)
-        if view is not None:
-            joined.set_numeric_view(name, view[indexes])
-    return [joined]
+    # Build fields first, probe-only fields appended; a shared name (the
+    # join key) carries the probe's values.
+    return [build.take(build_indexes).merge(probe.take(probe_indexes))]
 
 
 _NO_MATCHES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -294,7 +281,8 @@ def aggregate_batches(
     """Compute aggregates over a batch stream, optionally grouped.
 
     The output is one batch with a row per group: the key columns, then one
-    column per aggregate.  Grouped aggregation is NumPy-backed: the key
+    column per aggregate.  A global aggregate is one group (one row even over
+    no input).  Grouped aggregation is NumPy-backed: the key
     columns are factorized into dense group codes (vectorized through float64
     views where the keys are null-free numerics, a single dict pass
     otherwise), rows are gathered per group with one stable argsort, and each
@@ -303,19 +291,14 @@ def aggregate_batches(
     in row order, so results — including floating-point sums and value types
     of min/max — are those of a plain per-row fold.
     """
-    if not group_by:
-        for batch in batches:
-            for aggregate in aggregates:
-                aggregate.update_batch(batch)
-        return RecordBatch(
-            {agg.spec.output_name: [agg.result()] for agg in aggregates}, row_count=1
-        )
-
     merged = concat_batches(list(batches)) if batches else RecordBatch({}, 0)
-    if merged.row_count == 0:
-        return RecordBatch({}, 0)
     keys = list(group_by)
-    codes, group_keys = _factorize_keys(merged, keys)
+    if not keys:
+        codes, group_keys = None, [()]
+    elif merged.row_count == 0:
+        return RecordBatch({}, 0)
+    else:
+        codes, group_keys = _factorize_keys(merged, keys)
     columns: dict[str, list] = dict(zip(keys, map(list, zip(*group_keys))))
     for aggregate in aggregates:
         values = aggregate.batch_values(merged)
@@ -393,7 +376,7 @@ def _first_occurrence_codes(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first_index[order]
 
 
-def _grouped_reduce(func: str, values: list, codes: np.ndarray, n_groups: int) -> list:
+def _grouped_reduce(func: str, values: list, codes: np.ndarray | None, n_groups: int) -> list:
     """Reduce one aggregate's per-row values into one output value per group.
 
     Null rows are dropped by the rule ``value is not None``; the surviving
@@ -403,24 +386,27 @@ def _grouped_reduce(func: str, values: list, codes: np.ndarray, n_groups: int) -
     ``min``/``max`` keep the original value objects (and their types) rather
     than float64 coercions.  Non-numeric values take the same path: the
     builtins are the per-value fallback, applied per group instead of per row.
+    ``codes`` is ``None`` for a global aggregate: its one group is the
+    non-null values as they stand, with no argsort or index gather.
     """
-    valid = object_validity_mask(values)
-    vcodes = codes[valid]
+    if codes is None:
+        gathered = [value for value in values if value is not None]
+        bounds = [0, len(gathered)]
+    else:
+        valid = object_validity_mask(values)
+        vcodes = codes[valid]
+        if func == "count":
+            return np.bincount(vcodes, minlength=n_groups).tolist()  # rowwise-fallback: one count per group — group-count work, not row-count
+        order = np.argsort(vcodes, kind="stable")
+        gathered = [values[i] for i in np.nonzero(valid)[0][order].tolist()]  # rowwise-fallback: object aggregation gathers the surviving values so builtins fold them in row order
+        bounds = np.searchsorted(vcodes[order], np.arange(n_groups + 1)).tolist()  # rowwise-fallback: group boundaries — group-count work, not row-count
+    spans = list(zip(bounds[:-1], bounds[1:]))
     if func == "count":
-        return np.bincount(vcodes, minlength=n_groups).tolist()  # rowwise-fallback: one count per group — group-count work, not row-count
-    vrows = np.nonzero(valid)[0]
-    order = np.argsort(vcodes, kind="stable")
-    boundaries = np.searchsorted(vcodes[order], np.arange(n_groups + 1))
-    gathered = [values[i] for i in vrows[order].tolist()]  # rowwise-fallback: object aggregation gathers the surviving values so builtins fold them in row order
-    starts = boundaries[:-1].tolist()  # rowwise-fallback: group boundaries — group-count work, not row-count
-    ends = boundaries[1:].tolist()  # rowwise-fallback: group boundaries — group-count work, not row-count
+        return [e - s for s, e in spans]
     if func == "sum":
-        return [sum(gathered[s:e], 0.0) for s, e in zip(starts, ends)]
+        return [sum(gathered[s:e], 0.0) for s, e in spans]
     if func == "avg":
-        return [
-            sum(gathered[s:e], 0.0) / (e - s) if e > s else None
-            for s, e in zip(starts, ends)
-        ]
+        return [sum(gathered[s:e], 0.0) / (e - s) if e > s else None for s, e in spans]
     if func == "min":
-        return [min(gathered[s:e]) if e > s else None for s, e in zip(starts, ends)]
-    return [max(gathered[s:e]) if e > s else None for s, e in zip(starts, ends)]
+        return [min(gathered[s:e]) if e > s else None for s, e in spans]
+    return [max(gathered[s:e]) if e > s else None for s, e in spans]

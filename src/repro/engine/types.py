@@ -33,9 +33,6 @@ class DataType:
     #: short type code used in signatures
     code = "?"
 
-    def is_atom(self) -> bool:
-        return isinstance(self, AtomType)
-
     def signature(self) -> str:
         return self.code
 

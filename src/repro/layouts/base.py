@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.engine.batch import RecordBatch, batches_from_row_iter
 from repro.engine.types import RecordType
 
 
@@ -64,10 +63,11 @@ class CacheLayout:
     """Abstract base class of all cache layouts.
 
     A layout owns the cached data for one cache entry.  It reports its size and
-    cardinalities, and exposes :meth:`scan` which yields flattened rows for the
-    requested fields, optionally filtered by a compiled predicate.  The scan is
-    what the executor measures to obtain the data-access cost ``D`` and compute
-    cost ``C`` used by the layout selector.
+    cardinalities, and every layout yields its rows two ways: ``scan_batches``
+    (:class:`~repro.engine.batch.RecordBatch` chunks, what the executor scans
+    and measures to obtain the data-access cost ``D`` and compute cost ``C``
+    used by the layout selector) and :meth:`scan` (row dictionaries, for
+    layout conversion and the layout figures).
     """
 
     #: canonical layout name ("row", "columnar", "parquet")
@@ -97,17 +97,6 @@ class CacheLayout:
     def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
         """Yield flattened rows restricted to ``fields``."""
         raise NotImplementedError
-
-    def scan_batches(
-        self, fields: Sequence[str] | None = None, batch_size: int = 1024
-    ) -> Iterator[RecordBatch]:
-        """Yield the cached rows as :class:`RecordBatch` chunks.
-
-        The generic implementation chunks :meth:`scan`; layouts whose storage
-        is already columnar override it to slice columns directly.
-        """
-        wanted = list(fields) if fields is not None else list(self.fields)
-        return batches_from_row_iter(self.scan(fields=wanted), wanted, batch_size)  # rowwise-fallback: compatibility bridge for layouts without a native batched scan
 
     def supports_fields(self, fields: Sequence[str]) -> bool:
         """True when every requested field is present in the cached data."""

@@ -33,10 +33,6 @@ class Rect:
         highs = tuple(float(b[1]) for b in bounds)
         return cls(lows, highs)
 
-    @property
-    def dimensions(self) -> int:
-        return len(self.lows)
-
     def area(self) -> float:
         result = 1.0
         for low, high in zip(self.lows, self.highs):

@@ -33,10 +33,10 @@ Declared semantics (pinned by hand-computed cases in ``test_oracle.py``):
   first-occurrence order and a global aggregate always yields one row.
 
 The comparison contract, declared once in :func:`same_rows`: a float the
-engine computed (an aggregate value) equals the oracle's within 1e-9
-relative — the fold order above is how the engine sums today, not something
-a caller may rely on to the last digit — and everything else is exact: every
-other value, the order of the rows, and the order of the fields in each row.
+engine computed (an aggregate value) equals the oracle's within 1e-9 relative
+(NaN equals NaN) — the fold order above is how the engine sums today, not
+something a caller may rely on to the last digit — and everything else is
+exact: every other value, the order of the rows, and the order of the fields.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ def same_rows(actual: list[dict], expected: list[dict]) -> bool:
         for value, other in zip(row.values(), wanted.values()):
             if type(value) is not type(other):
                 return False
-            if value != other and not (
-                isinstance(value, float) and math.isclose(value, other, rel_tol=1e-9, abs_tol=0.0)
-            ):
+            close = isinstance(value, float) and (
+                math.isclose(value, other, rel_tol=1e-9) or (math.isnan(value) and math.isnan(other))
+            )
+            if value != other and not close:
                 return False
     return True
 

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     AggregateSpec,
@@ -454,6 +456,46 @@ class TestNumpyGroupBy:
         from repro.engine.operators import aggregate_batches
 
         assert aggregate_batches([], compile_aggregates(self._specs()), ["g"]).row_count == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.none(),
+                st.just(math.nan),
+                st.integers(-1000, 1000),
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=5),
+    )
+    def test_global_aggregate_is_the_oracle_fold(self, values, cuts):
+        """A global aggregate is one group: over values mixing ``None``, NaN,
+        ints, floats and bools in arbitrary batches it equals the oracle's
+        fold, ``min``/``max`` keep the value's own type, and no input at all
+        still yields one row."""
+        from repro.engine.compiler import compile_aggregates
+        from repro.engine.operators import aggregate_batches
+
+        rows = [{"v": value} for value in values]
+        bounds = [0, *sorted({min(cut, len(rows)) for cut in cuts}), len(rows)]
+        batches = [
+            RecordBatch({"v": values[start:stop]}, row_count=stop - start)
+            for start, stop in zip(bounds, bounds[1:])
+            if stop > start
+        ]
+        got = aggregate_batches(batches, compile_aggregates(self._specs()), ()).to_rows()
+        expected = group_rows(rows, self._specs())
+        assert same_rows(got, expected)
+        (row,) = got
+        present = [value for value in values if value is not None]
+        if not present:
+            assert list(row.values()) == [0.0, None, 0, None, None]
+        else:
+            assert type(row["min($v)"]) is type(min(present))
+            assert type(row["max($v)"]) is type(max(present))
 
 
 class TestColumnarResult:

@@ -3,12 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.engine.batch import RecordBatch
-from repro.engine.compiler import (
-    CompiledAggregate,
-    compile_aggregates,
-    compile_predicate,
-    compile_value,
-)
+from repro.engine.compiler import compile_aggregates, compile_predicate, compile_value
 from repro.engine.expressions import (
     AggregateSpec,
     And,
@@ -20,6 +15,7 @@ from repro.engine.expressions import (
     Or,
     RangePredicate,
 )
+from repro.engine.operators import aggregate_batches
 
 
 def _row_strategy():
@@ -57,21 +53,28 @@ class TestCompiledPredicates:
 
 
 class TestCompiledAggregates:
+    FUNCS = ("sum", "avg", "min", "max", "count")
+
+    def _global(self, batches, expr=None):
+        specs = [AggregateSpec(func, expr or FieldRef("x")) for func in self.FUNCS]
+        (row,) = aggregate_batches(batches, compile_aggregates(specs)).to_rows()
+        return dict(zip(self.FUNCS, row.values()))
+
     def test_all_functions(self):
         rows = [{"x": 1.0}, {"x": 3.0}, {"x": None}, {"x": 2.0}]
-        specs = [AggregateSpec(func, FieldRef("x")) for func in ("sum", "avg", "min", "max", "count")]
-        aggregates = compile_aggregates(specs)
-        for batch in (RecordBatch.from_rows(rows[:1]), RecordBatch.from_rows(rows[1:])):
-            for aggregate in aggregates:
-                aggregate.update_batch(batch)
-        results = {agg.spec.func: agg.result() for agg in aggregates}
-        assert results == {"sum": 6.0, "avg": 2.0, "min": 1.0, "max": 3.0, "count": 3}
+        batches = [RecordBatch.from_rows(rows[:1]), RecordBatch.from_rows(rows[1:])]
+        assert self._global(batches) == {
+            "sum": 6.0, "avg": 2.0, "min": 1.0, "max": 3.0, "count": 3
+        }
+        # A compound expression goes through the per-row evaluator.
+        plain = [RecordBatch.from_rows([row]) for row in rows if row["x"] is not None]
+        doubled = self._global(plain, Arithmetic("*", FieldRef("x"), Literal(2)))
+        assert doubled == {"sum": 12.0, "avg": 4.0, "min": 2.0, "max": 6.0, "count": 3}
 
     def test_empty_input(self):
-        aggregate = CompiledAggregate(AggregateSpec("avg", FieldRef("x")))
-        assert aggregate.result() is None
-        count = CompiledAggregate(AggregateSpec("count", FieldRef("x")))
-        assert count.result() == 0
+        expected = {"sum": 0.0, "avg": None, "min": None, "max": None, "count": 0}
+        assert self._global([]) == expected
+        assert self._global([RecordBatch.from_rows([{"x": None}])]) == expected
 
     def test_alias_used_as_output_name(self):
         spec = AggregateSpec("sum", FieldRef("x"), alias="total")

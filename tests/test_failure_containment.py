@@ -76,6 +76,36 @@ def test_retry_limit_exhaustion_surfaces_typed_error(dataset_dir, assert_budget_
     assert not engine.cache_entries()
 
 
+@pytest.mark.usefixtures("fast_retries")
+def test_transient_fault_during_lazy_reuse_keeps_the_entry(
+    dataset_dir, baseline, assert_budget_conserved
+):
+    """Regression: a raw-file fault while re-reading a lazy entry's records
+    was taken for corruption — the healthy entry was quarantined and the
+    query degraded to a raw re-scan, with no retry and no breaker failure."""
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="lazy", scan_retry_limit=2))
+    assert_budget_conserved(engine.recache)
+    query = flat_query()
+    engine.execute(query)
+    (entry,) = engine.cache_entries()
+    assert entry.is_lazy
+    failures = []
+    record_failure = engine.breaker.record_failure
+
+    def counted_failure(source):
+        failures.append(source)
+        return record_failure(source)
+
+    engine.breaker.record_failure = counted_failure
+    with faults.activate("scan.raw:io_error:limit=1", seed=3):
+        report = engine.execute(query)
+    assert report.retries == 1
+    assert report.quarantined_entries == 0 and report.degraded_scans == 0
+    assert engine.cache_entries() == [entry]
+    assert same_rows(report.results, baseline(query))
+    assert failures == ["flat"]
+
+
 def test_failed_attempts_do_not_count_queries(dataset_dir, fast_retries):
     engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=3))
     with faults.activate("scan.raw:io_error:limit=2", seed=5):

@@ -19,20 +19,6 @@ from repro.engine.calibration import (
 )
 from repro.utils import format_bytes, format_seconds, make_rng
 from repro.utils.rng import spawn
-from repro.utils.timing import SampledTimer
-
-
-class TestTiming:
-    def test_sampled_timer_estimates_total(self):
-        timer = SampledTimer(sample_rate=0.5, rng=make_rng(1))
-        for _ in range(200):
-            timer.maybe_start()
-            timer.maybe_stop()
-        assert timer.observed_count == 200
-        assert 0 < timer.sampled_count < 200
-        assert timer.estimated_total >= 0.0
-        with pytest.raises(ValueError):
-            SampledTimer(sample_rate=0.0)
 
 
 class TestUtils:

@@ -8,7 +8,7 @@ This rule walks the project call graph from the vectorized roots declared in
 ``RECHECK_HOTPATH_ROOTS`` literal) and flags any *reachable* function that:
 
 * materializes rows from batches (``to_rows``/``iter_rows`` calls,
-  ``rows_from_batches``/``batches_from_row_iter`` bridges);
+  the ``rows_from_batches`` bridge);
 * iterates records in Python (``for ... in zip(*cols)`` row transposition,
   looping over ``.column()``/``.to_rows()``);
 * builds a dict per record inside a loop;
@@ -45,8 +45,8 @@ _ROW_MATERIALIZE_ATTRS = frozenset({"to_rows", "iter_rows"})
 #: attribute calls that round-trip array data through Python lists
 _LIST_ROUNDTRIP_ATTRS = frozenset({"tolist", "fromiter"})
 
-#: top-level bridge functions between the row and batch worlds
-_ROW_BRIDGE_NAMES = frozenset({"rows_from_batches", "batches_from_row_iter"})
+#: top-level bridge function from the batch world to rows
+_ROW_BRIDGE_NAMES = frozenset({"rows_from_batches"})
 
 #: iterating a call to one of these attrs walks records one by one
 _ROW_ITER_ATTRS = frozenset({"column", "to_rows", "iter_rows"})
