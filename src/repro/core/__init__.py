@@ -7,9 +7,9 @@ The cache manager (:class:`~repro.core.cache_manager.ReCache`) coordinates
 * reactive **admission** that starts eager and downgrades to lazy (offsets
   only) when the extrapolated caching overhead exceeds a threshold
   (Section 5.2),
-* automatic **layout selection** between Parquet-style nested columnar,
-  relational columnar and relational row layouts, driven by measured data and
-  compute costs (Section 4),
+* automatic **layout selection** between the Parquet-style nested columnar and
+  the relational columnar layouts, driven by measured data and compute costs
+  (Section 4),
 * **exact matching and range-predicate subsumption** of cached operator
   results, backed by per-(source, field) R-trees (Section 3.2–3.3).
 """
@@ -19,7 +19,7 @@ from repro.core.cache_entry import CacheEntry, CacheKey, CacheStats, LayoutObser
 from repro.core.benefit import benefit_metric
 from repro.core.cache_manager import CacheManagerStats, CacheMatch, ReCache
 from repro.core.admission import AdmissionController, AdmissionDecision
-from repro.core.layout_selector import LayoutSelector, RowColumnSelector
+from repro.core.layout_selector import LayoutSelector
 from repro.core.cost_model import LayoutCostModel
 from repro.core.eviction import EvictionPolicy, ReCacheGreedyDualPolicy
 from repro.core.policies import (
@@ -47,7 +47,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "LayoutSelector",
-    "RowColumnSelector",
     "LayoutCostModel",
     "EvictionPolicy",
     "ReCacheGreedyDualPolicy",

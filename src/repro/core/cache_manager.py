@@ -157,11 +157,6 @@ class ReCache:
     def total_bytes(self) -> int:
         return self._occupancy  # unguarded-read: GIL-atomic int; monitoring path
 
-    def has_live_entries(self, source: str) -> bool:
-        """True when at least one cached item from ``source`` is resident."""
-        with self._lock:
-            return any(entry.source == source for entry in self._entries.values())
-
     def has_hot_entries(self, source: str) -> bool:
         """True when a cached item from ``source`` has already been reused.
 

@@ -1,11 +1,18 @@
 """Configuration knobs of the ReCache cache manager.
 
-Every field is read by a paper figure, a behaviour test or the README's
-configuration table: the admission policy of Figures 12-13 and the
-extrapolation ablation (``admission``), the threshold sweep of Figure 12b,
-the layout configurations of Figures 10, 11 and 15, and the policy
-comparison of Figure 14.  A mechanism nobody varies is a module constant
-beside the code that uses it, not a field here.
+A field earns its place by one of two rules:
+
+* two callers outside the tests need different values — the admission policy
+  of Figures 12-13 and the extrapolation ablation (``admission``), the
+  threshold sweep of Figure 12b and its sample size, the "No Caching"
+  baseline, the nested layout and layout selection of Figures 10, 11 and 15,
+  the policy comparison of Figure 14 and the benefit-recompute ablation; or
+* it is a deployment or safety setting an operator sets for the machine or
+  the service level: capacity, batch size, workers, execution mode, fault
+  plan, deadlines, retries, the circuit breaker and load shedding.
+
+A value only a test changes, or a mechanism nobody varies, is a module
+constant beside the code that uses it, not a field here.
 """
 
 from __future__ import annotations
@@ -78,9 +85,6 @@ class ReCacheConfig:
     #: because it is cheaper to build, Figure 6).
     default_nested_layout: str = "parquet"
 
-    #: default layout for caches of flat relational data.
-    default_flat_layout: str = "columnar"
-
     #: if False the layout is never switched after creation (the static
     #: "Parquet" / "Rel. Columnar" baselines of Figures 9, 10 and 15).
     layout_selection: bool = True
@@ -108,10 +112,6 @@ class ReCacheConfig:
     execution_mode: str = field(
         default_factory=lambda: os.environ.get("RECACHE_EXECUTION_MODE", "threads")
     )
-
-    #: worker processes of the process-pool execution path; ``None`` (the
-    #: default) follows ``max_workers``.
-    process_workers: int | None = None
 
     #: fault-injection plan spec (see :mod:`repro.faults.plan` for the
     #: grammar, e.g. ``"scan.raw:io_error:rate=0.05"``).  Installed
@@ -164,17 +164,13 @@ class ReCacheConfig:
             raise ValueError("admission_threshold must be in (0, 1]")
         if self.cache_size_limit is not None and self.cache_size_limit <= 0:
             raise ValueError("cache_size_limit must be positive or None")
-        if self.default_nested_layout not in ("parquet", "columnar", "row"):
+        if self.default_nested_layout not in ("parquet", "columnar"):
             raise ValueError(f"unknown layout {self.default_nested_layout!r}")
-        if self.default_flat_layout not in ("columnar", "row"):
-            raise ValueError(f"unknown flat layout {self.default_flat_layout!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         validate_execution_mode(self.execution_mode)
-        if self.process_workers is not None and self.process_workers < 1:
-            raise ValueError("process_workers must be >= 1 or None")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValueError("default_deadline must be positive or None")
         if self.scan_retry_limit < 0:
@@ -185,30 +181,3 @@ class ReCacheConfig:
             raise ValueError("breaker_cooldown must be >= 0")
         if self.shed_pressure_threshold is not None and self.shed_pressure_threshold <= 0:
             raise ValueError("shed_pressure_threshold must be positive or None")
-
-    @classmethod
-    def unlimited(cls, **overrides) -> "ReCacheConfig":
-        """A configuration with no capacity limit (layout-selection experiments)."""
-        return cls(cache_size_limit=None, **overrides)
-
-    @classmethod
-    def baseline_lru_columnar(cls, cache_size_limit: int | None = None) -> "ReCacheConfig":
-        """The Columnar/LRU baseline configuration of Figure 15."""
-        return cls(
-            cache_size_limit=cache_size_limit,
-            eviction_policy="lru",
-            layout_selection=False,
-            default_nested_layout="columnar",
-            admission="eager",
-        )
-
-    @classmethod
-    def baseline_parquet_greedy(cls, cache_size_limit: int | None = None) -> "ReCacheConfig":
-        """The Parquet/Greedy baseline configuration of Figure 15."""
-        return cls(
-            cache_size_limit=cache_size_limit,
-            eviction_policy="recache",
-            layout_selection=False,
-            default_nested_layout="parquet",
-            admission="eager",
-        )

@@ -97,7 +97,7 @@ class LayoutCostModel:
         *would* touch under Parquet (the short parent columns when the query
         only accesses non-nested attributes, all flattened rows otherwise).
         """
-        window = [o for o in observations if o.layout_name in ("columnar", "row")]
+        window = [o for o in observations if o.layout_name == "columnar"]
         cost_relational = sum(o.data_cost for o in window)
         cost_parquet = 0.0
         transformation = 0.0

@@ -1,19 +1,13 @@
-"""Automatic cache layout selection (Section 4 of the paper).
+"""Automatic cache layout selection (Section 4.2 of the paper).
 
-Two selectors live here:
-
-* :class:`LayoutSelector` — decides, per cached item of nested data, whether to
-  keep the Parquet-style striped layout or switch to the flattened relational
-  columnar layout (and back), using the cost model of Section 4.2.
-* :class:`RowColumnSelector` — the H2O-style chooser between relational row and
-  column layouts for flat data (Section 4.3), driven by an estimate of the
-  number of data-cache misses each layout would incur for the observed
-  workload.
+:class:`LayoutSelector` decides, per cached item of nested data, whether to
+keep the Parquet-style striped layout or switch to the flattened relational
+columnar layout (and back), using the cost model of Section 4.2.  Flat data is
+always cached in the relational columnar layout and never switches.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.cache_entry import CacheEntry, LayoutObservation
@@ -63,9 +57,7 @@ class LayoutSelector:
         """Evaluate the switch condition for ``entry`` given its window."""
         if entry.is_lazy or entry.layout is None:
             return LayoutDecision(None, None)
-        # Flat relational data never benefits from the Parquet layout, and a
-        # flat entry never switches at all: RowColumnSelector is constructed
-        # only by tests, so nothing chooses between row and column for it.
+        # Flat relational data never benefits from the Parquet layout.
         if not entry.layout.schema.nested_paths():
             return LayoutDecision(None, None)
 
@@ -77,7 +69,7 @@ class LayoutSelector:
             target = "columnar" if estimate.should_switch else None
             return LayoutDecision(target, estimate)
 
-        if entry.layout.layout_name in ("columnar", "row"):
+        if entry.layout.layout_name == "columnar":
             record_count = entry.layout.record_count
             estimate = self.cost_model.evaluate_relational_to_parquet(
                 entry.observations,
@@ -114,60 +106,3 @@ class LayoutSelector:
         if not per_row:
             return 0.0
         return self.fallback_compute_factor * (sum(per_row) / len(per_row)) * rows
-
-
-@dataclass
-class ColumnAccessProfile:
-    """Workload statistics for one flat relation (input to RowColumnSelector)."""
-
-    #: per-column width in bytes
-    column_widths: dict[str, int]
-    #: total number of rows in the cached relation
-    row_count: int
-    #: one entry per observed query: the set of columns it accessed
-    query_column_sets: list[frozenset[str]]
-
-
-class RowColumnSelector:
-    """H2O-style row-vs-column chooser for flat relational caches (Section 4.3).
-
-    Both layouts' costs are estimated as the number of CPU data-cache misses
-    the observed queries would incur: a row layout pulls whole tuples through
-    the cache regardless of how many attributes a query touches, while a
-    columnar layout touches only the accessed columns.
-    """
-
-    def __init__(self, cache_line_bytes: int = 64, reconstruction_attrs_per_line: int = 8) -> None:
-        if cache_line_bytes <= 0:
-            raise ValueError("cache_line_bytes must be positive")
-        self.cache_line_bytes = cache_line_bytes
-        #: how many attributes' worth of tuple reconstruction amortize into one
-        #: extra cache line per row when a column store materializes wide tuples
-        self.reconstruction_attrs_per_line = reconstruction_attrs_per_line
-
-    def estimated_row_misses(self, profile: ColumnAccessProfile) -> float:
-        row_width = sum(profile.column_widths.values())
-        lines_per_tuple = math.ceil(row_width / self.cache_line_bytes) if row_width else 0
-        return len(profile.query_column_sets) * profile.row_count * lines_per_tuple
-
-    def estimated_column_misses(self, profile: ColumnAccessProfile) -> float:
-        total = 0.0
-        for columns in profile.query_column_sets:
-            for column in columns:
-                width = profile.column_widths.get(column, 8)
-                total += math.ceil(profile.row_count * width / self.cache_line_bytes)
-            # Tuple reconstruction: a query touching many columns gathers each
-            # output tuple from that many separate memory regions, which costs
-            # additional misses a row store does not pay.
-            total += (
-                profile.row_count * max(0, len(columns) - 1)
-            ) // self.reconstruction_attrs_per_line
-        return total
-
-    def choose(self, profile: ColumnAccessProfile) -> str:
-        """Return ``"row"`` or ``"columnar"``, whichever minimizes cache misses."""
-        if not profile.query_column_sets:
-            return "columnar"
-        row_misses = self.estimated_row_misses(profile)
-        column_misses = self.estimated_column_misses(profile)
-        return "row" if row_misses < column_misses else "columnar"

@@ -360,7 +360,7 @@ def _emit(expr: Expression) -> str:
             f"and {value} {high_op} {expr.interval.high!r})"
         )
     if isinstance(expr, Comparison):
-        left, right = _emit(expr.left), _emit(expr.right)
+        left, right = _emit_operand(expr.left), _emit_operand(expr.right)
         # Guard only the operands that can actually be None at runtime
         # (literals cannot), mirroring the interpreter's null semantics.  An
         # arithmetic operand is guarded through its *leaf fields*: evaluating
@@ -391,5 +391,21 @@ def _emit(expr: Expression) -> str:
     if isinstance(expr, Not):
         return f"(not {_emit(expr.child)})"
     if isinstance(expr, Arithmetic):
-        return f"(({_emit(expr.left)}) {expr.op} ({_emit(expr.right)}))"
+        # Null propagates as in ``Arithmetic.evaluate``: a None leaf field
+        # makes the whole value None (the reducers drop it) instead of raising
+        # TypeError.  The guard tests the leaf fields once, at the outermost
+        # arithmetic node.
+        nulls = " or ".join(
+            f"row.get({path!r}) is None" for path in sorted(expr.referenced_fields())
+        )
+        value = _emit_operand(expr)
+        return f"(None if ({nulls}) else {value})" if nulls else value
     raise TypeError(f"cannot compile expression of type {type(expr).__name__}")
+
+
+def _emit_operand(expr: Expression) -> str:
+    """``_emit`` without the null guard of arithmetic, for a caller (an outer
+    arithmetic node or a comparison) that already guards the leaf fields."""
+    if isinstance(expr, Arithmetic):
+        return f"(({_emit_operand(expr.left)}) {expr.op} ({_emit_operand(expr.right)}))"
+    return _emit(expr)

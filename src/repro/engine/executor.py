@@ -125,30 +125,6 @@ class QueryReport:
             return 0.0
         return self.caching_time / self.total_time
 
-    def as_dict(self) -> dict:
-        return {
-            "rows_returned": self.rows_returned,
-            "total_time": self.total_time,
-            "operator_time": self.operator_time,
-            "caching_time": self.caching_time,
-            "cache_scan_time": self.cache_scan_time,
-            "lookup_time": self.lookup_time,
-            "exact_hits": self.exact_hits,
-            "subsumption_hits": self.subsumption_hits,
-            "misses": self.misses,
-            "caching_overhead": self.caching_overhead,
-            "layout_switches": self.layout_switches,
-            "queue_wait_time": self.queue_wait_time,
-            "queue_depth": self.queue_depth,
-            "coalesced": self.coalesced,
-            "coalesced_wait_time": self.coalesced_wait_time,
-            "offloaded": self.offloaded,
-            "retries": self.retries,
-            "degraded_scans": self.degraded_scans,
-            "quarantined_entries": self.quarantined_entries,
-            "deadline_exceeded": self.deadline_exceeded,
-        }
-
 
 @dataclass
 class ExecutionContext:
@@ -291,8 +267,6 @@ def _vectorizable_ranges(predicate, layout, wanted_fields) -> dict[str, tuple[fl
     """
     from repro.engine.expressions import Comparison, RangePredicate, conjuncts, extract_ranges
 
-    if not hasattr(layout, "range_filtered_batch"):
-        return None
     parts = conjuncts(predicate)
     for part in parts:
         if not isinstance(part, (Comparison, RangePredicate)):
@@ -306,6 +280,11 @@ def _vectorizable_ranges(predicate, layout, wanted_fields) -> dict[str, tuple[fl
         if not (interval.low_inclusive and interval.high_inclusive):
             return None
     intervals = extract_ranges(predicate)
+    if any(not interval.low_inclusive for interval in intervals.values()):
+        # Closed conjuncts on one field intersect to a closed interval unless
+        # they contradict; the empty intersection is the open ``(x, x)``,
+        # which as a closed range would select ``x``.
+        return None
     involved = set(wanted_fields) | set(intervals)
     if not layout.supports_range_filter(sorted(involved)):
         return None
@@ -466,7 +445,7 @@ def _execute_lazy_cache_scan(
     if upgrade and entry.is_lazy:
         build_started = time.perf_counter()
         layout = build_layout(
-            "columnar" if nested else ctx.config.default_flat_layout,
+            "columnar",
             source.schema if nested else source.flattened_schema,
             all_fields,
             columns=cached_columns,
@@ -791,9 +770,9 @@ def _scan_layout_batches(
     else:
         batch_predicate = compile_batch_predicate(node.residual_predicate)
         scan_kwargs = {}
-        if dedupe and layout_name in ("columnar", "row"):
+        if dedupe and layout_name == "columnar":
             scan_kwargs["dedupe_records"] = True
-        if layout_name in ("columnar", "parquet") and node.residual_predicate is not None:
+        if node.residual_predicate is not None:
             # Pre-build the layout's shared float64 views for the predicate's
             # columns so every batch mask slices one cached array instead of
             # re-converting its column lists (predicate fields are always part
@@ -810,7 +789,7 @@ def _scan_layout_batches(
             selected, _ = select_rows(batch, batch_predicate(batch))
             if selected is not None:
                 batches.append(selected)
-        if layout_name in ("columnar", "row") and dedupe:
+        if layout_name == "columnar" and dedupe:
             # The dedup scan still walks every flattened row internally.
             scanned_rows = layout.flattened_row_count
     return batches, scanned_rows
@@ -838,7 +817,7 @@ def _execute_materialize(node: MaterializeNode, ctx: ExecutionContext) -> list[R
         batch_predicate=compile_batch_predicate(node.predicate),
         dedupe_output=_record_level_semantics(source, node.fields),
         nested=nested,
-        layout_name=config.default_nested_layout if nested else config.default_flat_layout,
+        layout_name=config.default_nested_layout if nested else "columnar",
         cache_fields=source.flattened_schema.field_names(),
         mode=admission.initial_mode(ctx.recache.has_hot_entries(source.name)),
         to1=time.perf_counter() - ctx.query_started,

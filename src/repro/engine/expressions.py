@@ -290,10 +290,6 @@ class RangePredicate(Expression):
         hi = "]" if self.interval.high_inclusive else ")"
         return f"range(${self.field}{lo}{self.interval.low},{self.interval.high}{hi})"
 
-    def subsumes(self, other: "RangePredicate") -> bool:
-        """True when this predicate's result set is a superset of ``other``'s."""
-        return self.field == other.field and self.interval.covers(other.interval)
-
 
 _AGG_FUNCS = ("sum", "avg", "min", "max", "count")
 

@@ -205,9 +205,8 @@ class QueryEngine:
             if self._procpool is None:
                 registry = ShmRegistry()
                 self.recache.attach_shm_registry(registry)
-                workers = self.config.process_workers or self.config.max_workers
                 self._shm_registry = registry
-                self._procpool = ProcessExecutionPool(workers)
+                self._procpool = ProcessExecutionPool(self.config.max_workers)
             return self._procpool, self._shm_registry
 
     def close_workers(self, wait: bool = True) -> None:

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.engine.batch import RecordBatch, rows_from_batches
 
 
@@ -65,16 +63,6 @@ INT = AtomType("i", int)
 FLOAT = AtomType("f", float)
 STRING = AtomType("s", str)
 BOOL = AtomType("b", bool)
-
-_ATOMS_BY_CODE = {atom.code: atom for atom in (INT, FLOAT, STRING, BOOL)}
-
-
-def atom_from_code(code: str) -> AtomType:
-    """Return the singleton atom type for a one-character type code."""
-    try:
-        return _ATOMS_BY_CODE[code]
-    except KeyError as exc:
-        raise ValueError(f"unknown atom type code: {code!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,23 +125,6 @@ class RecordType(DataType):
             items.extend(_leaf_items(field.name, field.dtype))
         return items
 
-    def path_type(self, path: str) -> DataType:
-        """Resolve the type at a dotted path (descending through lists).
-
-        A field whose *name* itself contains dots (the flattened schemas
-        produced by :meth:`flattened`) takes precedence over path traversal.
-        """
-        if self.has_field(path):
-            return self.field(path).dtype
-        current: DataType = self
-        for part in path.split("."):
-            while isinstance(current, ListType):
-                current = current.element
-            if not isinstance(current, RecordType):
-                raise KeyError(f"path {path!r} descends into non-record type")
-            current = current.field(part).dtype
-        return current
-
     def is_nested_path(self, path: str) -> bool:
         """True if ``path`` traverses a list somewhere along the way.
 
@@ -178,13 +149,6 @@ class RecordType(DataType):
 
     def nested_paths(self) -> list[str]:
         return [path for path in self.leaf_paths() if self.is_nested_path(path)]
-
-    def non_nested_paths(self) -> list[str]:
-        return [path for path in self.leaf_paths() if not self.is_nested_path(path)]
-
-    def list_fields(self) -> list[str]:
-        """Names of top-level fields whose type is a list."""
-        return [f.name for f in self.fields if isinstance(f.dtype, ListType)]
 
     def flattened(self) -> "RecordType":
         """The relational schema obtained by flattening nested collections.
@@ -277,7 +241,7 @@ class ColumnarResult:
     The executor's only output.  A query that asks for columnar output
     gets it directly, so ``rows_returned``-heavy queries skip the
     one-dict-per-row materialization entirely and read whole columns
-    (:meth:`column` / :meth:`numeric_column`); every other query gets
+    (:meth:`column`); every other query gets
     :meth:`to_rows` of it — same per-batch field sets, same row order, same
     value objects — so execution, reports and cache accounting cannot differ
     between the two.
@@ -287,17 +251,6 @@ class ColumnarResult:
 
     def __init__(self, batches: Sequence["RecordBatch"]) -> None:
         self._batches = [batch for batch in batches if batch.row_count]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict]) -> "ColumnarResult":
-        """Wrap row dictionaries of one field set (the inverse of :meth:`to_rows`).
-
-        The serving tier uses it for a ``"columnar"`` duplicate coalesced
-        onto a ``"rows"`` execution.
-        """
-        if not rows:
-            return cls([])
-        return cls([RecordBatch.from_rows(list(rows))])
 
     # ------------------------------------------------------------------
     # Shape
@@ -334,28 +287,6 @@ class ColumnarResult:
         for batch in self._batches:
             values.extend(batch.column(name))
         return values
-
-    def numeric_column(self, name: str) -> "np.ndarray | None":
-        """A float64 view of one column, or ``None`` when not purely numeric.
-
-        Mirrors :meth:`RecordBatch.numeric_view` (``None`` becomes NaN), so a
-        caller can run further NumPy reductions on the result without ever
-        materializing rows.  The returned array is read-only: a single-batch
-        result may alias a cache layout's internal column array (batches flow
-        out of warm scans by reference), and an in-place write through that
-        alias would silently corrupt the cached data for every later query.
-        """
-        views = []
-        for batch in self._batches:
-            view = batch.numeric_view(name)
-            if view is None:
-                return None
-            views.append(view)
-        if not views:
-            return None
-        merged = views[0].view() if len(views) == 1 else np.concatenate(views)
-        merged.flags.writeable = False
-        return merged
 
     # ------------------------------------------------------------------
     # Row materialization (the parity exit)

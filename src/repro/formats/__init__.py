@@ -11,7 +11,6 @@ from repro.formats.datafile import DataSource, DataSourceCatalog
 from repro.formats.csv_plugin import CSVPlugin, write_csv
 from repro.formats.json_plugin import JSONPlugin, write_json_lines
 from repro.formats.positional_map import PositionalMap
-from repro.formats.schema_inference import infer_csv_schema, infer_json_schema
 
 __all__ = [
     "DataSource",
@@ -21,6 +20,4 @@ __all__ = [
     "PositionalMap",
     "write_csv",
     "write_json_lines",
-    "infer_csv_schema",
-    "infer_json_schema",
 ]

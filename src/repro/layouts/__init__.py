@@ -1,10 +1,8 @@
 """In-memory cache layouts.
 
-ReCache caches operator results in one of three layouts and switches between
+ReCache caches operator results in one of two layouts and switches between
 them reactively (Section 4 of the paper):
 
-* :class:`~repro.layouts.row.RowLayout` — relational row-oriented storage of
-  flattened tuples,
 * :class:`~repro.layouts.columnar.ColumnarLayout` — relational column-oriented
   storage of flattened tuples,
 * :class:`~repro.layouts.parquet.ParquetLayout` — a Dremel/Parquet-style
@@ -18,7 +16,6 @@ uniformly.
 
 from repro.layouts.base import CacheLayout, estimate_value_bytes
 from repro.layouts.columnar import ColumnarLayout
-from repro.layouts.row import RowLayout
 from repro.layouts.parquet import ParquetLayout
 from repro.layouts.striping import StripedColumn, stripe_records
 from repro.layouts.assembly import assemble_rows, assemble_records
@@ -27,7 +24,6 @@ from repro.layouts.convert import build_layout, convert_layout, LAYOUT_NAMES
 __all__ = [
     "CacheLayout",
     "ColumnarLayout",
-    "RowLayout",
     "ParquetLayout",
     "StripedColumn",
     "stripe_records",

@@ -70,7 +70,7 @@ class CacheLayout:
     layout conversion and the layout figures).
     """
 
-    #: canonical layout name ("row", "columnar", "parquet")
+    #: canonical layout name ("columnar" or "parquet")
     layout_name = "abstract"
 
     def __init__(self, schema: RecordType, fields: Sequence[str]) -> None:

@@ -17,10 +17,9 @@ from repro.layouts.assembly import repetition_group
 from repro.layouts.base import CacheLayout
 from repro.layouts.columnar import ColumnarLayout
 from repro.layouts.parquet import ParquetLayout
-from repro.layouts.row import RowLayout
 
 #: canonical names of the supported layouts
-LAYOUT_NAMES = ("row", "columnar", "parquet")
+LAYOUT_NAMES = ("columnar", "parquet")
 
 
 def build_layout(
@@ -35,7 +34,7 @@ def build_layout(
     """Build a layout from flattened columns, flattened rows or nested records.
 
     Callers provide whichever representation they already have.  The
-    relational layouts are built from ``columns`` (one list per field — what
+    relational columnar layout is built from ``columns`` (one list per field — what
     the cold path produces, so it never assembles a row dictionary); rows are
     transposed and nested records flattened into columns first.  Parquet
     stripes nested records, regrouping rows into records when given rows.
@@ -53,11 +52,10 @@ def build_layout(
     if columns is None:
         if rows is None:
             if records is None:
-                raise ValueError(f"{layout_name} layout needs columns, rows or records")
+                raise ValueError("columnar layout needs columns, rows or records")
             rows, record_row_counts = flatten_records(records, schema, fields)
         columns = RecordBatch.from_rows(rows, fields).columns
-    layout_class = ColumnarLayout if layout_name == "columnar" else RowLayout
-    return layout_class(schema, fields, columns, record_row_counts)
+    return ColumnarLayout(schema, fields, columns, record_row_counts)
 
 
 def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache record by record (cold-path, off the scan loop)
@@ -82,14 +80,12 @@ def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache re
             record_row_counts=record_row_counts,
         )
     else:
-        rows = list(layout.rows())
-        record_row_counts = getattr(layout, "record_row_counts", None)
         converted = build_layout(
             target_name,
             schema,
             layout.fields,
-            rows=rows,
-            record_row_counts=record_row_counts,
+            rows=list(layout.rows()),
+            record_row_counts=layout.record_row_counts,
         )
     return converted, time.perf_counter() - started
 

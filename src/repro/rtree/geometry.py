@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,6 @@ class Rect:
         """1-D rectangle for a single range predicate."""
         return cls((float(low),), (float(high),))
 
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[tuple[float, float]]) -> "Rect":
-        lows = tuple(float(b[0]) for b in bounds)
-        highs = tuple(float(b[1]) for b in bounds)
-        return cls(lows, highs)
-
     def area(self) -> float:
         result = 1.0
         for low, high in zip(self.lows, self.highs):
@@ -46,14 +39,6 @@ class Rect:
         lows = tuple(min(a, b) for a, b in zip(self.lows, other.lows))
         highs = tuple(max(a, b) for a, b in zip(self.highs, other.highs))
         return Rect(lows, highs)
-
-    def intersects(self, other: "Rect") -> bool:
-        return all(
-            low <= other_high and other_low <= high
-            for low, high, other_low, other_high in zip(
-                self.lows, self.highs, other.lows, other.highs
-            )
-        )
 
     def contains(self, other: "Rect") -> bool:
         """True when ``other`` lies entirely within this rectangle."""

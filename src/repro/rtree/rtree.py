@@ -97,52 +97,29 @@ class RTree:
     def search_containing(self, query: Rect) -> list[object]:
         """Values whose rectangle fully contains ``query`` (subsumption lookup)."""
         results: list[object] = []
-        self._search(self._root, query, results, containment=True)
-        return results
-
-    def search_intersecting(self, query: Rect) -> list[object]:
-        """Values whose rectangle intersects ``query``."""
-        results: list[object] = []
-        self._search(self._root, query, results, containment=False)
+        self._search(self._root, query, results)
         return results
 
     def items(self) -> Iterator[tuple[Rect, object]]:
         """Iterate over all stored ``(rect, value)`` pairs."""
         yield from self._iter_node(self._root)
 
-    def height(self) -> int:
-        """Tree height (1 for a single leaf root); all leaves share this depth."""
-        height = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
-
     # ------------------------------------------------------------------
     # Search / traversal internals
     # ------------------------------------------------------------------
-    def _search(self, node: _Node, query: Rect, out: list, containment: bool) -> None:
+    def _search(self, node: _Node, query: Rect, out: list) -> None:
         if node.rect is None:
             return
         if node.is_leaf:
             for rect, value in node.entries:
-                if containment:
-                    if rect.contains(query):
-                        out.append(value)
-                elif rect.intersects(query):
+                if rect.contains(query):
                     out.append(value)
             return
         for child in node.children:
-            if child.rect is None:
-                continue
-            # For containment queries a subtree can only help if its bounding
-            # box itself contains the query rectangle.
-            if containment and not child.rect.contains(query):
-                continue
-            if not containment and not child.rect.intersects(query):
-                continue
-            self._search(child, query, out, containment)
+            # A subtree can only help if its bounding box itself contains the
+            # query rectangle.
+            if child.rect is not None and child.rect.contains(query):
+                self._search(child, query, out)
 
     def _iter_node(self, node: _Node) -> Iterator[tuple[Rect, object]]:
         if node.is_leaf:

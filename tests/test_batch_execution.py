@@ -172,9 +172,6 @@ class TestExecutionParity:
         ]
         assert_parity(partial(make_engine, cache_size_limit=6_000), queries)
 
-    def test_row_layout_parity(self, make_engine):
-        assert_parity(partial(make_engine, default_flat_layout="row"), FLAT_NESTED_WORKLOAD[:3])
-
     def test_columnar_nested_layout_parity(self, make_engine):
         columnar_engine = partial(make_engine, default_nested_layout="columnar")
         assert_parity(columnar_engine, FLAT_NESTED_WORKLOAD[3:6])
@@ -246,10 +243,9 @@ class TestEdgeCaseParity:
             {"caching_enabled": False},
             {},
             {"default_nested_layout": "columnar"},
-            {"default_nested_layout": "columnar", "default_flat_layout": "row"},
             {"admission": "lazy"},
         ],
-        ids=["no-cache", "parquet", "columnar", "row", "lazy"],
+        ids=["no-cache", "parquet", "columnar", "lazy"],
     )
     def test_hand_pinned_oracle_dataset_cold_and_warm(self, tmp_path, overrides):
         """The engine answers the oracle's own hand-computed dataset (null
@@ -525,41 +521,6 @@ class TestColumnarResult:
         assert result.field_names() == ["a", "b"]
         assert result.column("a") == [1, 2, 3]
         assert result.column("missing") == [None, None, None]
-        numeric = result.numeric_column("b")
-        assert numeric is not None and numeric.shape == (3,)
-        assert np.isnan(numeric[1]) and numeric[2] == 2.5
-
-    def test_numeric_column_is_read_only_and_never_aliases_writably(self):
-        """A single-batch result can alias a cache layout's internal array;
-        the exposed view must reject in-place writes (silent cache corruption
-        otherwise)."""
-        from repro import ColumnarResult
-
-        batch = RecordBatch.from_rows([{"b": 1.0}, {"b": 2.0}], ["b"])
-        backing = batch.numeric_view("b")
-        result = ColumnarResult([batch])
-        view = result.numeric_column("b")
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0] = 99.0
-        assert backing[0] == 1.0 and backing.flags.writeable  # pipeline view untouched
-        multi = self._result().numeric_column("b")
-        assert not multi.flags.writeable
-
-    def test_non_numeric_column_has_no_view(self):
-        from repro import ColumnarResult
-
-        result = ColumnarResult([RecordBatch.from_rows([{"s": "x"}], ["s"])])
-        assert result.numeric_column("s") is None
-        assert ColumnarResult([]).numeric_column("s") is None
-
-    def test_from_rows_roundtrip_and_empty(self):
-        from repro import ColumnarResult
-
-        rows = [{"a": 1, "b": "x"}, {"a": None, "b": "y"}]
-        assert ColumnarResult.from_rows(rows).to_rows() == rows
-        empty = ColumnarResult.from_rows([])
-        assert empty.to_rows() == [] and len(empty) == 0 and not empty.batches
 
     def test_empty_batches_are_dropped_but_batches_are_shared(self):
         from repro import ColumnarResult
@@ -568,6 +529,8 @@ class TestColumnarResult:
         result = ColumnarResult([RecordBatch({}, 0), batch])
         assert result.batches == [batch]
         assert result.batches[0] is batch
+        empty = ColumnarResult([])
+        assert empty.to_rows() == [] and len(empty) == 0 and not empty.batches
 
 
 class TestRecordBatch:
@@ -624,7 +587,7 @@ class TestRecordBatch:
 # Layout batch scans
 # ---------------------------------------------------------------------------
 class TestLayoutBatchScans:
-    @pytest.mark.parametrize("layout_name", ["row", "columnar"])
+    @pytest.mark.parametrize("layout_name", ["columnar"])
     def test_flat_layout_batches_match_scan(self, layout_name):
         rows = [{"a": i, "b": float(i) / 3} for i in range(57)]
         schema = FLAT_SCHEMA  # schema content unused by flat layouts

@@ -41,24 +41,18 @@ class TestConfigValidation:
             ReCacheConfig(admission_threshold=0.0)
         with pytest.raises(ValueError):
             ReCacheConfig(cache_size_limit=0)
-        with pytest.raises(ValueError):
-            ReCacheConfig(default_nested_layout="arrow")
+        for layout in ("arrow", "row"):
+            with pytest.raises(ValueError):
+                ReCacheConfig(default_nested_layout=layout)
         with pytest.raises(ValueError):
             ReCacheConfig(admission="adaptive")
-
-    def test_baseline_factories(self):
-        lru = ReCacheConfig.baseline_lru_columnar()
-        assert lru.eviction_policy == "lru" and not lru.layout_selection
-        assert ReCacheConfig.baseline_parquet_greedy().default_nested_layout == "parquet"
-        assert ReCacheConfig.unlimited().cache_size_limit is None
-
 
     def test_config_has_no_more_knobs(self):
         """A ratchet, not a style rule: every independent knob doubles the
         configurations tests and benches must cover (ROADMAP aim 2).  A new
         field has to raise this number here and say which two callers need
         different values; a deleted field lowers it."""
-        assert len(dataclasses.fields(ReCacheConfig)) <= 21
+        assert len(dataclasses.fields(ReCacheConfig)) <= 19
 
 
 class TestLookupAndAdmission:
@@ -109,7 +103,7 @@ class TestLookupAndAdmission:
             caching_time=0.01,
         )
         assert entry.is_lazy and entry.nbytes == 24
-        assert cache.has_live_entries("t") and not cache.has_hot_entries("t")
+        assert entry in cache.entries() and not cache.has_hot_entries("t")
         cache.record_reuse(entry, scan_time=0.1, lookup_time=0.001)
         assert cache.has_hot_entries("t")
         cache.upgrade_lazy(entry, flat_layout(), caching_time=0.2)

@@ -1,7 +1,9 @@
 """Tests for the expression compiler (generated closures match interpretation)."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro import QueryEngine, ReCacheConfig
 from repro.engine.batch import RecordBatch
 from repro.engine.compiler import compile_aggregates, compile_predicate, compile_value
 from repro.engine.expressions import (
@@ -16,6 +18,9 @@ from repro.engine.expressions import (
     RangePredicate,
 )
 from repro.engine.operators import aggregate_batches
+from repro.engine.query import Query, TableRef
+from repro.engine.types import INT, Field, RecordType
+from tests.oracle import Oracle, same_rows
 
 
 def _row_strategy():
@@ -50,6 +55,7 @@ class TestCompiledPredicates:
     def test_arithmetic_value(self):
         expr = Arithmetic("+", Arithmetic("*", FieldRef("a"), Literal(2)), Literal(1))
         assert compile_value(expr)({"a": 3}) == 7
+        assert compile_value(expr)({"a": None}) is None
 
 
 class TestCompiledAggregates:
@@ -79,3 +85,19 @@ class TestCompiledAggregates:
     def test_alias_used_as_output_name(self):
         spec = AggregateSpec("sum", FieldRef("x"), alias="total")
         assert spec.output_name == "total"
+
+
+@pytest.mark.parametrize("group_by", [[], ["g"]], ids=["global", "grouped"])
+def test_aggregate_over_arithmetic_skips_null_rows(tmp_path, group_by):
+    """``sum(a * 2)`` over a = 3, null, 5: the null row's value is null and
+    the reducer drops it, cold and warm, as the oracle does."""
+    path = tmp_path / "t.csv"
+    path.write_text("1|3\n1|\n2|5\n", encoding="utf-8")
+    engine = QueryEngine(ReCacheConfig())
+    engine.register_csv("t", path, RecordType([Field("g", INT), Field("a", INT)]))
+    spec = AggregateSpec("sum", Arithmetic("*", FieldRef("a"), Literal(2)), alias="s")
+    query = Query(tables=[TableRef("t")], aggregates=[spec], group_by=group_by)
+    expected = [{"s": 16.0}] if not group_by else [{"g": 1, "s": 6.0}, {"g": 2, "s": 10.0}]
+    assert same_rows(Oracle(engine.catalog).evaluate(query), expected)
+    for _ in range(2):
+        assert same_rows(engine.execute(query).results, expected)

@@ -8,11 +8,7 @@ from repro.core.cost_model import (
     closest_compute_cost,
     percentage_error,
 )
-from repro.core.layout_selector import (
-    ColumnAccessProfile,
-    LayoutSelector,
-    RowColumnSelector,
-)
+from repro.core.layout_selector import LayoutSelector
 from repro.layouts import build_layout
 from repro.workloads.nested import ORDER_LINEITEMS_SCHEMA, synthetic_order_lineitems
 
@@ -146,30 +142,3 @@ class TestLayoutSelectorOnEntries:
         entry = self._entry("parquet")
         entry.mode = "lazy"
         assert not selector.decide(entry).should_switch
-
-
-class TestRowColumnSelector:
-    def test_narrow_projections_favor_columns(self):
-        profile = ColumnAccessProfile(
-            column_widths={f"c{i}": 8 for i in range(16)},
-            row_count=10_000,
-            query_column_sets=[frozenset({"c0"}), frozenset({"c1"})],
-        )
-        assert RowColumnSelector().choose(profile) == "columnar"
-
-    def test_full_tuple_access_favors_rows(self):
-        columns = {f"c{i}": 8 for i in range(16)}
-        profile = ColumnAccessProfile(
-            column_widths=columns,
-            row_count=10_000,
-            query_column_sets=[frozenset(columns)] * 4,
-        )
-        assert RowColumnSelector().choose(profile) == "row"
-
-    def test_empty_workload_defaults_to_columnar(self):
-        profile = ColumnAccessProfile(column_widths={"a": 8}, row_count=10, query_column_sets=[])
-        assert RowColumnSelector().choose(profile) == "columnar"
-
-    def test_invalid_cache_line(self):
-        with pytest.raises(ValueError):
-            RowColumnSelector(cache_line_bytes=0)

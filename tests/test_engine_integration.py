@@ -4,8 +4,11 @@ import pytest
 
 from repro import (
     AggregateSpec,
+    And,
+    Comparison,
     FieldRef,
     JoinSpec,
+    Literal,
     Query,
     QueryEngine,
     RangePredicate,
@@ -16,6 +19,7 @@ from repro.engine.algebra import AggregateNode, CacheScanNode, MaterializeNode
 from repro.engine.optimizer import required_fields
 from repro.workloads.runner import WorkloadRunner
 from tests.conftest import build_engine
+from tests.oracle import Oracle
 
 
 def flat_query(low=50, high=150, agg_field="value", label=""):
@@ -214,8 +218,7 @@ class TestCachingBehaviour:
 
     def test_report_fields(self, engine):
         report = engine.execute(flat_query())
-        data = report.as_dict()
-        assert data["misses"] == 1 and data["total_time"] > 0
+        assert report.misses == 1 and report.total_time > 0
         assert 0.0 <= report.caching_overhead < 1.0
 
 
@@ -239,3 +242,32 @@ class TestWorkloadRunner:
         queries = [flat_query(0, 100), flat_query(0, 100), flat_query(50, 80)]
         runner.run(queries)
         assert engine.recache.policy._future  # the schedule was installed
+
+
+@pytest.mark.parametrize(
+    "source, field, layout",
+    [
+        ("flat", "id", "parquet"),
+        ("orders", "lineitems.l_quantity", "columnar"),
+        ("orders", "lineitems.l_quantity", "parquet"),
+    ],
+    ids=["flat", "nested-columnar", "nested-parquet"],
+)
+def test_contradictory_ranges_select_nothing_on_a_subsumption_hit(
+    dataset_dir, source, field, layout
+):
+    """``x <= 1 and x >= 5`` over a warm full-scan entry selects no row: the
+    conjuncts intersect to the empty open interval ``(5, 5)``, which the
+    vectorized range filter must not read as the closed ``[5, 5]``."""
+    config = ReCacheConfig(
+        admission="eager", layout_selection=False, default_nested_layout=layout
+    )
+    engine = build_engine(dataset_dir, config)
+    engine.execute(Query(tables=[TableRef(source)]))
+    predicate = And(
+        [Comparison("<=", FieldRef(field), Literal(1)), Comparison(">=", FieldRef(field), Literal(5))]
+    )
+    query = Query(tables=[TableRef(source, predicate)])
+    report = engine.execute(query)
+    assert report.subsumption_hits == 1
+    assert report.results == Oracle(engine.catalog).evaluate(query) == []

@@ -133,7 +133,6 @@ class TestRangeExtractionAndSubsumption:
         narrow = RangePredicate("a", 10, 20)
         assert predicate_subsumes(wide, narrow)
         assert not predicate_subsumes(narrow, wide)
-        assert wide.subsumes(narrow)
 
     def test_full_scan_subsumes_everything(self):
         assert predicate_subsumes(None, RangePredicate("a", 0, 1))

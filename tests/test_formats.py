@@ -1,4 +1,4 @@
-"""Tests for the raw-format plugins, positional maps and schema inference."""
+"""Tests for the raw-format plugins and positional maps."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +9,6 @@ from repro.formats import (
     DataSource,
     DataSourceCatalog,
     JSONPlugin,
-    infer_csv_schema,
-    infer_json_schema,
     write_csv,
     write_json_lines,
 )
@@ -123,37 +121,13 @@ class TestJSONPlugin:
         rows = list(JSONPlugin(path, NESTED).scan(fields=["key"]))
         assert all(set(row) == {"key"} for row in rows)
 
-
-class TestSchemaInference:
-    def test_csv_inference(self, tmp_path):
-        path = tmp_path / "flat.csv"
-        write_csv(path, FLAT, _flat_rows())
-        inferred = infer_csv_schema(path, column_names=["id", "value", "name"])
-        assert inferred.field("id").dtype == INT
-        assert inferred.field("value").dtype == FLOAT
-        assert inferred.field("name").dtype == STRING
-
-    def test_json_inference_merges_optional_fields(self, tmp_path):
-        path = tmp_path / "opt.json"
-        write_json_lines(path, [{"a": 1, "b": [1, 2]}, {"a": 2, "c": {"x": 0.5}}])
-        inferred = infer_json_schema(path)
-        assert inferred.field("a").dtype == INT
-        assert isinstance(inferred.field("b").dtype, ListType)
-        assert inferred.path_type("c.x") == FLOAT
-
-    def test_empty_file_rejected(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        with pytest.raises(ValueError):
-            infer_csv_schema(empty)
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=20))
     def test_json_round_trip_property(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("h") / "vals.json"
         records = [{"v": v, "tag": [v, v + 1]} for v in values]
         write_json_lines(path, records)
-        schema = infer_json_schema(path)
+        schema = RecordType([Field("v", INT), Field("tag", ListType(INT))])
         plugin = JSONPlugin(path, schema)
         assert list(plugin.scan_records()) == records
 

@@ -10,7 +10,6 @@ from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
 from repro.layouts import (
     ColumnarLayout,
     ParquetLayout,
-    RowLayout,
     build_layout,
     convert_layout,
     stripe_records,
@@ -112,7 +111,7 @@ class TestAssembly:
 
 
 class TestLayouts:
-    @pytest.mark.parametrize("name", ["row", "columnar", "parquet"])
+    @pytest.mark.parametrize("name", ["columnar", "parquet"])
     def test_scan_equivalence_across_layouts(self, name):
         layout = build_layout(name, SCHEMA, FIELDS, records=RECORDS)
         assert sorted(layout.scan(), key=str) == sorted(expected_rows(), key=str)
@@ -173,15 +172,16 @@ class TestLayouts:
     def test_flat_relational_rows(self):
         schema = RecordType([Field("a", INT), Field("b", FLOAT)])
         rows = [{"a": i, "b": i * 0.5} for i in range(10)]
-        for name in ("row", "columnar", "parquet"):
+        for name in ("columnar", "parquet"):
             layout = build_layout(name, schema, schema.field_names(), rows=rows)
             assert list(layout.scan()) == rows
 
     def test_build_layout_requires_data(self):
         with pytest.raises(ValueError):
             build_layout("columnar", SCHEMA, FIELDS)
-        with pytest.raises(ValueError):
-            build_layout("unknown", SCHEMA, FIELDS, records=RECORDS)
+        for name in ("unknown", "row"):
+            with pytest.raises(ValueError):
+                build_layout(name, SCHEMA, FIELDS, records=RECORDS)
 
 
 NULLABLE_SCHEMA = RecordType([Field("id", INT), Field("v", FLOAT), Field("w", FLOAT)])
@@ -259,8 +259,8 @@ class TestParquetBatchFastPath:
 
 
 class TestConversion:
-    @pytest.mark.parametrize("source", ["row", "columnar", "parquet"])
-    @pytest.mark.parametrize("target", ["row", "columnar", "parquet"])
+    @pytest.mark.parametrize("source", ["columnar", "parquet"])
+    @pytest.mark.parametrize("target", ["columnar", "parquet"])
     def test_conversion_preserves_rows(self, source, target):
         layout = build_layout(source, SCHEMA, FIELDS, records=RECORDS)
         converted, seconds = convert_layout(layout, target, SCHEMA)
@@ -275,5 +275,6 @@ class TestConversion:
 
     def test_unknown_target_rejected(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
-        with pytest.raises(ValueError):
-            convert_layout(layout, "arrow")
+        for name in ("arrow", "row"):
+            with pytest.raises(ValueError):
+                convert_layout(layout, name)

@@ -2,7 +2,7 @@
 
 Seeded random queries — range/comparison/arithmetic predicates (strings,
 division, null-heavy columns included), varying projections, equi-joins and
-grouped aggregates — run against engines pinned to each of the three cache
+grouped aggregates — run against engines pinned to each of the two cache
 layouts and must return exactly what ``tests/oracle.py`` computes from the raw
 files (no cache, no layouts, no compiler).  Every seeded query additionally
 runs with ``result_format="columnar"`` on a second identically-configured
@@ -14,13 +14,13 @@ keys, null keys, rows-heavy plain-select joins) the same way.
 A nested-heavy class drives the nested-predicate vectorizer specifically:
 every seeded predicate references a striped leaf path (closed ranges,
 exists-style whole-domain ranges, equality and validity-masked ``!=``), on
-all three layouts.
+both layouts.
 
 The default (CI) run executes a fixed-seed subset of ``PARITY_FUZZ_QUERIES``
-queries per layout (100 x 3 = 300 total for the main class, above the
->= 200-query acceptance bar) plus ``PARITY_FUZZ_JOIN_QUERIES`` join-heavy
-queries per flat layout and ``PARITY_FUZZ_NESTED_QUERIES`` nested-heavy
-queries per layout (100 x 3 = 300); set the ``RECACHE_PARITY_FUZZ_QUERIES``
+queries per layout (150 x 2 = 300 total for the main class, above the
+>= 200-query acceptance bar) plus ``PARITY_FUZZ_JOIN_QUERIES`` (100)
+join-heavy queries on the one flat layout and ``PARITY_FUZZ_NESTED_QUERIES``
+nested-heavy queries per layout (150 x 2 = 300); set the ``RECACHE_PARITY_FUZZ_QUERIES``
 / ``RECACHE_PARITY_FUZZ_JOIN_QUERIES`` /
 ``RECACHE_PARITY_FUZZ_NESTED_QUERIES`` environment variables to fuzz harder
 in a nightly/full run (only those runs should raise the counts — CI stays
@@ -55,9 +55,11 @@ from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
 from tests.oracle import Oracle, same_rows
 from tests.test_batch_execution import _cache_counters, _report_counters
 
-PARITY_FUZZ_QUERIES = int(os.environ.get("RECACHE_PARITY_FUZZ_QUERIES", "100"))
+PARITY_FUZZ_QUERIES = int(os.environ.get("RECACHE_PARITY_FUZZ_QUERIES", "150"))
 PARITY_FUZZ_JOIN_QUERIES = int(
-    os.environ.get("RECACHE_PARITY_FUZZ_JOIN_QUERIES", str(max(10, PARITY_FUZZ_QUERIES // 2)))
+    os.environ.get(
+        "RECACHE_PARITY_FUZZ_JOIN_QUERIES", str(max(10, PARITY_FUZZ_QUERIES * 2 // 3))
+    )
 )
 PARITY_FUZZ_NESTED_QUERIES = int(
     os.environ.get("RECACHE_PARITY_FUZZ_NESTED_QUERIES", str(PARITY_FUZZ_QUERIES))
@@ -128,9 +130,8 @@ def fuzz_dataset_dir(tmp_path_factory):
 
 
 LAYOUT_CONFIGS = {
-    "row": {"default_flat_layout": "row", "default_nested_layout": "columnar"},
-    "columnar": {"default_flat_layout": "columnar", "default_nested_layout": "columnar"},
-    "parquet": {"default_flat_layout": "columnar", "default_nested_layout": "parquet"},
+    "columnar": {"default_nested_layout": "columnar"},
+    "parquet": {"default_nested_layout": "parquet"},
 }
 
 
@@ -398,13 +399,13 @@ def test_parity_fuzz(fuzz_dataset_dir, layout):
     _run_oracle_parity(fuzz_dataset_dir, layout, _random_query, PARITY_FUZZ_QUERIES)
 
 
-@pytest.mark.parametrize("layout", ["columnar", "row"])
+@pytest.mark.parametrize("layout", ["columnar"])
 def test_parity_fuzz_join_heavy(fuzz_dataset_dir, layout):
     """The factorized hash-join probe agrees with the oracle's dict join (and
     its columnar exit with the rows exit) on a join-only seeded workload.
 
-    Joins here run between the two flat CSV sources, so the flat layouts are
-    the interesting axis (the nested default never participates).
+    Joins here run between the two flat CSV sources, which are always cached
+    in the relational columnar layout (the nested default never participates).
     """
     _run_oracle_parity(
         fuzz_dataset_dir,
@@ -422,8 +423,8 @@ def test_parity_fuzz_nested_heavy(fuzz_dataset_dir, layout):
 
     Every seeded predicate references a striped leaf path, so every layout
     exercises its nested plan: the parquet striped-view fast path and
-    entry-granular range filter, the columnar flattened scan, and the row
-    layout's bridge — ``PARITY_FUZZ_NESTED_QUERIES`` queries per layout.
+    entry-granular range filter, and the columnar flattened scan —
+    ``PARITY_FUZZ_NESTED_QUERIES`` queries per layout.
     """
     _run_oracle_parity(
         fuzz_dataset_dir,

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.engine.types import (
-    BOOL,
     FLOAT,
     INT,
     STRING,
     Field,
     ListType,
     RecordType,
-    atom_from_code,
     flatten_record,
 )
 
@@ -30,14 +28,9 @@ class TestSchemaPaths:
     def test_leaf_paths_in_schema_order(self):
         assert NESTED.leaf_paths() == ["a", "b", "sub.x", "sub.y", "items.q", "items.p", "tags"]
 
-    def test_path_type_resolution(self):
-        assert NESTED.path_type("items.p") == FLOAT
-        assert NESTED.path_type("sub.y") == STRING
-        assert NESTED.path_type("a") == INT
-
     def test_unknown_path_raises(self):
         with pytest.raises(KeyError):
-            NESTED.path_type("missing.field")
+            NESTED.is_nested_path("missing.field")
 
     def test_nested_path_detection(self):
         assert NESTED.is_nested_path("items.q")
@@ -47,25 +40,17 @@ class TestSchemaPaths:
 
     def test_nested_and_non_nested_partitions(self):
         assert set(NESTED.nested_paths()) == {"items.q", "items.p", "tags"}
-        assert set(NESTED.non_nested_paths()) == {"a", "b", "sub.x", "sub.y"}
+        flat = set(NESTED.leaf_paths()) - set(NESTED.nested_paths())
+        assert flat == {"a", "b", "sub.x", "sub.y"}
 
     def test_flattened_schema_is_flat(self):
         flat = NESTED.flattened()
         assert flat.is_flat()
         assert flat.field_names() == NESTED.leaf_paths()
 
-    def test_list_fields(self):
-        assert NESTED.list_fields() == ["items", "tags"]
-
     def test_duplicate_field_names_rejected(self):
         with pytest.raises(ValueError):
             RecordType([Field("a", INT), Field("a", FLOAT)])
-
-    def test_atom_from_code(self):
-        assert atom_from_code("i") is INT
-        assert atom_from_code("b") is BOOL
-        with pytest.raises(ValueError):
-            atom_from_code("z")
 
     def test_type_equality_via_signature(self):
         other = RecordType([Field("a", INT), Field("b", FLOAT)])
