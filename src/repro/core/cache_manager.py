@@ -40,10 +40,6 @@ from repro.engine.expressions import Expression
 from repro.layouts import convert_layout
 from repro.layouts.base import CacheLayout
 
-#: number of recent queries (by cache sequence) over which eviction pressure
-#: is measured for the server's load shedding
-SHED_PRESSURE_WINDOW = 64
-
 
 @dataclass
 class CacheMatch:
@@ -92,7 +88,6 @@ class ReCache:
         "_sequence": "_lock",
         "_switches_in_progress": "_lock",
         "_occupancy": "_lock",
-        "_recent_evictions": "_lock",
         "stats": "_lock",
     }
 
@@ -123,9 +118,6 @@ class ReCache:
         #: post-construction so eviction retires published segments in the
         #: same critical section that drops the entry
         self._shm_registry = None
-        #: (sequence, nbytes) of recent capacity evictions, pruned to
-        #: SHED_PRESSURE_WINDOW; feeds eviction-pressure shedding
-        self._recent_evictions: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Query lifecycle
@@ -384,7 +376,6 @@ class ReCache:
             self.policy.on_evict(entry)
             self.stats.evictions += 1
             self.stats.evicted_bytes += entry.nbytes
-            self._recent_evictions.append((self._sequence, entry.nbytes))
             if self._shm_registry is not None:
                 # Retire inside the same critical section that drops the
                 # entry: a process worker can then never attach a live
@@ -407,28 +398,6 @@ class ReCache:
             self.evict_entry(entry)
             self.stats.quarantined += 1
             return True
-
-    def recent_evicted_bytes(self) -> int:
-        """Bytes evicted within the last ``SHED_PRESSURE_WINDOW`` queries."""
-        with self._lock:
-            horizon = self._sequence - SHED_PRESSURE_WINDOW
-            if self._recent_evictions and self._recent_evictions[0][0] <= horizon:
-                self._recent_evictions = [
-                    (seq, nbytes) for seq, nbytes in self._recent_evictions if seq > horizon
-                ]
-            return sum(nbytes for _, nbytes in self._recent_evictions)
-
-    def eviction_pressure(self) -> float:
-        """Recent evicted bytes as a fraction of the byte budget (0 when unlimited).
-
-        A value near/above 1 means the cache churned through its whole
-        capacity within the recent query window — admitting more work will
-        thrash, which is the signal the server's load shedding keys off.
-        """
-        limit = self.config.cache_size_limit
-        if not limit:
-            return 0.0
-        return self.recent_evicted_bytes() / limit
 
     def attach_shm_registry(self, registry) -> None:
         """Wire the shared-memory export registry into eviction."""
@@ -459,7 +428,6 @@ class ReCache:
             self.evict_entry(existing)
             self.stats.evictions -= 1  # replacement, not a capacity eviction
             self.stats.evicted_bytes -= existing.nbytes
-            self._recent_evictions.pop()  # replacement adds no eviction pressure
         self._entries[key] = entry
         self._occupancy += entry.nbytes
         self.policy.on_admit(entry, self._sequence)

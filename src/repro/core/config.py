@@ -8,8 +8,7 @@ A field earns its place by one of two rules:
   baseline, the nested layout and layout selection of Figures 10, 11 and 15,
   the policy comparison of Figure 14 and the benefit-recompute ablation; or
 * it is a deployment or safety setting an operator sets for the machine or
-  the service level: capacity, batch size, workers, execution mode, fault
-  plan, deadlines, retries, the circuit breaker and load shedding.
+  the service level: capacity, batch size, workers and execution mode.
 
 A value only a test changes, or a mechanism nobody varies, is a module
 constant beside the code that uses it, not a field here.
@@ -113,46 +112,6 @@ class ReCacheConfig:
         default_factory=lambda: os.environ.get("RECACHE_EXECUTION_MODE", "threads")
     )
 
-    #: fault-injection plan spec (see :mod:`repro.faults.plan` for the
-    #: grammar, e.g. ``"scan.raw:io_error:rate=0.05"``).  Installed
-    #: process-wide by :class:`~repro.engine.session.QueryEngine` on
-    #: construction; ``None`` (the default) injects nothing and the fault
-    #: hooks cost one ``None`` check per scan.
-    faults: str | None = None
-
-    #: default per-query deadline in seconds (wall clock from submission to
-    #: the server, else from ``execute``); ``None`` disables deadlines.
-    #: Overridable per query via ``Query.deadline``.  An elapsed deadline
-    #: surfaces as a typed :class:`~repro.core.errors.DeadlineExceeded`.
-    default_deadline: float | None = None
-
-    #: bounded retry for transient scan faults: how many times
-    #: ``QueryEngine.execute`` re-runs a query after a
-    #: :class:`~repro.core.errors.TransientScanError` before letting it
-    #: propagate (with jittered exponential backoff from
-    #: :data:`~repro.engine.session.SCAN_RETRY_BACKOFF`).
-    scan_retry_limit: int = 2
-
-    #: consecutive per-source faults before the circuit breaker opens and
-    #: queries against that source route around the cache entirely.
-    breaker_failure_threshold: int = 3
-
-    #: seconds an open breaker waits before half-opening for a probe query.
-    breaker_cooldown: float = 30.0
-
-    #: eviction-pressure load shedding: when the server's submission queue
-    #: is full AND the fraction of the cache budget evicted within the
-    #: last ``SHED_PRESSURE_WINDOW`` (64) queries reaches this threshold, new
-    #: submissions are rejected with a typed
-    #: :class:`~repro.core.errors.QueryRejected` instead of queueing (``None``
-    #: disables shedding — the default keeps the pre-existing
-    #: block-until-capacity behaviour).
-    shed_pressure_threshold: float | None = None
-
-    #: seed of the fault plan installed from ``faults`` (nothing else reads
-    #: it).
-    seed: int = 7
-
     def __post_init__(self) -> None:
         if self.eviction_policy not in EVICTION_POLICIES:
             raise ValueError(
@@ -171,13 +130,3 @@ class ReCacheConfig:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         validate_execution_mode(self.execution_mode)
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive or None")
-        if self.scan_retry_limit < 0:
-            raise ValueError("scan_retry_limit must be >= 0")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be >= 0")
-        if self.shed_pressure_threshold is not None and self.shed_pressure_threshold <= 0:
-            raise ValueError("shed_pressure_threshold must be positive or None")

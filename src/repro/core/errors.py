@@ -7,12 +7,10 @@ bug escaping as a bare ``Exception``:
 
 * :class:`TransientScanError` — an IO fault (or injected equivalent) hit a
   raw-source scan; retryable, and :meth:`QueryEngine.execute` retries it
-  with jittered backoff up to ``scan_retry_limit`` times.
+  with jittered backoff up to ``SCAN_RETRY_LIMIT`` times.
 * :class:`CorruptedCacheError` — a cache entry's layout scan raised; the
   entry is quarantined (evicted, budget released) and the query degrades
   to a raw-source scan.
-* :class:`QueryRejected` — load shedding: the server refused the query
-  because the queue is full while the cache is under eviction pressure.
 * :class:`DeadlineExceeded` — the query's per-query deadline elapsed
   (in queue or mid-execution).
 * :class:`WorkerCrashed` — an executor thread died mid-execution; affected
@@ -32,10 +30,6 @@ class TransientScanError(ReCacheError):
 
 class CorruptedCacheError(ReCacheError):
     """A cached layout produced an error mid-scan; the entry is poisoned."""
-
-
-class QueryRejected(ReCacheError):
-    """The server shed this query instead of queueing it (overload protection)."""
 
 
 class DeadlineExceeded(ReCacheError):

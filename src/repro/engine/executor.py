@@ -149,8 +149,11 @@ class ExecutionContext:
 def _check_deadline(ctx: ExecutionContext) -> None:
     """Raise :class:`DeadlineExceeded` once the context's deadline passes.
 
-    Called at operator boundaries and periodically inside scan loops; cost
-    is one comparison when no deadline is set.
+    Called once per raw batch of a cache miss (the materializer's scan
+    loop); cost is one comparison when no deadline is set.  Cache hits and
+    caching-disabled raw scans make no mid-flight check:
+    :meth:`~repro.engine.session.QueryEngine.execute` checks before every
+    attempt and between retries.
     """
     deadline_at = ctx.deadline_at
     if deadline_at is not None and time.perf_counter() > deadline_at:
@@ -680,7 +683,7 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
 
 
 def _execute_select(node: SelectNode, ctx: ExecutionContext) -> list[RecordBatch]:
-    """Select with no materializer (caching disabled, or the source's breaker open)."""
+    """Select with no materializer (the caching-disabled baseline)."""
     if isinstance(node.child, ScanNode):
         return _raw_filtered_scan(ctx, node.child.source, node.child.fields, node.predicate)
     batch_predicate = compile_batch_predicate(node.predicate)
@@ -708,7 +711,7 @@ def _execute_cache_scan(node: CacheScanNode, ctx: ExecutionContext) -> list[Reco
             return _execute_lazy_cache_scan(node, ctx, offsets)
         except (DeadlineExceeded, TransientScanError):
             # A raw-file fault says nothing about the entry: the query is
-            # retried, and the breaker sees it (see QueryEngine.execute).
+            # retried (see QueryEngine.execute).
             raise
         except Exception:
             _quarantine_entry(node, ctx)

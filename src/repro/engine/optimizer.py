@@ -81,30 +81,21 @@ def build_plan(
     query: Query,
     catalog: DataSourceCatalog,
     recache: ReCache,
-    breaker=None,
 ) -> PlanInfo:
     """Build the cache-aware logical plan for ``query``.
 
-    ``breaker`` is an optional
-    :class:`~repro.core.circuit_breaker.SourceCircuitBreaker`: tables whose
-    source breaker is open are planned as plain raw scans — no cache lookup
-    and no materializer — so a repeatedly faulting source stops paying
-    admission overhead (and stops poisoning the cache) until its cooldown
-    elapses.
+    Every table is planned the same way whatever faults its source has
+    raised before: a cache hit never reads the raw file, so it is served even
+    while that file is failing.
     """
     info = PlanInfo(plan=ScanNode(source="<placeholder>"))
 
     for table in query.tables:
         fields = required_fields(query, catalog, table.source)
         info.table_fields[table.source] = fields
-        if breaker is not None and breaker.is_open(table.source):
-            node = SelectNode(
-                child=ScanNode(source=table.source, fields=fields),
-                predicate=table.predicate,
-            )
-        else:
-            node = _plan_table(table.source, table.predicate, fields, recache, info)
-        info.table_plans[table.source] = node
+        info.table_plans[table.source] = _plan_table(
+            table.source, table.predicate, fields, recache, info
+        )
 
     plan = _join_tables(query, info)
     if query.aggregates or query.group_by:

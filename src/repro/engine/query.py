@@ -58,8 +58,7 @@ class Query:
     #: duplicate can take the primary's result object as it is.
     result_format: str = "rows"
     #: per-query deadline in seconds (wall clock from submission to the
-    #: server, else from ``execute``), or ``None`` to follow
-    #: ``ReCacheConfig.default_deadline``.
+    #: server, else from ``execute``), or ``None`` for no deadline.
     #: Like the field above, deliberately NOT part of :meth:`signature`:
     #: the deadline shapes *when* a result must arrive, not *what* it is.
     #: The serving tier coalesces identical queries only when their deadlines

@@ -38,7 +38,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.errors import QueryRejected
 from repro.engine.executor import QueryReport
 from repro.engine.query import Query
 from repro.engine.session import QueryEngine
@@ -166,15 +165,6 @@ class EngineServer:
             if self._closed:
                 raise RuntimeError("EngineServer is shut down")
             while self._pending >= self.max_pending:
-                # Load shedding: a full queue on top of heavy eviction churn
-                # means admitted work is evicting itself faster than it can be
-                # reused — reject now (typed, before any future exists) rather
-                # than queue work the cache cannot absorb.
-                if self._should_shed():
-                    raise QueryRejected(
-                        f"queue full ({self._pending} pending) under eviction "
-                        f"pressure; retry after the cache drains"
-                    )
                 self._backpressure.wait()
                 if self._closed:
                     raise RuntimeError("EngineServer is shut down")
@@ -217,18 +207,6 @@ class EngineServer:
                 self._backpressure.notify_all()
                 raise
         return [submission.future for submission in submissions]
-
-    def _should_shed(self) -> bool:
-        """True when a full queue coincides with heavy eviction pressure.
-
-        Called with ``_lifecycle`` held; ``eviction_pressure`` takes the cache
-        lock internally (never the reverse order) and costs a few dict
-        operations.
-        """
-        threshold = self.engine.config.shed_pressure_threshold
-        if threshold is None:
-            return False
-        return self.engine.recache.eviction_pressure() >= threshold
 
     def serve_all(
         self,

@@ -16,11 +16,9 @@ import time
 from pathlib import Path
 
 from repro.core.cache_manager import ReCache
-from repro.core.circuit_breaker import SourceCircuitBreaker
 from repro.core.config import ReCacheConfig, validate_execution_mode
 from repro.core.errors import DeadlineExceeded, TransientScanError
 from repro.core.shm_registry import ShmRegistry
-from repro.faults import runtime as faults
 from repro.engine.executor import (
     ExecutionContext,
     QueryReport,
@@ -32,6 +30,10 @@ from repro.engine.optimizer import PlanInfo, build_plan
 from repro.engine.query import Query
 from repro.engine.types import RecordType
 from repro.formats.datafile import DataSource, DataSourceCatalog
+
+#: how many times :meth:`QueryEngine.execute` re-runs a query after a
+#: :class:`~repro.core.errors.TransientScanError` before letting it propagate
+SCAN_RETRY_LIMIT = 2
 
 #: base of the jittered exponential backoff between transient-scan retries,
 #: in seconds (attempt ``n`` sleeps ``SCAN_RETRY_BACKOFF * 2^n * uniform(0.5, 1)``)
@@ -52,15 +54,6 @@ class QueryEngine:
         self.config = config or ReCacheConfig()
         self.recache = ReCache(self.config)
         self.catalog = DataSourceCatalog()
-        #: routes repeatedly faulting sources around the cache (see execute)
-        self.breaker = SourceCircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
-        if self.config.faults:
-            # Config-driven fault plans are process-global by design: the
-            # injection points live in the shared format plugins and layouts.
-            faults.install_spec(self.config.faults, seed=self.config.seed)
         self.query_count = 0
         self._count_lock = threading.Lock()
         #: lazily created process-pool execution resources (see
@@ -108,36 +101,29 @@ class QueryEngine:
         from.  Execution, report counters and cache behaviour are the same
         either way.
 
-        Failure containment: the query's deadline (``query.deadline`` falling
-        back to ``config.default_deadline``) counts from ``submitted_at`` — the
-        ``time.perf_counter()`` instant a serving layer queued the query;
-        default: now — and spans all attempts.  Each attempt checks it before
-        touching any cache state, so a query whose deadline ran out while
-        queued fails without executing.  A
+        Failure containment: ``query.deadline`` counts from ``submitted_at``
+        — the ``time.perf_counter()`` instant a serving layer queued the
+        query; default: now — and spans all attempts.  Each attempt checks it
+        before touching any cache state, so a query whose deadline ran out
+        while queued fails without executing.  A
         :class:`~repro.core.errors.TransientScanError` is retried up to
-        ``config.scan_retry_limit`` times with jittered exponential backoff
+        :data:`SCAN_RETRY_LIMIT` times with jittered exponential backoff
         (admission happens only at scan completion, so a failed attempt
-        leaves no cache state behind); each failed attempt feeds the
-        per-source circuit breaker, and queries over a tripped source are
-        planned as plain raw scans until its cooldown elapses.
+        leaves no cache state behind).
         """
         config = self.config
         if execution_mode is None:
             execution_mode = query.execution_mode or config.execution_mode
         validate_execution_mode(execution_mode)
-        deadline = query.deadline if query.deadline is not None else config.default_deadline
         if submitted_at is None:
             submitted_at = time.perf_counter()
-        deadline_at = submitted_at + deadline if deadline is not None else None
-        retry_limit = max(0, config.scan_retry_limit)
+        deadline_at = submitted_at + query.deadline if query.deadline is not None else None
         attempt = 0
         while True:
             try:
                 report = self._execute_attempt(query, config, deadline_at, execution_mode)
             except TransientScanError as exc:
-                for table in query.tables:
-                    self.breaker.record_failure(table.source)
-                if attempt >= retry_limit:
+                if attempt >= SCAN_RETRY_LIMIT:
                     raise
                 if deadline_at is not None and time.perf_counter() >= deadline_at:
                     raise DeadlineExceeded(
@@ -151,8 +137,6 @@ class QueryEngine:
                 attempt += 1
                 continue
             report.retries = attempt
-            for table in query.tables:
-                self.breaker.record_success(table.source)
             with self._count_lock:
                 self.query_count += 1
             return report
@@ -173,7 +157,7 @@ class QueryEngine:
         sequence = self.recache.begin_query()
         started = time.perf_counter()
 
-        plan_info = build_plan(query, self.catalog, self.recache, breaker=self.breaker)
+        plan_info = build_plan(query, self.catalog, self.recache)
         ctx = ExecutionContext(
             catalog=self.catalog,
             recache=self.recache,

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the cache/serving stack.
 
 See :mod:`repro.faults.plan` for the spec-string grammar and fault
-taxonomy, and :mod:`repro.faults.runtime` for activation (config,
+taxonomy, and :mod:`repro.faults.runtime` for activation (the
 ``RECACHE_FAULTS`` env, or the :func:`activate` context manager).
 """
 

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault plans.
 
 A :class:`FaultPlan` is a set of scoped injectors parsed from a compact
-spec string (config knob ``faults`` or the ``RECACHE_FAULTS`` env var)::
+spec string (the ``RECACHE_FAULTS`` env var or :func:`~repro.faults.runtime.activate`)::
 
     scope:kind[:key=value,...][;scope:kind...]
 

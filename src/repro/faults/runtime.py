@@ -5,13 +5,11 @@ The active plan is a single module-level reference swapped atomically
 one global load and a ``None`` check per *scan*, and a local ``is not
 None`` check per record.  Nothing else runs when no plan is installed.
 
-Activation paths, in priority order:
+Activation paths:
 
 * ``RECACHE_FAULTS`` env var (with optional ``RECACHE_FAULTS_SEED``),
   installed at import time — lets any entry point run under faults
   without code changes;
-* ``ReCacheConfig.faults`` — :class:`QueryEngine` installs it on
-  construction;
 * :func:`activate` — scoped context manager used by tests and the chaos
   harness (restores the previous plan on exit).
 """

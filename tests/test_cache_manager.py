@@ -52,7 +52,7 @@ class TestConfigValidation:
         configurations tests and benches must cover (ROADMAP aim 2).  A new
         field has to raise this number here and say which two callers need
         different values; a deleted field lowers it."""
-        assert len(dataclasses.fields(ReCacheConfig)) <= 19
+        assert len(dataclasses.fields(ReCacheConfig)) <= 12
 
 
 class TestLookupAndAdmission:

@@ -142,7 +142,6 @@ def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
     return ReCacheConfig(
         cache_size_limit=rng.choice([None, 64_000]),
         admission="eager" if processes or rng.random() >= 0.3 else "reactive",
-        scan_retry_limit=2,
         max_workers=2,
         execution_mode="processes" if processes else "threads",
         # timing-driven layout switches can silently de-export hot entries;

@@ -1,4 +1,4 @@
-"""End-to-end failure containment: retries, quarantine, breaker, deadlines, shedding.
+"""End-to-end failure containment: retries, quarantine, deadlines, worker crashes.
 
 Every test injects a seeded fault through :mod:`repro.faults` and asserts the
 stack contains it: the query either completes with a bit-identical result
@@ -13,16 +13,12 @@ import time
 import pytest
 
 from repro import EngineServer, Query, ReCacheConfig
-from repro.core.circuit_breaker import SourceCircuitBreaker
 from repro.core.errors import (
     DeadlineExceeded,
-    QueryRejected,
     TransientScanError,
     WorkerCrashed,
 )
 from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
-from repro.engine.algebra import CacheScanNode, MaterializeNode
-from repro.engine.optimizer import build_plan
 from repro.engine.query import TableRef
 from repro.faults import runtime as faults
 
@@ -44,6 +40,14 @@ def flat_rows_query(low: float = 10.0, high: float = 150.0) -> Query:
     return Query(tables=[TableRef("flat", RangePredicate("value", low, high))])
 
 
+def whole_file_count(deadline: float) -> Query:
+    return Query(
+        tables=[TableRef("flat", RangePredicate("value", 0.0, 1e9))],
+        aggregates=[AggregateSpec("count", FieldRef("id"))],
+        deadline=deadline,
+    )
+
+
 @pytest.fixture()
 def baseline(dataset_dir):
     """Reference results from the oracle (it parses the raw files itself, so
@@ -56,7 +60,7 @@ def baseline(dataset_dir):
 # ---------------------------------------------------------------------------
 @pytest.mark.usefixtures("fast_retries")
 def test_transient_scan_fault_is_retried(dataset_dir, baseline, assert_budget_conserved):
-    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=2))
+    engine = build_engine(dataset_dir, ReCacheConfig())
     assert_budget_conserved(engine.recache)
     query = flat_query()
     with faults.activate("scan.raw:io_error:limit=1", seed=3):
@@ -67,7 +71,7 @@ def test_transient_scan_fault_is_retried(dataset_dir, baseline, assert_budget_co
 
 @pytest.mark.usefixtures("fast_retries")
 def test_retry_limit_exhaustion_surfaces_typed_error(dataset_dir, assert_budget_conserved):
-    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=1))
+    engine = build_engine(dataset_dir, ReCacheConfig())
     assert_budget_conserved(engine.recache)
     with faults.activate("scan.raw:io_error", seed=3):  # every attempt faults
         with pytest.raises(TransientScanError):
@@ -82,36 +86,43 @@ def test_transient_fault_during_lazy_reuse_keeps_the_entry(
 ):
     """Regression: a raw-file fault while re-reading a lazy entry's records
     was taken for corruption — the healthy entry was quarantined and the
-    query degraded to a raw re-scan, with no retry and no breaker failure."""
-    engine = build_engine(dataset_dir, ReCacheConfig(admission="lazy", scan_retry_limit=2))
+    query degraded to a raw re-scan, with no retry."""
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="lazy"))
     assert_budget_conserved(engine.recache)
     query = flat_query()
     engine.execute(query)
     (entry,) = engine.cache_entries()
     assert entry.is_lazy
-    failures = []
-    record_failure = engine.breaker.record_failure
-
-    def counted_failure(source):
-        failures.append(source)
-        return record_failure(source)
-
-    engine.breaker.record_failure = counted_failure
     with faults.activate("scan.raw:io_error:limit=1", seed=3):
         report = engine.execute(query)
     assert report.retries == 1
     assert report.quarantined_entries == 0 and report.degraded_scans == 0
     assert engine.cache_entries() == [entry]
     assert same_rows(report.results, baseline(query))
-    assert failures == ["flat"]
 
 
 def test_failed_attempts_do_not_count_queries(dataset_dir, fast_retries):
-    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=3))
+    engine = build_engine(dataset_dir, ReCacheConfig())
     with faults.activate("scan.raw:io_error:limit=2", seed=5):
         report = engine.execute(flat_query())
     assert report.retries == 2
     assert engine.query_count == 1  # one logical query despite three attempts
+
+
+@pytest.mark.usefixtures("fast_retries")
+def test_cache_hit_is_served_while_its_raw_source_fails(dataset_dir, baseline):
+    """Regression: a per-source circuit breaker opened after a miss exhausted
+    its retries and planned every later query on that source as a raw scan,
+    so a query a warm eager entry subsumes failed on the faulting file."""
+    engine = build_engine(dataset_dir, ReCacheConfig(admission="eager"))
+    engine.execute(flat_query(0.0, 100.0, label="warm"))
+    hit = flat_query(10.0, 20.0, label="hit")
+    with faults.activate("scan.raw:io_error", seed=3):  # every raw read faults
+        with pytest.raises(TransientScanError):
+            engine.execute(flat_query(150.0, 180.0, label="miss"))
+        report = engine.execute(hit)
+    assert report.subsumption_hits == 1 and report.retries == 0
+    assert same_rows(report.results, baseline(hit))
 
 
 # ---------------------------------------------------------------------------
@@ -161,97 +172,45 @@ def test_quarantine_is_transparent_to_later_queries(dataset_dir, assert_budget_c
 
 
 # ---------------------------------------------------------------------------
-# Per-source circuit breaker
-# ---------------------------------------------------------------------------
-def test_breaker_unit_semantics():
-    breaker = SourceCircuitBreaker(failure_threshold=2, cooldown=0.05)
-    assert not breaker.is_open("flat")
-    assert not breaker.record_failure("flat")
-    assert breaker.record_failure("flat")  # threshold reached -> opened
-    assert breaker.is_open("flat")
-    assert breaker.open_sources() == ["flat"]
-    time.sleep(0.06)
-    assert not breaker.is_open("flat")  # half-open probe after cooldown
-    breaker.record_success("flat")
-    assert not breaker.record_failure("flat")  # success cleared the streak
-
-
-def test_open_breaker_routes_plan_around_cache(dataset_dir):
-    engine = build_engine(
-        dataset_dir,
-        ReCacheConfig(
-            scan_retry_limit=0, breaker_failure_threshold=1, breaker_cooldown=30.0
-        ),
-    )
-    query = flat_query()
-    with faults.activate("scan.raw:io_error", seed=8):
-        with pytest.raises(TransientScanError):
-            engine.execute(query)
-    assert engine.breaker.is_open("flat")
-    info = build_plan(query, engine.catalog, engine.recache, breaker=engine.breaker)
-
-    # Walk the plan: an open source plans as a plain raw select, never a
-    # cache materialize/scan.
-    def table_nodes(plan):
-        stack, found = [plan], []
-        while stack:
-            current = stack.pop()
-            if isinstance(current, (MaterializeNode, CacheScanNode)):
-                found.append(current)
-            stack.extend(current.children())
-        return found
-
-    assert not table_nodes(info.plan), "open source must bypass the cache entirely"
-
-
-def test_open_breaker_still_serves_correct_results(dataset_dir, baseline):
-    engine = build_engine(
-        dataset_dir,
-        ReCacheConfig(
-            scan_retry_limit=0, breaker_failure_threshold=1, breaker_cooldown=30.0
-        ),
-    )
-    query = flat_query()
-    with faults.activate("scan.raw:io_error:limit=1", seed=8):
-        with pytest.raises(TransientScanError):
-            engine.execute(query)
-    assert engine.breaker.is_open("flat")
-    report = engine.execute(query)  # served raw while the breaker is open
-    assert same_rows(report.results, baseline(query))
-    assert not engine.cache_entries()
-
-
-# ---------------------------------------------------------------------------
 # Deadlines
 # ---------------------------------------------------------------------------
 def test_engine_deadline_exceeded_is_typed(dataset_dir):
     engine = build_engine(dataset_dir, ReCacheConfig())
-    query = Query(
-        tables=[TableRef("flat", RangePredicate("value", 0.0, 1e9))],
-        aggregates=[AggregateSpec("count", FieldRef("id"))],
-        deadline=1e-9,
-    )
     with pytest.raises(DeadlineExceeded):
-        engine.execute(query)
-
-
-def test_config_default_deadline_applies(dataset_dir):
-    engine = build_engine(dataset_dir, ReCacheConfig(default_deadline=1e-9))
-    with pytest.raises(DeadlineExceeded):
-        engine.execute(flat_query())
+        engine.execute(whole_file_count(deadline=1e-9))
 
 
 def test_deadline_expiring_during_retries_is_typed(dataset_dir, monkeypatch):
     monkeypatch.setattr("repro.engine.session.SCAN_RETRY_BACKOFF", 0.05)
-    engine = build_engine(dataset_dir, ReCacheConfig(scan_retry_limit=50))
-    query = Query(
-        tables=[TableRef("flat", RangePredicate("value", 0.0, 1e9))],
-        aggregates=[AggregateSpec("count", FieldRef("id"))],
-        deadline=0.05,
-    )
+    monkeypatch.setattr("repro.engine.session.SCAN_RETRY_LIMIT", 50)
+    engine = build_engine(dataset_dir, ReCacheConfig())
     with faults.activate("scan.raw:io_error", seed=1):  # faults every attempt
         with pytest.raises(DeadlineExceeded):
-            engine.execute(query)
+            engine.execute(whole_file_count(deadline=0.05))
+
+
+def test_deadline_stops_a_slow_cache_miss_mid_scan(dataset_dir):
+    """The materializer checks the deadline once per raw batch: a miss whose
+    400-record scan takes ~0.4 s fails typed past its 0.1 s deadline, and
+    admits nothing (admission runs only after the scan loop)."""
+    engine = build_engine(dataset_dir, ReCacheConfig())
+    with faults.activate("scan.raw:latency:delay=0.001", seed=1):
+        with pytest.raises(DeadlineExceeded):
+            engine.execute(whole_file_count(deadline=0.1))
+    assert not engine.cache_entries()
+
+
+def test_retry_loop_checks_the_deadline_before_backing_off(dataset_dir, monkeypatch):
+    """A transient fault that escapes after the deadline has passed fails at
+    once: the retry loop must not first sleep a 1-2 s backoff."""
+    monkeypatch.setattr("repro.engine.session.SCAN_RETRY_BACKOFF", 2.0)
+    engine = build_engine(dataset_dir, ReCacheConfig())
+    spec = "scan.raw:latency:delay=0.001;scan.raw:io_error:after=300"
+    with faults.activate(spec, seed=1):
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            engine.execute(whole_file_count(deadline=0.05))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_queued_past_deadline_fails_typed_not_hung(dataset_dir):
@@ -304,42 +263,6 @@ def test_served_deadline_counts_from_submission(dataset_dir):
         with pytest.raises(DeadlineExceeded):
             second.result(timeout=10.0)
     assert engine.query_count == 2  # the warm-up and the first request only
-
-
-# ---------------------------------------------------------------------------
-# Load shedding under eviction pressure
-# ---------------------------------------------------------------------------
-def test_shedding_rejects_typed_when_queue_full_under_pressure(dataset_dir):
-    engine = build_engine(
-        dataset_dir, ReCacheConfig(max_workers=1, shed_pressure_threshold=0.5)
-    )
-    engine.recache.eviction_pressure = lambda: 0.9  # deterministic churn signal
-    with EngineServer(engine, max_workers=1, max_pending=1) as server:
-        with faults.activate("scan.raw:latency:delay=0.002,limit=200", seed=11):
-            (busy,) = server.submit_batch([flat_query(label="busy")])
-            time.sleep(0.05)  # the queue is now full (1 pending >= max_pending)
-            with pytest.raises(QueryRejected):
-                server.submit_batch([flat_query(label="rejected")])
-            busy.result(timeout=10.0)
-    assert server.queue_depth == 0  # rejection leaked no backpressure capacity
-
-
-def test_no_shedding_without_pressure(dataset_dir):
-    engine = build_engine(
-        dataset_dir, ReCacheConfig(max_workers=1, shed_pressure_threshold=0.5)
-    )
-    engine.recache.eviction_pressure = lambda: 0.0
-    with EngineServer(engine, max_workers=1, max_pending=1) as server:
-        (busy,) = server.submit_batch([flat_query(label="busy")])
-        # A full queue WITHOUT churn blocks (classic backpressure), then admits.
-        (second,) = server.submit_batch([flat_query(label="second")])
-        assert busy.result(timeout=10.0).rows_returned >= 0
-        assert second.result(timeout=10.0).rows_returned >= 0
-
-
-def test_fresh_cache_has_zero_eviction_pressure(dataset_dir):
-    engine = build_engine(dataset_dir, ReCacheConfig())
-    assert engine.recache.eviction_pressure() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from repro.core.errors import (
     CorruptedCacheError,
     DeadlineExceeded,
-    QueryRejected,
     ReCacheError,
     TransientScanError,
     WorkerCrashed,
@@ -89,7 +88,6 @@ def test_every_typed_error_is_a_recache_error():
     for exc_type in (
         TransientScanError,
         CorruptedCacheError,
-        QueryRejected,
         DeadlineExceeded,
         WorkerCrashed,
     ):

@@ -11,7 +11,8 @@ any contracted function whose inferred set exceeds its declaration.  The table
 encodes the failure-containment architecture directly:
 
 * the serving boundary (``EngineServer.submit``/``submit_batch``) leaks only
-  the typed client failures ``QueryRejected`` and ``DeadlineExceeded``;
+  the typed client failure ``DeadlineExceeded`` (no load shedding: a full
+  queue blocks the submitter instead of rejecting it);
 * the retry envelope (``QueryEngine.execute`` and everything it wraps) may
   leak ``TransientScanError`` — but nothing *above* the envelope may;
 * ``CorruptedCacheError`` never appears in any contract: the quarantine layer
@@ -35,8 +36,8 @@ from __future__ import annotations
 #: may leak; anything else inferred on the function is a raise-flow violation.
 RAISE_CONTRACTS: dict[str, frozenset[str]] = {
     # -- serving boundary: only typed client failures cross it ---------------
-    "EngineServer.submit": frozenset({"QueryRejected", "DeadlineExceeded"}),
-    "EngineServer.submit_batch": frozenset({"QueryRejected", "DeadlineExceeded"}),
+    "EngineServer.submit": frozenset({"DeadlineExceeded"}),
+    "EngineServer.submit_batch": frozenset({"DeadlineExceeded"}),
     # The future resolver settles exceptions into futures; it leaks nothing.
     "EngineServer._resolve_execution": frozenset(),
     # Worker threads re-raise into the pool *after* failing the execution's
