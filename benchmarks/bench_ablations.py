@@ -4,7 +4,6 @@ from repro.bench.experiments import (
     ablation_admission_estimator,
     ablation_benefit_recompute,
     ablation_eviction_order,
-    ablation_subsumption_index,
 )
 
 
@@ -43,13 +42,3 @@ def test_ablation_admission_estimator(run_experiment):
         )
     assert set(result) == {"extrapolated", "naive"}
 
-
-def test_ablation_subsumption_index(run_experiment):
-    result = run_experiment(ablation_subsumption_index, num_predicates=300, num_lookups=150)
-    for name, stats in result.items():
-        print(
-            f"{name}: lookups={stats['lookup_total_s'] * 1e3:.2f}ms "
-            f"inserts={stats['insert_total_s'] * 1e3:.2f}ms hits={stats['hits']}"
-        )
-    # Both strategies must find exactly the same subsuming caches.
-    assert result["rtree"]["hits"] == result["linear"]["hits"]

@@ -4,26 +4,18 @@ Figure 14 compares ReCache's cost-based Greedy-Dual eviction with LRU, Proteus'
 JSON>CSV heuristic, the Vectorwise and MonetDB recyclers, and two offline
 (clairvoyant) algorithms over the heterogeneous TPC-H workload (the lineitem
 table is served from JSON to add cost asymmetry).  The ablation experiments
-quantify the individual design choices called out in DESIGN.md: recomputing the
-benefit metric on every eviction pass, the size-descending eviction order, the
-admission extrapolation, and the R-tree subsumption index.
+quantify three design choices: recomputing the benefit metric on every eviction
+pass, the size-descending eviction order, and the admission extrapolation.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
-from repro.core.cache_entry import CacheEntry, CacheKey
 from repro.core.config import ReCacheConfig
 from repro.core.eviction import ReCacheGreedyDualPolicy
-from repro.core.subsumption import SubsumptionIndex
-from repro.engine.expressions import RangePredicate
-from repro.layouts import build_layout
-from repro.utils.rng import make_rng
 from repro.workloads.queries import spj_tpch_workload
 from repro.workloads.runner import WorkloadRunner
-from repro.workloads.tpch import TPCH_SCHEMAS
 from repro.bench.datasets import tpch_engine
 from repro.bench.reporting import percent_reduction
 
@@ -163,45 +155,3 @@ def ablation_admission_estimator(
         }
     return results
 
-
-def ablation_subsumption_index(num_predicates: int = 400, num_lookups: int = 200, seed: int = 5) -> dict:
-    """R-tree subsumption lookup vs a linear scan over cached predicates."""
-    rng = make_rng(seed)
-    schema = TPCH_SCHEMAS["lineitem"]
-    layout = build_layout("columnar", schema, ["l_quantity"], rows=[{"l_quantity": 1.0}])
-
-    def build_entries(index: SubsumptionIndex) -> list[CacheEntry]:
-        entries = []
-        for _ in range(num_predicates):
-            low = rng.uniform(0, 40)
-            predicate = RangePredicate("l_quantity", low, low + rng.uniform(1, 10))
-            entry = CacheEntry(
-                key=CacheKey.for_select("lineitem", predicate),
-                source="lineitem",
-                source_format="csv",
-                predicate=predicate,
-                fields=["l_quantity"],
-                layout=layout,
-            )
-            index.register(entry)
-            entries.append(entry)
-        return entries
-
-    timings = {}
-    for label, use_rtree in (("rtree", True), ("linear", False)):
-        rng = make_rng(seed)
-        index = SubsumptionIndex(use_rtree=use_rtree)
-        build_entries(index)
-        lookup_rng = make_rng(seed + 1)
-        started = time.perf_counter()
-        hits = 0
-        for _ in range(num_lookups):
-            low = lookup_rng.uniform(0, 45)
-            probe = RangePredicate("l_quantity", low, low + lookup_rng.uniform(0.1, 2.0))
-            hits += len(index.find_subsuming("lineitem", probe, ["l_quantity"]))
-        timings[label] = {
-            "lookup_total_s": time.perf_counter() - started,
-            "insert_total_s": index.insert_seconds,
-            "hits": hits,
-        }
-    return timings

@@ -27,8 +27,7 @@ Figure 15a             :func:`figure15a_symantec_diverse`
 Figure 15b             :func:`figure15b_yelp_diverse`
 Ablations              :func:`ablation_benefit_recompute`,
                        :func:`ablation_eviction_order`,
-                       :func:`ablation_admission_estimator`,
-                       :func:`ablation_subsumption_index`
+                       :func:`ablation_admission_estimator`
 =====================  =======================================================
 """
 
@@ -42,7 +41,6 @@ from repro.bench.eviction_experiments import (
     ablation_admission_estimator,
     ablation_benefit_recompute,
     ablation_eviction_order,
-    ablation_subsumption_index,
     figure14_eviction_policies,
 )
 from repro.bench.layout_experiments import (
@@ -84,5 +82,4 @@ __all__ = [
     "ablation_benefit_recompute",
     "ablation_eviction_order",
     "ablation_admission_estimator",
-    "ablation_subsumption_index",
 ]

@@ -11,7 +11,8 @@ The cache manager (:class:`~repro.core.cache_manager.ReCache`) coordinates
   the relational columnar layouts, driven by measured data and compute costs
   (Section 4),
 * **exact matching and range-predicate subsumption** of cached operator
-  results, backed by per-(source, field) R-trees (Section 3.2–3.3).
+  results, checked against per-field intervals computed at admission
+  (Section 3.2–3.3).
 """
 
 from repro.core.config import ReCacheConfig

@@ -31,14 +31,14 @@ class SwitchEstimate:
     should_switch: bool
 
 
+#: a switch decision is only attempted once at least this many queries have
+#: touched the cached item since the previous switch, so a single noisy
+#: measurement cannot flip the layout back and forth.
+MINIMUM_OBSERVATIONS = 2
+
+
 class LayoutCostModel:
     """Implements the Parquet <-> relational-columnar switch conditions."""
-
-    def __init__(self, minimum_observations: int = 2) -> None:
-        #: a switch decision is only attempted once at least this many queries
-        #: have touched the cached item since the previous switch, so a single
-        #: noisy measurement cannot flip the layout back and forth.
-        self.minimum_observations = minimum_observations
 
     # ------------------------------------------------------------------
     # Parquet -> relational columnar (equations 1-3)
@@ -63,7 +63,7 @@ class LayoutCostModel:
             cost_relational += obs.data_cost * scale
             transformation = max(transformation, (obs.data_cost + obs.compute_cost) * scale)
         should_switch = (
-            len(window) >= self.minimum_observations
+            len(window) >= MINIMUM_OBSERVATIONS
             and cost_parquet > cost_relational + transformation
         )
         return SwitchEstimate(
@@ -112,7 +112,7 @@ class LayoutCostModel:
                 (obs.data_cost + obs.compute_cost) * flattened_rows / relational_rows,
             )
         should_switch = (
-            len(window) >= self.minimum_observations
+            len(window) >= MINIMUM_OBSERVATIONS
             and cost_relational > cost_parquet + transformation
         )
         return SwitchEstimate(

@@ -26,32 +26,24 @@ class LayoutDecision:
         return self.target_layout is not None
 
 
+#: the observation window is reset whenever a switch happens (as in the paper)
+#: and additionally bounded to the most recent ``WINDOW_SIZE`` queries, so that
+#: a sustained change in the workload can overturn an arbitrarily long history
+#: while short bursts still cannot cause oscillation.
+WINDOW_SIZE = 60
+
+
 class LayoutSelector:
     """Chooses between Parquet and relational columnar layouts per cached item."""
 
-    def __init__(
-        self,
-        cost_model: LayoutCostModel | None = None,
-        fallback_compute_factor: float = 1.0,
-        window_size: int = 60,
-    ) -> None:
-        self.cost_model = cost_model or LayoutCostModel()
-        #: when no Parquet history exists, estimate Parquet's compute cost as
-        #: this multiple of the query's data-access cost (a conservative guess
-        #: standing in for the paper's ComputeCost history lookup).
-        self.fallback_compute_factor = fallback_compute_factor
-        #: the observation window is reset whenever a switch happens (as in the
-        #: paper) and additionally bounded to the most recent ``window_size``
-        #: queries, so that a sustained change in the workload can overturn an
-        #: arbitrarily long history while short bursts still cannot cause
-        #: oscillation.  See DESIGN.md for the rationale of this refinement.
-        self.window_size = window_size
+    def __init__(self) -> None:
+        self.cost_model = LayoutCostModel()
 
     def observe(self, entry: CacheEntry, observation: LayoutObservation) -> None:
         """Record one query's measured scan costs against a cached item."""
         entry.add_observation(observation)
-        if self.window_size and len(entry.observations) > self.window_size:
-            del entry.observations[: len(entry.observations) - self.window_size]
+        if len(entry.observations) > WINDOW_SIZE:
+            del entry.observations[: len(entry.observations) - WINDOW_SIZE]
 
     def decide(self, entry: CacheEntry) -> LayoutDecision:
         """Evaluate the switch condition for ``entry`` given its window."""
@@ -105,4 +97,4 @@ class LayoutSelector:
         ]
         if not per_row:
             return 0.0
-        return self.fallback_compute_factor * (sum(per_row) / len(per_row)) * rows
+        return sum(per_row) / len(per_row) * rows

@@ -108,6 +108,10 @@ class VectorwisePolicy(EvictionPolicy):
         return _greedy_take(ordered, bytes_to_free)
 
 
+#: MonetDB's per-item weight is capped at this multiple of the median weight
+WEIGHT_CAP_FACTOR = 4.0
+
+
 class MonetDBPolicy(EvictionPolicy):
     """Frequency-and-weight recycling in the style of MonetDB [26].
 
@@ -119,9 +123,6 @@ class MonetDBPolicy(EvictionPolicy):
 
     name = "monetdb"
 
-    def __init__(self, weight_cap_factor: float = 4.0) -> None:
-        self.weight_cap_factor = weight_cap_factor
-
     def choose_victims(
         self, entries: Sequence[CacheEntry], bytes_to_free: int
     ) -> list[CacheEntry]:
@@ -129,7 +130,7 @@ class MonetDBPolicy(EvictionPolicy):
             entry.stats.operator_time + entry.stats.caching_time for entry in entries
         )
         median = weights[len(weights) // 2] if weights else 0.0
-        cap = self.weight_cap_factor * median if median > 0 else float("inf")
+        cap = WEIGHT_CAP_FACTOR * median if median > 0 else float("inf")
 
         def score(entry: CacheEntry) -> float:
             weight = min(cap, entry.stats.operator_time + entry.stats.caching_time)

@@ -252,9 +252,9 @@ class Interval:
 class RangePredicate(Expression):
     """A range predicate ``low <= field <= high`` over a numeric attribute.
 
-    This is the predicate shape ReCache's subsumption index understands: the
-    predicate's interval is inserted into a per-(source, field) R-tree, and a
-    new predicate can reuse a cache whose interval fully covers it.
+    This is the predicate shape ReCache's subsumption index understands: a
+    new predicate can reuse a cache whose interval on the same field fully
+    covers it.
     """
 
     def __init__(
@@ -399,6 +399,32 @@ def _intersect(a: Interval, b: Interval) -> Interval:
     return Interval(low, high, low_inc, high_inc)
 
 
+def cached_intervals(cached: Expression | None) -> dict[str, Interval] | None:
+    """The admission-time half of :func:`predicate_subsumes`: ``cached``'s
+    per-field intervals, or ``None`` when it can subsume nothing.
+
+    Conjuncts we cannot analyse make subsumption unsafe on the cached side:
+    every one of them must reduce to an interval on its own (a comparison over
+    arithmetic, two fields, a string or ``!=`` does not), otherwise the cached
+    result is filtered by a constraint :func:`intervals_cover` never sees.  A
+    cached predicate of ``None`` (a full scan) has no intervals, so it covers
+    everything over the same source.
+    """
+    if not all(extract_ranges(conjunct) for conjunct in conjuncts(cached)):
+        return None
+    return extract_ranges(cached)
+
+
+def intervals_cover(cached: dict[str, Interval], new: dict[str, Interval]) -> bool:
+    """The lookup-time half of :func:`predicate_subsumes`: every field the
+    cached predicate constrains, the new one constrains at least as tightly."""
+    for field, cached_interval in cached.items():
+        new_interval = new.get(field)
+        if new_interval is None or not cached_interval.covers(new_interval):
+            return False
+    return True
+
+
 def predicate_subsumes(cached: Expression | None, new: Expression | None) -> bool:
     """Return True when ``cached``'s result is guaranteed to contain ``new``'s.
 
@@ -408,24 +434,8 @@ def predicate_subsumes(cached: Expression | None, new: Expression | None) -> boo
     least as tightly.  A cached predicate of ``None`` (a full scan) subsumes
     everything over the same source.
     """
-    if cached is None:
-        return True
-    if new is None:
-        return False
-    # Conjuncts we cannot analyse make subsumption unsafe on the cached side:
-    # every one of them must reduce to an interval on its own (a comparison
-    # over arithmetic, two fields, a string or ``!=`` does not), otherwise the
-    # cached result is filtered by a constraint the check below never sees.
-    if not all(extract_ranges(conjunct) for conjunct in conjuncts(cached)):
-        return False
-    new_ranges = extract_ranges(new)
-    for field, cached_interval in extract_ranges(cached).items():
-        new_interval = new_ranges.get(field)
-        if new_interval is None:
-            return False
-        if not cached_interval.covers(new_interval):
-            return False
-    return True
+    intervals = cached_intervals(cached)
+    return intervals is not None and intervals_cover(intervals, extract_ranges(new))
 
 
 def referenced_fields(exprs: Iterable[Expression | AggregateSpec]) -> frozenset[str]:

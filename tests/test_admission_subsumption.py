@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.admission import AdmissionController, AdmissionDecision, AdmissionSample
 from repro.core.cache_entry import CacheEntry, CacheKey
 from repro.core.subsumption import SubsumptionIndex
-from repro.engine.expressions import And, RangePredicate
+from repro.engine.expressions import (
+    And,
+    Comparison,
+    FieldRef,
+    Literal,
+    RangePredicate,
+    predicate_subsumes,
+)
 from repro.engine.types import FLOAT, Field, RecordType
 from repro.layouts import build_layout
 
@@ -25,6 +32,38 @@ def make_entry(source, predicate, fields=("x", "y")):
         fields=list(fields),
         layout=layout,
     )
+
+
+SOURCES = st.sampled_from(["t", "u"])
+FIELD_SETS = st.sampled_from([("x",), ("x", "y")])
+#: few distinct bounds, so equal ends (open against closed) come up often
+BOUNDS = st.sampled_from([0.0, 1.0, 5.0, 10.0])
+
+
+@st.composite
+def range_conjunct(draw):
+    """One interval conjunct on ``x`` or ``y``: a range with open or closed
+    ends, or a one-sided comparison (two of which can contradict)."""
+    field = draw(st.sampled_from(["x", "y"]))
+    if draw(st.booleans()):
+        low, high = sorted((draw(BOUNDS), draw(BOUNDS)))
+        return RangePredicate(field, low, high, draw(st.booleans()), draw(st.booleans()))
+    op = draw(st.sampled_from(["<", "<=", ">", ">=", "=="]))
+    return Comparison(op, FieldRef(field), Literal(draw(BOUNDS)))
+
+
+def predicates(cached_side):
+    """``None`` (a full scan) or a conjunction of interval conjuncts; on the
+    cached side, possibly with a string equality no interval describes."""
+    conjunct = range_conjunct()
+    if cached_side:
+        conjunct = st.one_of(
+            conjunct, st.just(Comparison("==", FieldRef("name"), Literal("a")))
+        )
+    conjunction = st.lists(conjunct, min_size=1, max_size=3).map(
+        lambda parts: parts[0] if len(parts) == 1 else And(parts)
+    )
+    return st.one_of(st.none(), conjunction)
 
 
 class TestAdmissionController:
@@ -136,22 +175,45 @@ class TestSubsumptionIndex:
         # the new predicate leaves y unconstrained: the cached result is not a superset
         assert index.find_subsuming("t", RangePredicate("x", 10, 20), ["x"]) == []
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.tuples(st.floats(0, 100), st.floats(0, 30)), min_size=1, max_size=25),
-        st.tuples(st.floats(0, 100), st.floats(0, 10)),
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("register"), SOURCES, predicates(cached_side=True), FIELD_SETS
+                ),
+                st.tuples(st.just("unregister"), st.integers(0, 20)),
+            ),
+            max_size=14,
+        ),
+        SOURCES,
+        predicates(cached_side=False),
+        FIELD_SETS,
+        st.one_of(st.none(), st.integers(0, 20)),
     )
-    def test_rtree_and_linear_lookup_agree(self, cached_ranges, probe):
-        rtree_index = SubsumptionIndex(use_rtree=True)
-        linear_index = SubsumptionIndex(use_rtree=False)
-        entries = []
-        for low, width in cached_ranges:
-            entry = make_entry("t", RangePredicate("x", low, low + width))
-            entries.append(entry)
-        for entry in entries:
-            rtree_index.register(entry)
-            linear_index.register(entry)
-        query = RangePredicate("x", probe[0], probe[0] + probe[1])
-        rtree_hits = {e.entry_id for e in rtree_index.find_subsuming("t", query, ["x"])}
-        linear_hits = {e.entry_id for e in linear_index.find_subsuming("t", query, ["x"])}
-        assert rtree_hits == linear_hits
+    def test_lookup_matches_the_reference_rule(self, operations, source, new, fields, exclude):
+        """``find_subsuming`` returns, in admission order, exactly the live
+        entries on the source that ``predicate_subsumes`` and
+        ``supports_fields`` accept, minus ``exclude_key``."""
+        index = SubsumptionIndex()
+        live: list[CacheEntry] = []
+        for operation in operations:
+            if operation[0] == "register":
+                _, entry_source, predicate, entry_fields = operation
+                entry = make_entry(entry_source, predicate, fields=entry_fields)
+                index.register(entry)
+                live.append(entry)
+            elif live:
+                index.unregister(live.pop(operation[1] % len(live)))
+        exclude_key = None
+        if exclude is not None and live:
+            exclude_key = live[exclude % len(live)].key.as_string()
+        expected = [
+            entry
+            for entry in live
+            if entry.source == source
+            and predicate_subsumes(entry.predicate, new)
+            and entry.supports_fields(list(fields))
+            and entry.key.as_string() != exclude_key
+        ]
+        assert index.find_subsuming(source, new, list(fields), exclude_key) == expected

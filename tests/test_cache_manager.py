@@ -1,12 +1,17 @@
 """Tests for the ReCache cache manager (lookup, admission, eviction, switching)."""
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
 from repro.core.cache_entry import LayoutObservation
+from repro.core.cost_model import LayoutCostModel
+from repro.core.layout_selector import LayoutSelector
+from repro.core.policies import MonetDBPolicy
+from repro.core.subsumption import SubsumptionIndex
 from repro.engine.expressions import RangePredicate
 from repro.engine.types import FLOAT, Field, RecordType
 from repro.layouts import build_layout
@@ -53,6 +58,14 @@ class TestConfigValidation:
         field has to raise this number here and say which two callers need
         different values; a deleted field lowers it."""
         assert len(dataclasses.fields(ReCacheConfig)) <= 12
+
+    @pytest.mark.parametrize(
+        "component", [SubsumptionIndex, LayoutSelector, LayoutCostModel, MonetDBPolicy]
+    )
+    def test_core_constructors_take_no_knobs(self, component):
+        """The same ratchet for what ``ReCache`` builds: a value only tests set
+        is a module constant beside its code, which those tests monkeypatch."""
+        assert not inspect.signature(component).parameters
 
 
 class TestLookupAndAdmission:

@@ -11,8 +11,10 @@ one of two states:
 * a **typed error** (:class:`~repro.core.errors.ReCacheError` subclass),
 
 and never a hang (every ``future.result`` is bounded), never a stranded
-future, and never an occupancy byte no resident entry holds (checked after
-every schedule).
+future, never an occupancy byte no resident entry holds, and never a resident
+entry whose layout scan raised (all checked after every schedule).  The
+``scan-layout`` class warms the cache before its faults go live, so its
+corruptions hit cached layouts.
 
 The default run executes ``RECACHE_CHAOS_SCHEDULES`` (220) schedules across
 five fault classes — raw-scan faults, cached-layout corruption,
@@ -33,7 +35,8 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import pytest
 
 from repro import EngineServer, Query, ReCacheConfig
-from repro.core.errors import ReCacheError
+from repro.core.errors import DeadlineExceeded, ReCacheError
+from repro.engine import executor
 from repro.engine.expressions import AggregateSpec, FieldRef, RangePredicate
 from repro.engine.query import TableRef
 from repro.faults import runtime as faults
@@ -50,6 +53,7 @@ _OUTCOMES: dict = {
     "schedules": 0,
     "ok": 0,
     "offloaded": 0,
+    "raised_layout_scans": 0,
     "typed_errors": {},
     "fault_classes": {},
 }
@@ -177,10 +181,33 @@ def chaos_report():
             json.dump(_OUTCOMES, handle, indent=2, sort_keys=True)
 
 
+@pytest.fixture()
+def raised_layout_scans(monkeypatch):
+    """Entries whose cached-layout scan raised, recorded where the executor
+    calls the scan, so quarantine is checked by its outcome and not by its
+    own bookkeeping."""
+    raised: list = []
+    scan = executor._scan_layout_batches
+
+    def recording_scan(node, *args):
+        try:
+            return scan(node, *args)
+        except DeadlineExceeded:
+            raise
+        except Exception:
+            raised.append(node.entry)
+            raise
+
+    monkeypatch.setattr(executor, "_scan_layout_batches", recording_scan)
+    return raised
+
+
 # ---------------------------------------------------------------------------
 # The schedule runner
 # ---------------------------------------------------------------------------
-def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
+def _run_schedule(
+    dataset_dir, baseline, fault_class: str, index: int, raised_layout_scans: list
+) -> None:
     # Integer-only seed derivation: string hashing is randomized per process
     # and would break replayability across runs.
     class_index = sorted(FAULT_CLASSES).index(fault_class)
@@ -194,6 +221,9 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
 
     try:
         with EngineServer(engine, max_workers=2) as server:
+            if fault_class == "scan-layout":
+                # Layout faults fire only in cache scans: warm the cache first.
+                server.serve_all(queries, timeout=RESULT_TIMEOUT)
             with faults.activate(spec, seed=seed):
                 futures = server.submit_batch(queries)
                 for query, future in zip(queries, futures):
@@ -210,6 +240,14 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
                         assert same_rows(report.results, baseline(query)), (
                             f"parity violation on {query.label} under {context}"
                         )
+            # Every query has ended: an entry whose layout scan raised is
+            # quarantined, never served again.
+            for entry in raised_layout_scans:
+                assert not engine.recache.is_resident(entry), (
+                    f"entry {entry.key.as_string()} still resident after its "
+                    f"layout scan raised under {context}"
+                )
+            _OUTCOMES["raised_layout_scans"] += len(raised_layout_scans)
 
             # Also run the batch once more fault-free on the same (possibly
             # quarantine-scarred) cache: containment must leave a healthy engine.
@@ -251,9 +289,14 @@ def _class_budget() -> dict[str, int]:
 
 
 @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
-def test_chaos_schedules(dataset_dir, baseline, fault_class, fast_retries):
+def test_chaos_schedules(dataset_dir, baseline, fault_class, fast_retries, raised_layout_scans):
+    raised = 0
     for index in range(_class_budget()[fault_class]):
-        _run_schedule(dataset_dir, baseline, fault_class, index)
+        raised_layout_scans.clear()
+        _run_schedule(dataset_dir, baseline, fault_class, index, raised_layout_scans)
+        raised += len(raised_layout_scans)
+    if fault_class == "scan-layout":
+        assert raised > 0, "no layout scan raised: the quarantine check never ran"
 
 
 def test_schedule_budget_meets_acceptance_bar():

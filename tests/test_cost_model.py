@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import cost_model, layout_selector
 from repro.core.cache_entry import CacheEntry, CacheKey, LayoutObservation
 from repro.core.cost_model import (
     LayoutCostModel,
@@ -63,9 +64,11 @@ class TestRelationalToParquet:
         assert estimate.candidate_cost == pytest.approx(187.5)
         assert estimate.should_switch
 
-    def test_minimum_observation_guard(self):
-        model = LayoutCostModel(minimum_observations=3)
-        observations = [obs("columnar", 100.0, 0.0, 400, 2)]
+    def test_minimum_observation_guard(self, monkeypatch):
+        monkeypatch.setattr(cost_model, "MINIMUM_OBSERVATIONS", 3)
+        model = LayoutCostModel()
+        # two observations switch under the default minimum of 2 (200 > 50 + 100)
+        observations = [obs("columnar", 100.0, 0.0, 400, 2)] * 2
         estimate = model.evaluate_relational_to_parquet(
             observations, 400, lambda o: 100, lambda r, c: 0.0
         )
@@ -130,9 +133,10 @@ class TestLayoutSelectorOnEntries:
         decision = selector.decide(entry)
         assert decision.should_switch and decision.target_layout == "parquet"
 
-    def test_window_is_bounded(self):
+    def test_window_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(layout_selector, "WINDOW_SIZE", 5)
         entry = self._entry("parquet")
-        selector = LayoutSelector(window_size=5)
+        selector = LayoutSelector()
         for i in range(20):
             selector.observe(entry, obs("parquet", 1.0, 1.0, 10, 1, index=i))
         assert len(entry.observations) == 5
