@@ -128,9 +128,11 @@ class CacheEntry:
         self.stats = CacheStats()
         #: layout observations since the last layout switch (the selector's window)
         self.observations: list[LayoutObservation] = []
-        #: all parquet-layout observations ever recorded, used by
-        #: ``ComputeCost(rows, cols)`` when estimating a switch back to Parquet
-        self.parquet_history: list[LayoutObservation] = []
+        #: the first parquet-layout observation of each ``(rows, columns)``
+        #: footprint, used by ``ComputeCost(rows, cols)`` when estimating a
+        #: switch back to Parquet (which keeps the earliest of equally close
+        #: observations, so later ones of a footprint never count)
+        self.parquet_history: dict[tuple[int, int], LayoutObservation] = {}
         #: Greedy-Dual bookkeeping: the L value at the last access
         self.gd_baseline: float = 0.0
         #: cached H value computed during the previous eviction pass (used when
@@ -187,7 +189,8 @@ class CacheEntry:
     def add_observation(self, observation: LayoutObservation) -> None:
         self.observations.append(observation)
         if observation.layout_name == "parquet":
-            self.parquet_history.append(observation)
+            footprint = (observation.rows_accessed, observation.columns_accessed)
+            self.parquet_history.setdefault(footprint, observation)
 
     def reset_observation_window(self) -> None:
         """Move the layout-selection window forward after a switch (Section 4.2)."""

@@ -14,7 +14,7 @@ actually measured once the cache is stored in the other layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.cache_entry import LayoutObservation
 
@@ -153,7 +153,7 @@ def percentage_error(predicted: float, actual: float) -> float:
 
 
 def closest_compute_cost(
-    history: Sequence[LayoutObservation], rows: int, columns: int
+    history: Iterable[LayoutObservation], rows: int, columns: int
 ) -> float | None:
     """The paper's ``ComputeCost(rows, cols)``: compute cost of the historical
     Parquet-layout query closest to the given rows/columns footprint.

@@ -3,7 +3,8 @@
 :class:`LayoutSelector` decides, per cached item of nested data, whether to
 keep the Parquet-style striped layout or switch to the flattened relational
 columnar layout (and back), using the cost model of Section 4.2.  Flat data is
-always cached in the relational columnar layout and never switches.
+always cached in the relational columnar layout and never switches, and a
+columnar item over more than one list stays columnar.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.cache_entry import CacheEntry, LayoutObservation
 from repro.core.cost_model import LayoutCostModel, SwitchEstimate, closest_compute_cost
+from repro.layouts.convert import regroupable
 
 
 @dataclass
@@ -62,6 +64,8 @@ class LayoutSelector:
             return LayoutDecision(target, estimate)
 
         if entry.layout.layout_name == "columnar":
+            if not regroupable(entry.layout.schema):
+                return LayoutDecision(None, None)
             record_count = entry.layout.record_count
             estimate = self.cost_model.evaluate_relational_to_parquet(
                 entry.observations,
@@ -84,7 +88,7 @@ class LayoutSelector:
 
     # ------------------------------------------------------------------
     def _estimate_compute(self, entry: CacheEntry, rows: int, columns: int) -> float:
-        historical = closest_compute_cost(entry.parquet_history, rows, columns)
+        historical = closest_compute_cost(entry.parquet_history.values(), rows, columns)
         if historical is not None:
             return historical
         # No Parquet history: approximate the compute cost from the average

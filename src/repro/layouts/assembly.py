@@ -9,8 +9,8 @@ value.  The functions here implement that reconstruction:
   :class:`~repro.layouts.columnar.ColumnarLayout` would store), interpreting
   levels entry by entry — this is the expensive path used when a query touches
   nested attributes.
-* :func:`assemble_records` reconstructs (partial) nested records, used for
-  layout conversion and round-trip testing.
+* :func:`assemble_records` reconstructs (partial) nested records, the
+  reference for the striping round-trip tests.
 """
 
 from __future__ import annotations

@@ -66,8 +66,8 @@ class CacheLayout:
     cardinalities, and every layout yields its rows two ways: ``scan_batches``
     (:class:`~repro.engine.batch.RecordBatch` chunks, what the executor scans
     and measures to obtain the data-access cost ``D`` and compute cost ``C``
-    used by the layout selector) and :meth:`scan` (row dictionaries, for
-    layout conversion and the layout figures).
+    used by the layout selector, and what layout conversion reads) and
+    :meth:`scan` (row dictionaries, only for the layout figures).
     """
 
     #: canonical layout name ("columnar" or "parquet")

@@ -93,10 +93,6 @@ class ColumnarLayout(CacheLayout):
                 injector()
             yield dict(zip(wanted, values))
 
-    def rows(self) -> Iterator[dict]:
-        """Yield every cached row with all cached fields (no filtering)."""
-        return self.scan()
-
     def scan_batches(
         self,
         fields: Sequence[str] | None = None,

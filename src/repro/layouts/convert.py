@@ -2,21 +2,31 @@
 
 Layout conversion is what ReCache performs when the layout selector decides a
 cached item should switch representation (Section 4.2).  Conversion goes
-through the flattened-row or nested-record form, and its wall-clock time is the
-transformation cost ``T`` that the cost model bounds with equation (3).
+column to column: Parquet becomes columnar by concatenating the batches the
+engine's own scan yields, and columnar becomes Parquet by striping the
+flattened columns by their per-record row counts; no row dictionary or
+nested record is built.  Its wall-clock time is the transformation cost ``T``
+that the cost model bounds with equation (3).
+
+Some columnar layouts can never become Parquet.  Flattening multiplies rows
+by every list: two lists flatten into their cross product, and a list inside
+a list keeps only its first element, so the rows no longer say which
+elements each record held.  Such an item stays columnar (:func:`regroupable`).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Sequence
 
 from repro.engine.batch import RecordBatch
 from repro.engine.types import RecordType, flatten_record
-from repro.layouts.assembly import repetition_group
+from repro.layouts.assembly import list_definition_threshold, repetition_group
 from repro.layouts.base import CacheLayout
 from repro.layouts.columnar import ColumnarLayout
 from repro.layouts.parquet import ParquetLayout
+from repro.layouts.striping import StripedColumn, column_levels
 
 #: canonical names of the supported layouts
 LAYOUT_NAMES = ("columnar", "parquet")
@@ -26,42 +36,41 @@ def build_layout(
     layout_name: str,
     schema: RecordType,
     fields: Sequence[str],
-    rows: Sequence[dict] | None = None,
     records: Sequence[dict] | None = None,
     record_row_counts: Sequence[int] | None = None,
     columns: dict[str, list] | None = None,
 ) -> CacheLayout:
-    """Build a layout from flattened columns, flattened rows or nested records.
+    """Build a layout from flattened columns or nested records.
 
     Callers provide whichever representation they already have.  The
     relational columnar layout is built from ``columns`` (one list per field — what
-    the cold path produces, so it never assembles a row dictionary); rows are
-    transposed and nested records flattened into columns first.  Parquet
-    stripes nested records, regrouping rows into records when given rows.
+    the cold path produces, so it never assembles a row dictionary); nested
+    records are flattened into columns first.  Parquet stripes nested records.
     """
     if layout_name not in LAYOUT_NAMES:
         raise ValueError(f"unknown layout: {layout_name!r} (expected one of {LAYOUT_NAMES})")
 
     if layout_name == "parquet":
         if records is None:
-            if rows is None:
-                raise ValueError("parquet layout needs rows or records")
-            records = unflatten_rows(rows, schema, fields, record_row_counts)
+            raise ValueError("parquet layout needs records")
         return ParquetLayout.from_records(records, schema, fields)
 
     if columns is None:
-        if rows is None:
-            if records is None:
-                raise ValueError("columnar layout needs columns, rows or records")
-            rows, record_row_counts = flatten_records(records, schema, fields)
+        if records is None:
+            raise ValueError("columnar layout needs columns or records")
+        rows, record_row_counts = flatten_records(records, schema, fields)
         columns = RecordBatch.from_rows(rows, fields).columns
     return ColumnarLayout(schema, fields, columns, record_row_counts)
 
 
-def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache record by record (cold-path, off the scan loop)
+def convert_layout(
     layout: CacheLayout, target_name: str, schema: RecordType | None = None
 ) -> tuple[CacheLayout, float]:
-    """Convert a cached item to ``target_name``; returns ``(layout, seconds)``."""
+    """Convert a cached item to ``target_name``; returns ``(layout, seconds)``.
+
+    Raises ``ValueError`` for a columnar item whose schema is not
+    :func:`regroupable`.
+    """
     if target_name not in LAYOUT_NAMES:
         raise ValueError(f"unknown layout: {target_name!r} (expected one of {LAYOUT_NAMES})")
     schema = schema or layout.schema
@@ -70,33 +79,93 @@ def convert_layout(  # rowwise-fallback: layout conversion rebuilds the cache re
         return layout, 0.0
 
     if isinstance(layout, ParquetLayout):
-        records = list(layout.scan_records())
-        rows, record_row_counts = flatten_records(records, schema, layout.fields)
-        converted = build_layout(
-            target_name,
-            schema,
-            layout.fields,
-            rows=rows,
-            record_row_counts=record_row_counts,
+        columns: dict[str, list] = {name: [] for name in layout.fields}
+        # schema order, which is the order flattening crosses several lists in
+        cached = set(layout.fields)
+        ordered = [path for path in schema.leaf_paths() if path in cached]
+        for batch in layout.scan_batches(ordered):
+            for name, values in batch.columns.items():
+                columns[name].extend(values)
+        converted: CacheLayout = ColumnarLayout(
+            schema, layout.fields, columns, layout.record_row_counts
         )
+    elif isinstance(layout, ColumnarLayout) and regroupable(schema):
+        converted = _stripe_columns(layout, schema)
     else:
-        converted = build_layout(
-            target_name,
-            schema,
-            layout.fields,
-            rows=list(layout.rows()),
-            record_row_counts=layout.record_row_counts,
-        )
+        raise ValueError("rows over two lists, or a list in a list, cannot regroup into records")
     return converted, time.perf_counter() - started
 
 
-def flatten_records(  # rowwise-fallback: the records-to-rows bridge for callers that hold nested records (layout conversion, benches); the cold path hands build_layout columns
+def regroupable(schema: RecordType) -> bool:
+    """True when flattened rows of ``schema`` regroup into records by row counts:
+    at most one repetition group, and no leaf under two repeated levels."""
+    paths = schema.leaf_paths()
+    groups = {repetition_group(schema, path) for path in paths} - {None}
+    return len(groups) <= 1 and all(column_levels(schema, path)[0] <= 1 for path in paths)
+
+
+def _stripe_columns(layout: ColumnarLayout, schema: RecordType) -> ParquetLayout:
+    """Stripe a columnar layout of a :func:`regroupable` schema.
+
+    Each record's rows are then the elements of its one list, in order (one
+    row of ``None`` list leaves for an empty list), with its flat leaves
+    repeated on every row.  So a repeated column's entries are its rows as
+    they stand, repetition level 0 at each record's first row and 1 after it,
+    and a flat column keeps each record's first row.  Definition levels take
+    every optional record on a leaf's path as present: the maximum for a
+    value, one less for ``None``, and the empty-list level for the single row
+    of a record whose list leaves are all ``None``.  These are the stripes
+    :func:`~repro.layouts.striping.stripe_records` gives for the records the
+    rows regroup into.
+    """
+    fields = layout.fields
+    row_count = layout.flattened_row_count
+    counts = layout.record_row_counts or [1] * row_count
+    if sum(counts) != row_count or min(counts, default=1) < 1:
+        raise ValueError(f"record_row_counts must be positive and sum to the {row_count} rows")
+    offsets = list(accumulate(counts, initial=0))
+    starts = offsets[:-1]
+    entry_ranges = list(zip(starts, offsets[1:]))
+    repetition = [1] * row_count
+    for start in starts:
+        repetition[start] = 0
+    levels = {path: column_levels(schema, path) for path in fields}
+    list_columns = [layout.column(path) for path in fields if levels[path][0]]
+    empty_lists = [
+        start
+        for start, count in zip(starts, counts)
+        if count == 1 and all(column[start] is None for column in list_columns)
+    ]
+
+    record_ranges = list(zip(range(len(counts)), range(1, len(counts) + 1)))
+    columns: dict[str, StripedColumn] = {}
+    for path in fields:
+        max_repetition, max_definition = levels[path]
+        values = layout.column(path)
+        if max_repetition:
+            entries, reps, ranges = list(values), list(repetition), list(entry_ranges)
+        else:
+            entries = list(map(values.__getitem__, starts))
+            reps, ranges = [0] * len(counts), list(record_ranges)
+        definition = [
+            max_definition if value is not None else max_definition - 1 for value in entries
+        ]
+        if max_repetition:
+            empty_level = list_definition_threshold(schema, path) - 2
+            for start in empty_lists:
+                definition[start] = empty_level
+        columns[path] = StripedColumn(
+            path, max_repetition, max_definition, entries, reps, definition, ranges
+        )
+    return ParquetLayout(schema, fields, columns, len(counts))
+
+
+def flatten_records(  # rowwise-fallback: the records-to-rows bridge for callers that hold nested records (tests, benches); the cold path hands build_layout columns
     records: Sequence[dict], schema: RecordType, fields: Sequence[str]
 ) -> tuple[list[dict], list[int]]:
     """Flatten nested records into rows restricted to ``fields``.
 
-    Returns the rows and the per-record row counts (needed to regroup the rows
-    back into records if the item later converts to the Parquet layout).
+    Returns the rows and the per-record row counts.
     """
     wanted = set(fields)
     rows: list[dict] = []
@@ -107,71 +176,3 @@ def flatten_records(  # rowwise-fallback: the records-to-rows bridge for callers
         for row in flattened:
             rows.append({k: row.get(k) for k in wanted})
     return rows, counts
-
-
-def unflatten_rows(  # rowwise-fallback: the rows-to-records bridge of a relational-to-Parquet layout conversion
-    rows: Sequence[dict],
-    schema: RecordType,
-    fields: Sequence[str],
-    record_row_counts: Sequence[int] | None = None,
-) -> list[dict]:
-    """Regroup flattened rows into nested records.
-
-    When ``record_row_counts`` is unknown (the rows came from flat relational
-    data), each row becomes its own record.  Supports one level of repeated
-    nesting, which covers every dataset in the paper's evaluation.
-    """
-    if record_row_counts is None:
-        record_row_counts = [1] * len(rows)
-    if sum(record_row_counts) != len(rows):
-        raise ValueError(
-            f"record_row_counts sums to {sum(record_row_counts)} but there are {len(rows)} rows"
-        )
-
-    flat_fields = [f for f in fields if not schema.is_nested_path(f)]
-    nested_fields = [f for f in fields if schema.is_nested_path(f)]
-    groups: dict[str, list[str]] = {}
-    for field in nested_fields:
-        prefix = repetition_group(schema, field) or field
-        groups.setdefault(prefix, []).append(field)
-
-    records: list[dict] = []
-    cursor = 0
-    for count in record_row_counts:
-        chunk = rows[cursor : cursor + count]
-        cursor += count
-        record: dict = {}
-        first = chunk[0] if chunk else {}
-        for field in flat_fields:
-            _set_path(record, field, first.get(field))
-        for prefix, group_fields in groups.items():
-            elements = _rebuild_elements(chunk, prefix, group_fields)
-            _set_path(record, prefix, elements)
-        records.append(record)
-    return records
-
-
-def _rebuild_elements(chunk: Sequence[dict], prefix: str, group_fields: Sequence[str]) -> list:
-    list_of_atoms = list(group_fields) == [prefix]
-    # A single row whose nested values are all None represents an empty list.
-    if len(chunk) == 1 and all(chunk[0].get(f) is None for f in group_fields):
-        return []
-    elements: list = []
-    for row in chunk:
-        if list_of_atoms:
-            elements.append(row.get(prefix))
-            continue
-        element: dict = {}
-        for field in group_fields:
-            suffix = field[len(prefix) + 1 :]
-            _set_path(element, suffix, row.get(field))
-        elements.append(element)
-    return elements
-
-
-def _set_path(target: dict, path: str, value) -> None:
-    parts = path.split(".")
-    current = target
-    for part in parts[:-1]:
-        current = current.setdefault(part, {})
-    current[parts[-1]] = value

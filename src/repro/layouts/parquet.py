@@ -19,7 +19,6 @@ from repro.engine.types import RecordType
 from repro.faults import runtime as faults
 from repro.layouts.assembly import (
     assemble_columns,
-    assemble_records,
     assemble_rows,
     repetition_group,
 )
@@ -48,7 +47,8 @@ class ParquetLayout(CacheLayout):
             + 2 * col.entry_count
             for col in columns.values()
         )
-        self._flattened_rows = self._compute_flattened_rows()
+        self._record_row_counts = self._compute_record_row_counts()
+        self._flattened_rows = int(self._record_row_counts.sum())
         #: lazily built float64 views of *non-nested* columns (one entry per
         #: record), enabling vectorized range filters on parent attributes
         self._numeric_arrays: dict[str, np.ndarray | None] = {}
@@ -83,9 +83,10 @@ class ParquetLayout(CacheLayout):
     def record_count(self) -> int:
         return self._record_count
 
-    def columns(self) -> dict[str, StripedColumn]:
-        """Direct access to the striped columns (used by conversion/tests)."""
-        return self._columns
+    @property
+    def record_row_counts(self) -> list[int]:
+        """Rows each record flattens into: the product of its groups' entry counts."""
+        return self._record_row_counts.tolist()
 
     def scan(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
         """Yield flattened rows for ``fields``.
@@ -108,14 +109,6 @@ class ParquetLayout(CacheLayout):
             if injector is not None:
                 injector()
             yield row
-
-    def scan_records(self, fields: Sequence[str] | None = None) -> Iterator[dict]:
-        """Reconstruct (partial) nested records — used for layout conversion."""
-        wanted = list(fields) if fields is not None else list(self.fields)
-        return assemble_records(self._columns, self.schema, wanted)
-
-    def rows(self) -> Iterator[dict]:
-        return self.scan()
 
     def scan_batches(
         self,
@@ -485,19 +478,17 @@ class ParquetLayout(CacheLayout):
         for values in zip(*cols):
             yield dict(zip(wanted, values))
 
-    def _compute_flattened_rows(self) -> int:
-        """Number of rows the cached data would occupy if flattened (``R``)."""
+    def _compute_record_row_counts(self) -> np.ndarray:
+        """Rows per record if the cached data were flattened (they sum to ``R``)."""
         nested_columns_by_group: dict[str, StripedColumn] = {}
         for path, column in self._columns.items():
             if column.is_nested:
                 group = repetition_group(self.schema, path)
                 nested_columns_by_group.setdefault(group or path, column)
-        if not nested_columns_by_group:
-            return self._record_count
         # Vectorized over records: one (start, end) range array per repetition
         # group, per-record row counts are the product of the group sizes.
         rows = np.ones(self._record_count, dtype=np.int64)
         for column in nested_columns_by_group.values():
             ranges = np.asarray(column.record_ranges, dtype=np.int64).reshape(-1, 2)
             rows *= np.maximum(1, ranges[:, 1] - ranges[:, 0])
-        return int(rows.sum())
+        return rows

@@ -22,7 +22,7 @@ SCHEMA = RecordType([Field("x", FLOAT), Field("y", FLOAT)])
 
 def make_entry(source, predicate, fields=("x", "y")):
     layout = build_layout(
-        "columnar", SCHEMA, list(fields), rows=[{"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}]
+        "columnar", SCHEMA, list(fields), records=[{"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}]
     )
     return CacheEntry(
         key=CacheKey.for_select(source, predicate),

@@ -32,6 +32,7 @@ from repro import (
 from repro.engine.batch import concat_batches
 from repro.engine.compiler import compile_batch_predicate, compile_predicate
 from repro.engine.expressions import Arithmetic
+from repro.engine.types import FLOAT, INT, Field, RecordType
 from repro.formats import write_csv, write_json_lines
 from repro.layouts import build_layout
 from repro.layouts.base import EXACT_SIZE_THRESHOLD, estimate_sequence_bytes, estimate_value_bytes
@@ -586,12 +587,14 @@ class TestRecordBatch:
 # ---------------------------------------------------------------------------
 # Layout batch scans
 # ---------------------------------------------------------------------------
+AB_SCHEMA = RecordType([Field("a", INT), Field("b", FLOAT)])
+
+
 class TestLayoutBatchScans:
     @pytest.mark.parametrize("layout_name", ["columnar"])
     def test_flat_layout_batches_match_scan(self, layout_name):
         rows = [{"a": i, "b": float(i) / 3} for i in range(57)]
-        schema = FLAT_SCHEMA  # schema content unused by flat layouts
-        layout = build_layout(layout_name, schema, ["a", "b"], rows=rows)
+        layout = build_layout(layout_name, AB_SCHEMA, ["a", "b"], records=rows)
         scanned = list(layout.scan(fields=["b", "a"]))
         batched = []
         for batch in layout.scan_batches(fields=["b", "a"], batch_size=10):
@@ -599,9 +602,9 @@ class TestLayoutBatchScans:
         assert batched == scanned
 
     def test_columnar_dedupe_batches_keep_one_row_per_record(self):
-        rows = [{"a": i // 2, "b": i} for i in range(20)]
+        columns = {"a": [i // 2 for i in range(20)], "b": list(range(20))}
         layout = build_layout(
-            "columnar", FLAT_SCHEMA, ["a", "b"], rows=rows, record_row_counts=[2] * 10
+            "columnar", AB_SCHEMA, ["a", "b"], columns=columns, record_row_counts=[2] * 10
         )
         batched = []
         for batch in layout.scan_batches(fields=["a"], batch_size=3, dedupe_records=True):
@@ -609,15 +612,15 @@ class TestLayoutBatchScans:
         assert batched == [{"a": i} for i in range(10)]  # each record's first row
 
     def test_layout_numeric_arrays_reject_digit_strings(self):
-        rows = [{"a": i, "z": str(i)} for i in range(10)]
-        layout = build_layout("columnar", FLAT_SCHEMA, ["a", "z"], rows=rows)
+        columns = {"a": list(range(10)), "z": [str(i) for i in range(10)]}
+        layout = build_layout("columnar", AB_SCHEMA, ["a", "z"], columns=columns)
         assert layout.numeric_array("a") is not None
         assert layout.numeric_array("z") is None
         assert not layout.supports_range_filter(["z"])
 
     def test_columnar_range_filtered_batch_matches_a_plain_filter(self):
         rows = [{"a": i, "b": float(i % 7)} for i in range(40)]
-        layout = build_layout("columnar", FLAT_SCHEMA, ["a", "b"], rows=rows)
+        layout = build_layout("columnar", AB_SCHEMA, ["a", "b"], records=rows)
         ranges = {"b": (2.0, 5.0)}
         expected = [row for row in rows if 2.0 <= row["b"] <= 5.0]
         batch = layout.range_filtered_batch(ranges, fields=["a", "b"])

@@ -22,7 +22,7 @@ FLAT = RecordType([Field("x", FLOAT), Field("y", FLOAT)])
 
 def flat_layout(rows=20):
     data = [{"x": float(i), "y": i * 2.0} for i in range(rows)]
-    return build_layout("columnar", FLAT, ["x", "y"], rows=data)
+    return build_layout("columnar", FLAT, ["x", "y"], records=data)
 
 
 def admit(cache, source, predicate, rows=20, t=1.0, c=0.5):

@@ -152,7 +152,7 @@ class _StubbornPolicy(EvictionPolicy):
 
 def _flat_layout(row_count: int):
     rows = [{"id": i, "value": float(i)} for i in range(row_count)]
-    return build_layout("columnar", SMALL_SCHEMA, ["id", "value"], rows=rows)
+    return build_layout("columnar", SMALL_SCHEMA, ["id", "value"], records=rows)
 
 
 def test_admission_rejected_when_eviction_frees_too_little():

@@ -34,7 +34,7 @@ def make_entry(
     reuse_count: int = 0,
     last_access: int = 0,
 ) -> CacheEntry:
-    layout = build_layout("columnar", SCHEMA, ["x"], rows=[{"x": float(i)} for i in range(size_rows)])
+    layout = build_layout("columnar", SCHEMA, ["x"], records=[{"x": float(i)} for i in range(size_rows)])
     entry = CacheEntry(
         key=CacheKey.for_select(name, RangePredicate("x", 0, size_rows)),
         source=name,

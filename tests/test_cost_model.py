@@ -1,5 +1,7 @@
 """Tests for the layout cost model (equations 1-5) and the layout selector."""
 
+import random
+
 import pytest
 
 from repro.core import cost_model, layout_selector
@@ -89,6 +91,31 @@ class TestHelpers:
         assert closest_compute_cost(history, 50, 2) == pytest.approx(4.0)
         assert closest_compute_cost([], 10, 1) is None
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_first_observation_per_footprint_keeps_closest_compute_cost(self, seed):
+        rng = random.Random(seed)
+        history = [
+            obs("parquet", 1.0, rng.uniform(0.1, 9.0), rng.choice([10, 50, 100, 400]), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 40))
+        ]
+        entry = CacheEntry(
+            key=CacheKey.for_select("t", None),
+            source="t",
+            source_format="json",
+            predicate=None,
+            fields=["x"],
+            layout=build_layout("columnar", ORDER_LINEITEMS_SCHEMA, ["o_orderkey"], records=[{}]),
+        )
+        for observation in history:
+            entry.add_observation(observation)
+        footprints = {(o.rows_accessed, o.columns_accessed) for o in history}
+        assert len(entry.parquet_history) == len(footprints)
+        for rows in (0, 10, 30, 75, 100, 250, 400, 1000):
+            for columns in (1, 2, 3, 4):
+                assert closest_compute_cost(
+                    entry.parquet_history.values(), rows, columns
+                ) == closest_compute_cost(history, rows, columns)
+
     def test_prediction_helpers(self):
         model = LayoutCostModel()
         parquet_obs = obs("parquet", 10.0, 20.0, 100, 2)
@@ -125,9 +152,9 @@ class TestLayoutSelectorOnEntries:
     def test_columnar_entry_switches_back_for_non_nested_workload(self):
         entry = self._entry("columnar")
         # give it some Parquet history so ComputeCost has something to scale
-        entry.parquet_history.append(obs("parquet", 1.0, 2.0, entry.layout.flattened_row_count, 3, nested=True))
-        selector = LayoutSelector()
         rows = entry.layout.flattened_row_count
+        entry.parquet_history[(rows, 3)] = obs("parquet", 1.0, 2.0, rows, 3, nested=True)
+        selector = LayoutSelector()
         for i in range(6):
             selector.observe(entry, obs("columnar", 1.0, 0.1, rows, 2, nested=False, index=i))
         decision = selector.decide(entry)

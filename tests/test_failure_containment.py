@@ -356,7 +356,7 @@ def test_admission_hook_fault_keeps_occupancy_equal_to_resident_bytes(
     monkeypatch.setattr(type(cache.policy), "on_admit", exploding_on_admit)
     schema = RecordType([Field("x", FLOAT), Field("y", FLOAT)])
     rows = [{"x": float(i), "y": 2.0 * i} for i in range(50)]
-    layout = build_layout("columnar", schema, ["x", "y"], rows=rows)
+    layout = build_layout("columnar", schema, ["x", "y"], records=rows)
     cache.begin_query()
     with pytest.raises(RuntimeError):
         cache.admit_eager(

