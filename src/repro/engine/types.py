@@ -9,7 +9,8 @@ classes here mirror that model and provide the schema utilities ReCache needs:
 * distinguishing nested paths (paths that traverse a list) from non-nested
   ones — the distinction that drives the Parquet-vs-columnar layout decision,
 * computing the *flattened* relational schema obtained by the flattening
-  transformation described in Section 4 of the paper.
+  transformation described in Section 4 of the paper (the rows a record
+  flattens into are defined in :mod:`repro.engine.flatten`).
 
 The module also defines :class:`ColumnarResult`, what every plan execution
 produces: the pipeline's :class:`~repro.engine.batch.RecordBatch` stream.  A
@@ -174,63 +175,6 @@ def _leaf_items(prefix: str, dtype: DataType) -> Iterator[tuple[str, AtomType]]:
     if isinstance(dtype, RecordType):
         for field in dtype.fields:
             yield from _leaf_items(f"{prefix}.{field.name}", field.dtype)
-        return
-    raise TypeError(f"unsupported data type: {dtype!r}")
-
-
-def flatten_record(record: dict, schema: RecordType) -> list[dict]:
-    """Flatten one nested record into relational rows with dotted column names.
-
-    Follows the flattening semantics described in Section 4 of the paper: a
-    record whose field is a list of N elements produces N output rows, each
-    duplicating the non-nested fields.  A record with several independent list
-    fields produces the cross product of their flattenings.  Empty lists
-    contribute a single row with ``None`` for the nested columns so that no
-    parent data is silently dropped.
-    """
-    rows: list[dict] = [{}]
-    for field in schema.fields:
-        value = record.get(field.name)
-        rows = _extend_rows(rows, field.name, field.dtype, value)
-    return rows
-
-
-def _extend_rows(rows: list[dict], prefix: str, dtype: DataType, value) -> list[dict]:
-    if isinstance(dtype, AtomType):
-        for row in rows:
-            row[prefix] = value
-        return rows
-    if isinstance(dtype, RecordType):
-        value = value or {}
-        for field in dtype.fields:
-            rows = _extend_rows(rows, f"{prefix}.{field.name}", field.dtype, value.get(field.name))
-        return rows
-    if isinstance(dtype, ListType):
-        elements = value if value else [None]
-        expanded: list[dict] = []
-        for row in rows:
-            for element in elements:
-                new_row = dict(row)
-                _fill_element(new_row, prefix, dtype.element, element)
-                expanded.append(new_row)
-        return expanded
-    raise TypeError(f"unsupported data type: {dtype!r}")
-
-
-def _fill_element(row: dict, prefix: str, dtype: DataType, element) -> None:
-    if isinstance(dtype, AtomType):
-        row[prefix] = element
-        return
-    if isinstance(dtype, RecordType):
-        element = element or {}
-        for field in dtype.fields:
-            _fill_element(row, f"{prefix}.{field.name}", field.dtype, element.get(field.name))
-        return
-    if isinstance(dtype, ListType):
-        # Nested list-of-list: flattenings nest recursively; keep the first
-        # level only, deeper levels are rare in the paper's datasets.
-        elements = element if element else [None]
-        _fill_element(row, prefix, dtype.element, elements[0])
         return
     raise TypeError(f"unsupported data type: {dtype!r}")
 

@@ -7,7 +7,8 @@ them reactively (Section 4 of the paper):
   storage of flattened tuples,
 * :class:`~repro.layouts.parquet.ParquetLayout` — a Dremel/Parquet-style
   striped layout of the original nested records (values plus repetition and
-  definition levels, reassembled with a finite-state machine).
+  definition levels, and each record's list counts, by which its scans gather
+  the flattened rows).
 
 All layouts implement the :class:`~repro.layouts.base.CacheLayout` interface so
 the cache manager, layout selector and eviction policies can treat them

@@ -3,14 +3,19 @@
 The paper points out that Parquet's benefit (short parent columns, no
 duplication) comes with a computational price: reconstructing rows requires a
 finite-state walk over repetition/definition levels, which adds branches per
-value.  The functions here implement that reconstruction:
+value.  The functions here implement that walk, entry by entry; the engine's
+scans do not use them (``ParquetLayout.scan_batches`` gathers rows by the
+:class:`~repro.engine.flatten.FlattenPlan`, which also holds the lists no
+requested field lies in):
 
-* :func:`assemble_rows` produces flattened rows (the same rows a
-  :class:`~repro.layouts.columnar.ColumnarLayout` would store), interpreting
-  levels entry by entry — this is the expensive path used when a query touches
-  nested attributes.
+* :func:`assemble_rows` produces flattened rows over the repetition groups of
+  the requested fields only — the row scan the layout figures time through
+  ``CacheLayout.scan``.
 * :func:`assemble_records` reconstructs (partial) nested records, the
   reference for the striping round-trip tests.
+
+:func:`list_definition_threshold` is also the empty-list level the
+columnar-to-Parquet striping writes.
 """
 
 from __future__ import annotations
@@ -71,10 +76,9 @@ def assemble_rows(
 ) -> Iterator[dict]:
     """Reassemble flattened rows from striped columns.
 
-    Rows follow the same flattening semantics as
-    :func:`repro.engine.types.flatten_record`: independent nested collections
-    produce a cross product, empty collections contribute a single row with
-    ``None`` in their columns.
+    Independent repetition groups among ``fields`` produce a cross product,
+    and an empty collection contributes a single row with ``None`` in its
+    columns; a list none of ``fields`` lies in does not multiply rows here.
     """
     if fields is None:
         fields = list(columns)
@@ -118,115 +122,6 @@ def assemble_rows(
             for part in combo:
                 row.update(part)
             yield row
-
-
-def assemble_columns(  # rowwise-fallback: audited multi-group fallback — scan_batches takes the striped-view fast path for single-group plans; cross-product records need the per-record level walk
-    columns: dict[str, StripedColumn],
-    schema: RecordType,
-    fields: Sequence[str],
-) -> tuple[dict[str, list], int]:
-    """Column-wise counterpart of :func:`assemble_rows`.
-
-    Produces exactly the same flattened rows — independent nested collections
-    cross-product, empty collections contribute one all-``None`` row — but
-    builds one value list per column instead of a dictionary per row.  Flat
-    fields skip level interpretation entirely (their striped values are
-    already the per-record column; see
-    :meth:`~repro.layouts.striping.StripedColumn.flat_values`) and are
-    repeated per cross-product row; only nested columns pay the per-entry
-    level walk, and each pays it once per column, not once per output row.
-
-    Returns ``(columns, row_count)``.
-    """
-    fields = list(fields)
-    missing = [f for f in fields if f not in columns]
-    if missing:
-        raise KeyError(f"columns not striped: {missing}")
-    out: dict[str, list] = {field: [] for field in fields}
-    if not fields:
-        return out, 0
-    record_count = len(next(iter(columns.values())).record_ranges)
-
-    groups: dict[str | None, list[str]] = {}
-    for field in fields:
-        groups.setdefault(repetition_group(schema, field), []).append(field)
-    flat_fields = groups.pop(None, [])
-    nested_groups = list(groups.items())
-
-    flat_columns = [
-        (field, columns[field].flat_values(record_count)) for field in flat_fields
-    ]
-
-    total_rows = 0
-    for record_index in range(record_count):
-        # Per-element value lists of every nested group (one column slice per
-        # field — the level walk happens here, per column).
-        group_values: list[tuple[list[str], dict[str, list], int]] = []
-        rows_here = 1
-        for _, group_fields in nested_groups:
-            per_field, count = _group_value_lists(columns, group_fields, record_index)
-            group_values.append((group_fields, per_field, count))
-            rows_here *= count
-
-        for field, values in flat_columns:
-            if values is not None:
-                value = values[record_index]
-            else:  # malformed stripe: fall back to the guarded entry lookup
-                column = columns[field]
-                start, end = column.record_entries(record_index)
-                defined = (
-                    end > start
-                    and column.definition_levels[start] == column.max_definition
-                )
-                value = column.values[start] if defined else None
-            if rows_here == 1:
-                out[field].append(value)
-            else:
-                out[field].extend([value] * rows_here)
-
-        # Cross-product expansion, matching product(*group_rows) order in
-        # assemble_rows: earlier groups vary slowest.
-        inner = rows_here
-        outer = 1
-        for group_fields, per_field, count in group_values:
-            inner //= count
-            for field in group_fields:
-                values = per_field[field]
-                target = out[field]
-                if inner == 1 and outer == 1:
-                    target.extend(values)
-                else:
-                    for _ in range(outer):
-                        for value in values:
-                            target.extend([value] * inner)
-            outer *= count
-        total_rows += rows_here
-    return out, total_rows
-
-
-def _group_value_lists(  # rowwise-fallback: audited multi-group fallback (see assemble_columns) — per-element slices of one repetition group
-    columns: dict[str, StripedColumn],
-    group_fields: Sequence[str],
-    record_index: int,
-) -> tuple[dict[str, list], int]:
-    """Per-element values of one repetition group within one record.
-
-    Striped entries already store ``None`` for every below-max definition
-    level, so a column slice is the element value list; the pad only guards
-    best-effort deep-nesting stripes where a member column runs short.
-    """
-    first = columns[group_fields[0]]
-    start, end = first.record_entries(record_index)
-    count = max(1, end - start)
-    per_field: dict[str, list] = {}
-    for field in group_fields:
-        column = columns[field]
-        f_start, f_end = column.record_entries(record_index)
-        values = column.values[f_start : min(f_end, f_start + count)]
-        if len(values) < count:
-            values = values + [None] * (count - len(values))
-        per_field[field] = values
-    return per_field, count
 
 
 def _group_elements(

@@ -1,17 +1,22 @@
 """Building cache layouts and converting a cached item between layouts.
 
-Layout conversion is what ReCache performs when the layout selector decides a
-cached item should switch representation (Section 4.2).  Conversion goes
-column to column: Parquet becomes columnar by concatenating the batches the
-engine's own scan yields, and columnar becomes Parquet by striping the
-flattened columns by their per-record row counts; no row dictionary or
-nested record is built.  Its wall-clock time is the transformation cost ``T``
-that the cost model bounds with equation (3).
+Both layouts take row multiplicity from the schema's
+:class:`~repro.engine.flatten.FlattenPlan`: ``build_layout("columnar",
+records=)`` flattens through it, and the Parquet layout keeps its list counts
+and gathers its rows by its index rule.  So the two layouts hold the same
+rows, and conversion, which the layout selector triggers when a cached item
+should switch representation (Section 4.2), goes column to column: Parquet
+becomes columnar by concatenating the batches the engine's own scan yields,
+and columnar becomes Parquet by striping the flattened columns by their
+per-record row counts; no row dictionary or nested record is built.  Its
+wall-clock time is the transformation cost ``T`` that the cost model bounds
+with equation (3).
 
-Some columnar layouts can never become Parquet.  Flattening multiplies rows
-by every list: two lists flatten into their cross product, and a list inside
-a list keeps only its first element, so the rows no longer say which
-elements each record held.  Such an item stays columnar (:func:`regroupable`).
+A columnar entry keeps only each record's row count, not its list counts,
+which is why some columnar layouts can never become Parquet
+(:func:`regroupable`).  Two lists flatten into their cross product, and a
+list inside a list keeps only its first element, so the rows no longer say
+which elements each record held.  Such an item stays columnar.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ import time
 from itertools import accumulate
 from typing import Sequence
 
-from repro.engine.batch import RecordBatch
-from repro.engine.types import RecordType, flatten_record
-from repro.layouts.assembly import list_definition_threshold, repetition_group
+import numpy as np
+
+from repro.engine.flatten import flatten_plan
+from repro.engine.types import RecordType
+from repro.layouts.assembly import list_definition_threshold
 from repro.layouts.base import CacheLayout
 from repro.layouts.columnar import ColumnarLayout
 from repro.layouts.parquet import ParquetLayout
@@ -45,7 +52,8 @@ def build_layout(
     Callers provide whichever representation they already have.  The
     relational columnar layout is built from ``columns`` (one list per field — what
     the cold path produces, so it never assembles a row dictionary); nested
-    records are flattened into columns first.  Parquet stripes nested records.
+    records are flattened into columns first, by the schema's
+    :class:`~repro.engine.flatten.FlattenPlan`.  Parquet stripes nested records.
     """
     if layout_name not in LAYOUT_NAMES:
         raise ValueError(f"unknown layout: {layout_name!r} (expected one of {LAYOUT_NAMES})")
@@ -58,8 +66,7 @@ def build_layout(
     if columns is None:
         if records is None:
             raise ValueError("columnar layout needs columns or records")
-        rows, record_row_counts = flatten_records(records, schema, fields)
-        columns = RecordBatch.from_rows(rows, fields).columns
+        columns, record_row_counts = flatten_plan(schema).columns(records, fields)
     return ColumnarLayout(schema, fields, columns, record_row_counts)
 
 
@@ -80,10 +87,7 @@ def convert_layout(
 
     if isinstance(layout, ParquetLayout):
         columns: dict[str, list] = {name: [] for name in layout.fields}
-        # schema order, which is the order flattening crosses several lists in
-        cached = set(layout.fields)
-        ordered = [path for path in schema.leaf_paths() if path in cached]
-        for batch in layout.scan_batches(ordered):
+        for batch in layout.scan_batches():
             for name, values in batch.columns.items():
                 columns[name].extend(values)
         converted: CacheLayout = ColumnarLayout(
@@ -98,10 +102,10 @@ def convert_layout(
 
 def regroupable(schema: RecordType) -> bool:
     """True when flattened rows of ``schema`` regroup into records by row counts:
-    at most one repetition group, and no leaf under two repeated levels."""
-    paths = schema.leaf_paths()
-    groups = {repetition_group(schema, path) for path in paths} - {None}
-    return len(groups) <= 1 and all(column_levels(schema, path)[0] <= 1 for path in paths)
+    at most one row-multiplying list, and no leaf under two repeated levels."""
+    return len(flatten_plan(schema).lists) <= 1 and all(
+        column_levels(schema, path)[0] <= 1 for path in schema.leaf_paths()
+    )
 
 
 def _stripe_columns(layout: ColumnarLayout, schema: RecordType) -> ParquetLayout:
@@ -157,22 +161,6 @@ def _stripe_columns(layout: ColumnarLayout, schema: RecordType) -> ParquetLayout
         columns[path] = StripedColumn(
             path, max_repetition, max_definition, entries, reps, definition, ranges
         )
-    return ParquetLayout(schema, fields, columns, len(counts))
-
-
-def flatten_records(  # rowwise-fallback: the records-to-rows bridge for callers that hold nested records (tests, benches); the cold path hands build_layout columns
-    records: Sequence[dict], schema: RecordType, fields: Sequence[str]
-) -> tuple[list[dict], list[int]]:
-    """Flatten nested records into rows restricted to ``fields``.
-
-    Returns the rows and the per-record row counts.
-    """
-    wanted = set(fields)
-    rows: list[dict] = []
-    counts: list[int] = []
-    for record in records:
-        flattened = flatten_record(record, schema)
-        counts.append(len(flattened))
-        for row in flattened:
-            rows.append({k: row.get(k) for k in wanted})
-    return rows, counts
+    # the schema's one list (if any) holds each record's row count of elements
+    list_counts = np.tile(np.asarray(counts, dtype=np.int32), (len(flatten_plan(schema).lists), 1))
+    return ParquetLayout(schema, fields, columns, list_counts)

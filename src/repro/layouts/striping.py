@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.batch import numeric_column_array
-from repro.engine.types import (
-    AtomType,
-    DataType,
-    Field,
-    ListType,
-    RecordType,
-)
+from repro.engine.types import AtomType, DataType, ListType, RecordType
 
 
 @dataclass
@@ -46,7 +40,6 @@ class StripedColumn:
     _numeric_entries: object = field(default=None, repr=False, compare=False)
     _numeric_checked: bool = field(default=False, repr=False, compare=False)
     _object_entries: object = field(default=None, repr=False, compare=False)
-    _entry_offsets: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_nested(self) -> bool:
@@ -110,26 +103,6 @@ class StripedColumn:
             self._object_entries = arr
         return self._object_entries
 
-    def entry_offsets(self) -> np.ndarray:
-        """Entry offsets per record: ``offsets[i]:offsets[i+1]`` is record i.
-
-        Length is ``record_count + 1``; valid because ``stripe_records``
-        appends entries record by record, so ranges are contiguous.
-        """
-        if self._entry_offsets is None:
-            ranges = np.asarray(self.record_ranges, dtype=np.int64).reshape(-1, 2)
-            offsets = np.empty(len(ranges) + 1, dtype=np.int64)
-            offsets[:-1] = ranges[:, 0]
-            offsets[-1] = self.entry_count
-            self._entry_offsets = offsets
-        return self._entry_offsets
-
-    def entry_counts(self) -> np.ndarray:
-        """Per-record entry counts (``>= 1`` everywhere: empty collections
-        stripe one placeholder entry, see ``_emit_nulls``)."""
-        offsets = self.entry_offsets()
-        return offsets[1:] - offsets[:-1]
-
     def flat_values(self, record_count: int) -> list | None:
         """The per-record value list of a non-repeated column, or ``None``.
 
@@ -146,33 +119,6 @@ class StripedColumn:
         if self.is_nested or len(self.values) != record_count:
             return None
         return self.values
-
-
-def prune_schema(schema: RecordType, paths: Sequence[str]) -> RecordType:
-    """Return a copy of ``schema`` containing only the given leaf paths."""
-    wanted = set(paths)
-    pruned = _prune(schema, "", wanted)
-    if pruned is None:
-        return RecordType([])
-    assert isinstance(pruned, RecordType)
-    return pruned
-
-
-def _prune(dtype: DataType, prefix: str, wanted: set[str]) -> DataType | None:
-    if isinstance(dtype, AtomType):
-        return dtype if prefix in wanted else None
-    if isinstance(dtype, ListType):
-        inner = _prune(dtype.element, prefix, wanted)
-        return ListType(inner) if inner is not None else None
-    if isinstance(dtype, RecordType):
-        fields = []
-        for f in dtype.fields:
-            child_prefix = f"{prefix}.{f.name}" if prefix else f.name
-            inner = _prune(f.dtype, child_prefix, wanted)
-            if inner is not None:
-                fields.append(Field(f.name, inner))
-        return RecordType(fields) if fields else None
-    raise TypeError(f"unsupported data type: {dtype!r}")
 
 
 def column_levels(schema: RecordType, path: str) -> tuple[int, int]:
@@ -236,10 +182,9 @@ def stripe_records(  # rowwise-fallback: striping shreds decoded nested records 
                 ranges.append((start, len(values)))
         return columns
 
-    pruned = prune_schema(schema, fields)
     for record in records:
         starts = {path: col.entry_count for path, col in columns.items()}
-        _stripe_record(record, pruned, "", 0, 0, 0, columns)
+        _stripe_record(record, schema, "", 0, 0, 0, columns)
         for path, col in columns.items():
             col.record_ranges.append((starts[path], col.entry_count))
     return columns

@@ -14,8 +14,8 @@ Declared semantics (pinned by hand-computed cases in ``test_oracle.py``):
 * a record flattens to the cross product of its collections; an empty or
   missing collection contributes one row of ``None`` leaves (parent data is
   never dropped).  Lists nested inside list elements unnest fully — the
-  engine's ``flatten_record`` keeps only their first element, a documented
-  limitation no shipped dataset reaches;
+  engine's ``FlattenPlan`` (``repro/engine/flatten.py``) reads only their
+  first element, a documented limitation no shipped dataset reaches;
 * a comparison with a ``None`` operand is false (``!=`` included), arithmetic
   over ``None`` is ``None``, division by zero raises;
 * a table's row carries the leaf paths the query reads (every leaf when it

@@ -187,8 +187,6 @@ def test_eager_admission_builds_no_row_dict(tmp_path, monkeypatch, fmt, adaptive
     )
     expected = Oracle(engine.catalog).evaluate(query)
 
-    for module in ("repro.engine.types", "repro.formats.json_plugin", "repro.layouts.convert"):
-        monkeypatch.setattr(f"{module}.flatten_record", _boom)
     monkeypatch.setattr(RecordBatch, "from_rows", classmethod(_boom))
     assert not hasattr(ColumnarLayout, "from_rows")  # the rows constructor is gone
 

@@ -7,11 +7,14 @@ shape, columnar -> Parquet for schemas with at most one list.  Flattening
 multiplies rows by every list, so a columnar layout over two lists cannot be
 regrouped into records; the pins below check that such an item is refused by
 ``convert_layout``, never proposed by the layout selector, and answers like
-caching off when the engine runs it.
+caching off when the engine runs it.  A Parquet item over two lists keeps both
+lists' counts, so it holds the columnar item's rows whichever lists a scan
+reads, and converts to columnar without losing any.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -115,6 +118,40 @@ def test_two_list_columnar_is_refused_property(seed):
 
 
 # ---------------------------------------------------------------------------
+# Pins: a Parquet item over two lists holds the columnar item's rows
+# ---------------------------------------------------------------------------
+#: every field list that reads list ``a``, in schema order
+A_FIELD_LISTS = [
+    [field for field in TWO_LISTS.leaf_paths() if field == "a" or field in others]
+    for size in range(4)
+    for others in itertools.combinations(["id", "fans", "b"], size)
+]
+
+
+@pytest.mark.parametrize("fields", A_FIELD_LISTS, ids="-".join)
+def test_two_list_parquet_holds_the_columnar_rows(fields):
+    parquet = build_layout("parquet", TWO_LISTS, fields, records=TWO_LIST_RECORDS)
+    columnar = build_layout("columnar", TWO_LISTS, fields, records=TWO_LIST_RECORDS)
+    assert parquet.record_row_counts == columnar.record_row_counts == [6, 1, 1]
+    assert parquet.flattened_row_count == 8
+    assert scanned_rows(parquet) == scanned_rows(columnar)
+    assert parquet.supports_range_filter(fields)
+    ranges = {"a": (1.0, 7.0)}
+    assert (
+        parquet.range_filtered_batch(ranges, fields).to_rows()
+        == columnar.range_filtered_batch(ranges, fields).to_rows()
+    )
+
+
+def test_two_list_parquet_converts_to_all_rows():
+    parquet = build_layout("parquet", TWO_LISTS, ["a"], records=TWO_LIST_RECORDS)
+    converted, _ = convert_layout(parquet, "columnar")
+    assert converted.flattened_row_count == 8
+    assert scanned_rows(converted) == [{"a": a} for a in (1, 1, 1, 2, 2, 2, None, 7)]
+    assert converted.record_row_counts == [6, 1, 1]
+
+
+# ---------------------------------------------------------------------------
 # Pins: the two-list columnar item stays columnar
 # ---------------------------------------------------------------------------
 def test_two_list_columnar_to_parquet_raises():
@@ -169,18 +206,22 @@ def test_selector_never_proposes_parquet_for_two_lists():
     assert not selector.decide(double).should_switch
 
 
-def test_two_list_engine_answers_like_caching_off(tmp_path):
-    rng = random.Random(11)
-    records = [
+def two_list_records(count: int = 300, seed: int = 11) -> list[dict]:
+    """Records of ``TWO_LISTS`` with zero to four elements in each list."""
+    rng = random.Random(seed)
+    return [
         {
             "id": i,
             "fans": rng.randint(0, 100),
             "a": [rng.randint(0, 50) for _ in range(rng.randint(0, 4))],
             "b": [rng.randint(0, 50) for _ in range(rng.randint(0, 4))],
         }
-        for i in range(300)
+        for i in range(count)
     ]
-    write_json_lines(tmp_path / "two.json", records)
+
+
+def test_two_list_engine_answers_like_caching_off(tmp_path):
+    write_json_lines(tmp_path / "two.json", two_list_records())
     queries = [Query.select_aggregate("two", None, [AggregateSpec("count", FieldRef("id"))])]
     for index in range(40):
         low = index % 50
@@ -202,3 +243,31 @@ def test_two_list_engine_answers_like_caching_off(tmp_path):
 
     cached = run(ReCacheConfig(admission="eager", default_nested_layout="columnar"))
     assert cached == run(ReCacheConfig(caching_enabled=False))
+
+
+def test_list_in_a_list_reads_its_first_element_in_both_layouts():
+    """A leaf under two repeated levels: Parquet reads the entry whose
+    repetition level is at most 1, the first element the plan reads."""
+    schema = RecordType(
+        [
+            Field("id", INT),
+            Field("l", ListType(RecordType([Field("x", ListType(INT)), Field("y", INT)]))),
+            Field("b", ListType(INT)),
+        ]
+    )
+    records = [
+        {"id": 1, "l": [{"x": [5, 6], "y": 1}, {"x": [], "y": 2}, {"y": 3}], "b": [8, 9]},
+        {"id": 2, "l": [], "b": []},
+        {"id": 3, "l": [{"x": [7], "y": 4}], "b": [1]},
+    ]
+    fields = schema.leaf_paths()
+    parquet = build_layout("parquet", schema, fields, records=records)
+    columnar = build_layout("columnar", schema, fields, records=records)
+    assert parquet.record_row_counts == columnar.record_row_counts == [6, 1, 1]
+    assert scanned_rows(parquet) == scanned_rows(columnar)
+    assert [row["l.x"] for row in scanned_rows(parquet)] == [5, 5, None, None, None, None, None, 7]
+    ranges = {"l.x": (5.0, 7.0)}
+    assert (
+        parquet.range_filtered_batch(ranges, fields).to_rows()
+        == columnar.range_filtered_batch(ranges, fields).to_rows()
+    )

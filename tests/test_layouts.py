@@ -9,7 +9,7 @@ from repro.engine.expressions import RangePredicate
 from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
 from repro.layouts import build_layout, convert_layout, stripe_records
 from repro.layouts.assembly import assemble_records, assemble_rows, repetition_group
-from repro.layouts.striping import column_levels, prune_schema
+from repro.layouts.striping import column_levels
 from tests.oracle import flatten
 
 SCHEMA = RecordType(
@@ -40,10 +40,6 @@ class TestStriping:
         assert column_levels(SCHEMA, "key") == (0, 1)
         assert column_levels(SCHEMA, "info.city") == (0, 2)
         assert column_levels(SCHEMA, "items.q") == (1, 3)
-
-    def test_prune_schema(self):
-        pruned = prune_schema(SCHEMA, ["key", "items.q"])
-        assert pruned.leaf_paths() == ["key", "items.q"]
 
     def test_non_nested_columns_have_one_entry_per_record(self):
         columns = stripe_records(RECORDS, SCHEMA, FIELDS)

@@ -48,12 +48,14 @@ from repro.engine.expressions import (
     RangePredicate,
 )
 from repro.engine.query import JoinSpec, TableRef
-from repro.engine.types import FLOAT, INT, STRING, Field, RecordType
+from repro.engine.types import FLOAT, INT, STRING, Field, ListType, RecordType
 from repro.formats import write_csv, write_json_lines
 from repro.workloads.nested import synthetic_order_lineitems
 from repro.workloads.tpch import ORDER_LINEITEMS_SCHEMA
 from tests.oracle import Oracle, same_rows
 from tests.test_batch_execution import _cache_counters, _report_counters
+from tests.test_layout_conversion import TWO_LISTS, two_list_records
+from tests.test_striping_properties import random_record, random_schema
 
 PARITY_FUZZ_QUERIES = int(os.environ.get("RECACHE_PARITY_FUZZ_QUERIES", "150"))
 PARITY_FUZZ_JOIN_QUERIES = int(
@@ -549,3 +551,158 @@ def _query_fields(query: Query) -> set[str]:
     for aggregate in query.aggregates:
         fields |= aggregate.expr.referenced_fields()
     return fields
+
+
+# ---------------------------------------------------------------------------
+# Nested data over two or more lists: every cache path answers like the miss
+# ---------------------------------------------------------------------------
+def _two_list_queries() -> list[Query]:
+    """``count(a)``/``sum(a)`` over ``a`` in [10, 30], ``count(a)`` over [5, 40], ``count(id)``."""
+    narrow, wide = RangePredicate("a", 10, 30), RangePredicate("a", 5, 40)
+    return [
+        Query.select_aggregate("two", narrow, [AggregateSpec("count", FieldRef("a"))]),
+        Query.select_aggregate("two", narrow, [AggregateSpec("sum", FieldRef("a"))]),
+        Query.select_aggregate("two", wide, [AggregateSpec("count", FieldRef("a"))]),
+        Query.select_aggregate("two", None, [AggregateSpec("count", FieldRef("id"))]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ReCacheConfig(admission="eager", layout_selection=False), ReCacheConfig()],
+    ids=["eager-parquet", "default"],
+)
+def test_two_list_nested_pin_answers_like_caching_off(tmp_path, config):
+    """A Parquet hit over one of two lists still multiplies by the other."""
+    write_json_lines(tmp_path / "two.json", two_list_records())
+    queries = _two_list_queries()
+
+    def engine(config: ReCacheConfig) -> QueryEngine:
+        engine = QueryEngine(config)
+        engine.register_json("two", tmp_path / "two.json", TWO_LISTS)
+        return engine
+
+    uncached = engine(ReCacheConfig(caching_enabled=False))
+    expected = [uncached.execute(query).results for query in queries]
+    assert [value for (row,) in expected for value in row.values()] == [556, 11022.0, 932, 300]
+    oracle = Oracle(uncached.catalog)
+    assert all(same_rows(rows, oracle.evaluate(q)) for rows, q in zip(expected, queries))
+    cached = engine(config)
+    for _ in range(2):
+        for query, rows in zip(queries, expected):
+            assert same_rows(cached.execute(query).results, rows), query.signature()
+    assert cached.recache.stats.hits > 0
+
+
+def _multi_list_schema(rng: random.Random) -> RecordType:
+    """A random schema with at least two lists, one holding a numeric leaf."""
+    while True:
+        schema = random_schema(rng)
+        lists = [f for f in schema.fields if isinstance(f.dtype, ListType)]
+        if len(lists) >= 2 and _numeric_leaves(schema, nested=True):
+            return schema
+
+
+def _numeric_leaves(schema: RecordType, nested: bool | None = None) -> list[str]:
+    return [
+        path
+        for path, atom in schema.leaf_items()
+        if atom in (INT, FLOAT) and nested in (None, schema.is_nested_path(path))
+    ]
+
+
+def _range_pair(rng: random.Random, atom) -> tuple[tuple[float, float], tuple[float, float]]:
+    """A closed range and a wider one covering it, over ``random_record``'s values."""
+    bound = 1000 if atom is INT else 100
+    low, high = sorted(rng.uniform(-bound, bound) for _ in range(2))
+    return (round(low), round(high)), (round(low) - rng.randint(1, bound // 4), round(high))
+
+
+def _multi_list_queries(rng: random.Random, schema: RecordType) -> tuple[Query, Query]:
+    """A query and a wider one over the same range field (subsumption donor)."""
+    atoms = dict(schema.leaf_items())
+    field = rng.choice(_numeric_leaves(schema, nested=True if rng.random() < 0.7 else None))
+    narrow, wide = _range_pair(rng, atoms[field])
+    measured = rng.choice(_numeric_leaves(schema))
+    roll = rng.random()
+    if roll < 0.5:
+        aggregates = [AggregateSpec("count", FieldRef(measured)), AggregateSpec("sum", FieldRef(measured))]
+        group_by = []
+    elif roll < 0.8:
+        aggregates = [AggregateSpec("count", FieldRef(measured))]
+        group_by = [rng.choice(schema.leaf_paths())]
+    else:  # rows of the range field only
+        aggregates, group_by = [], []
+
+    def query(bounds):
+        return Query(
+            tables=[TableRef("multi", RangePredicate(field, *bounds))],
+            aggregates=aggregates,
+            group_by=group_by,
+            label=f"multi-{field}",
+        )
+
+    return query(narrow), query(wide)
+
+
+class _SwitchToColumnar:
+    """A layout selector that converts every Parquet entry on its next reuse."""
+
+    def __init__(self, selector) -> None:
+        self._selector = selector
+
+    def __getattr__(self, name):
+        return getattr(self._selector, name)
+
+    def decide(self, entry):
+        from repro.core.layout_selector import LayoutDecision
+
+        return LayoutDecision("columnar" if entry.layout.layout_name == "parquet" else None, None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multi_list_nested_transparency_property(tmp_path, seed):
+    """Over two or more lists, five paths agree with the oracle: the miss, an
+    exact hit on each layout, a subsumption hit on each layout, and a hit on a
+    Parquet entry converted to columnar."""
+    rng = random.Random(9000 + seed)
+    schema = _multi_list_schema(rng)
+    records = [random_record(rng, schema) for _ in range(rng.randint(5, 40))]
+    write_json_lines(tmp_path / "multi.json", records)
+
+    def engine(layout: str, layout_selection: bool = False) -> QueryEngine:
+        config = ReCacheConfig(
+            admission="eager", default_nested_layout=layout, layout_selection=layout_selection
+        )
+        engine = QueryEngine(config)
+        engine.register_json("multi", tmp_path / "multi.json", schema)
+        return engine
+
+    oracle = Oracle(engine("parquet").catalog)
+    for _ in range(3):
+        query, wider = _multi_list_queries(rng, schema)
+        expected = oracle.evaluate(query)
+        reports = {}
+        for layout in ("parquet", "columnar"):
+            exact = engine(layout)
+            reports[f"miss ({layout})"] = exact.execute(query)
+            reports[f"exact {layout} hit"] = exact.execute(query)
+            subsumed = engine(layout)
+            subsumed.execute(wider)
+            reports[f"subsumption {layout} hit"] = subsumed.execute(query)
+
+        converted = engine("parquet", layout_selection=True)
+        converted.recache.layout_selector = _SwitchToColumnar(converted.recache.layout_selector)
+        converted.execute(query)
+        converted.execute(query)  # the Parquet hit whose reuse converts the entry
+        assert converted.recache.stats.layout_switches == 1
+        (entry,) = converted.recache.entries()
+        assert entry.layout.layout_name == "columnar"
+        reports["converted Parquet -> columnar hit"] = converted.execute(query)
+
+        for path, report in reports.items():
+            kind = path.split()[0]
+            assert (report.misses, report.exact_hits, report.subsumption_hits) == {
+                "miss": (1, 0, 0), "subsumption": (0, 0, 1),
+            }.get(kind, (0, 1, 0)), path
+            assert same_rows(report.results, expected), f"{path}: {query.signature()}"

@@ -6,7 +6,8 @@ dependency) check two invariants the Parquet layout's fast paths lean on:
 * ``stripe_records`` -> ``assemble_records`` round-trips arbitrary records of
   the nesting shapes the repository supports (atoms, records of atoms, lists
   of atoms, lists of records, with nulls at every level),
-* ``prune_schema`` never drops a requested leaf path, and never invents one.
+* ``ParquetLayout.scan_batches`` yields the rows the reference oracle
+  flattens the records into, for any subset of the leaves.
 
 Plus the structural invariant behind
 :meth:`~repro.layouts.striping.StripedColumn.flat_values`: a flat column
@@ -28,8 +29,10 @@ from repro.engine.types import (
     ListType,
     RecordType,
 )
-from repro.layouts.assembly import assemble_columns, assemble_records, assemble_rows
-from repro.layouts.striping import prune_schema, stripe_records
+from repro.layouts import build_layout
+from repro.layouts.assembly import assemble_records, assemble_rows
+from repro.layouts.striping import stripe_records
+from tests.oracle import flatten, leaf_paths
 
 ATOMS = (INT, FLOAT, STRING)
 
@@ -110,35 +113,37 @@ def test_stripe_assemble_roundtrip(seed):
     assert list(assemble_records(columns, schema)) == records
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_prune_schema_keeps_every_requested_path(seed):
-    rng = random.Random(2000 + seed)
-    schema = random_schema(rng)
-    leaves = schema.leaf_paths()
-    wanted = rng.sample(leaves, rng.randint(1, len(leaves)))
-    pruned = prune_schema(schema, wanted)
-    assert set(pruned.leaf_paths()) == set(wanted), (
-        f"prune_schema dropped or invented paths for {wanted} on {leaves}"
-    )
+def scanned_rows(layout, fields) -> list[dict]:
+    return [row for batch in layout.scan_batches(fields) for row in batch.iter_rows()]
+
+
+def oracle_rows(records, schema, fields) -> tuple[list[dict], list[int]]:
+    """The oracle's rows of ``fields`` and each record's row count.
+
+    A field list that crosses no collection reads one row per record.
+    """
+    per_record = [flatten(record, schema) for record in records]
+    crosses = any(in_list for path, in_list in leaf_paths(schema) if path in fields)
+    rows = [
+        {field: row[field] for field in fields}
+        for record_rows in per_record
+        for row in (record_rows if crosses else record_rows[:1])
+    ]
+    return rows, [len(record_rows) for record_rows in per_record]
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_assemble_columns_matches_assemble_rows(seed):
-    """The column-wise assembly (parquet batch fallback) mirrors the row FSM."""
+def test_parquet_scan_batches_match_the_oracle(seed):
+    """The Parquet scan gathers the oracle's rows, whichever lists are read."""
     rng = random.Random(3000 + seed)
     schema = random_schema(rng)
     records = [random_record(rng, schema) for _ in range(rng.randint(1, 20))]
-    columns = stripe_records(records, schema)
     leaves = schema.leaf_paths()
     wanted = rng.sample(leaves, rng.randint(1, len(leaves)))
-    pruned = prune_schema(schema, wanted)
-    expected = list(assemble_rows(columns, schema, wanted))
-    assembled, row_count = assemble_columns(columns, pruned, wanted)
-    assert row_count == len(expected)
-    rebuilt = [
-        {field: assembled[field][i] for field in wanted} for i in range(row_count)
-    ]
-    assert rebuilt == expected
+    layout = build_layout("parquet", schema, leaves, records=records)
+    expected, row_counts = oracle_rows(records, schema, wanted)
+    assert scanned_rows(layout, wanted) == expected
+    assert layout.record_row_counts == row_counts
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -171,8 +176,8 @@ def test_flat_columns_stripe_one_aligned_entry_per_record(seed):
 # ``_assemble_group_elements``) would collapse the distinctions between a
 # missing wrapper, a present wrapper with an empty list, and a one-element
 # list holding NULL.  These cases pin each shape end to end: stripe ->
-# assemble_records structure, and stripe -> assemble_rows/columns parity with
-# ``flatten_record``.
+# assemble_records structure, and stripe -> assemble_rows and the Parquet
+# scan against the oracle's flattening.
 
 WRAPPED_SCHEMA = RecordType(
     [
@@ -240,8 +245,6 @@ def test_deep_empty_list_reconstructs_distinctly(record, expected_elements):
 
 @pytest.mark.parametrize("schema", [WRAPPED_SCHEMA, DEEP_SCHEMA], ids=["wrapped", "deep"])
 def test_wrapped_empty_lists_flatten_parity(schema):
-    from repro.engine.types import flatten_record
-
     if schema is WRAPPED_SCHEMA:
         records = [
             {"key": 1},
@@ -260,11 +263,8 @@ def test_wrapped_empty_lists_flatten_parity(schema):
             {"key": 5, "a": {"b": {"c": [None]}}},
             {"key": 6, "a": {"b": {"c": [{"x": 9}, {}]}}},
         ]
-    expected = [row for record in records for row in flatten_record(record, schema)]
-    columns = stripe_records(records, schema)
     leaves = schema.leaf_paths()
+    expected, _ = oracle_rows(records, schema, leaves)
+    columns = stripe_records(records, schema)
     assert list(assemble_rows(columns, schema, leaves)) == expected
-    assembled, row_count = assemble_columns(columns, schema, leaves)
-    assert row_count == len(expected)
-    rebuilt = [{f: assembled[f][i] for f in leaves} for i in range(row_count)]
-    assert rebuilt == expected
+    assert scanned_rows(build_layout("parquet", schema, leaves, records=records), leaves) == expected

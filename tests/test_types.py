@@ -1,8 +1,10 @@
 """Unit tests for the nested data model (schemas, paths, flattening)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.flatten import FlattenPlan, flatten_plan, row_indexes
 from repro.engine.types import (
     FLOAT,
     INT,
@@ -10,7 +12,6 @@ from repro.engine.types import (
     Field,
     ListType,
     RecordType,
-    flatten_record,
 )
 
 NESTED = RecordType(
@@ -60,7 +61,16 @@ class TestSchemaPaths:
         assert other != NESTED
 
 
-class TestFlattenRecord:
+def flatten_record(record: dict, schema: RecordType) -> list[dict]:
+    """One record's flattened rows over every leaf, through the schema's plan."""
+    fields = schema.leaf_paths()
+    columns, counts = FlattenPlan(schema).columns([record], fields)
+    rows = [dict(zip(fields, values)) for values in zip(*(columns[f] for f in fields))]
+    assert counts == [len(rows)]
+    return rows
+
+
+class TestFlattenPlan:
     def test_paper_example(self):
         # The flattening example of Section 4: {"a":1,"b":4,"c":[4,6,9]}
         schema = RecordType([Field("a", INT), Field("b", INT), Field("c", ListType(INT))])
@@ -111,3 +121,47 @@ class TestFlattenRecord:
         rows = flatten_record(record, NESTED)
         assert len(rows) == max(1, len(items))
         assert all(row["a"] == a for row in rows)
+
+    def test_lists_in_schema_order_and_counts(self):
+        plan = FlattenPlan(NESTED)
+        assert plan.lists == [("items",), ("tags",)]
+        assert plan.list_of("items.p") == 0 and plan.list_of("tags") == 1
+        assert plan.list_of("sub.x") is None
+        records = [{"items": [{}, {}], "tags": []}, {"tags": [1, 2, 3]}]
+        assert plan.list_counts(records).tolist() == [[2, 1], [1, 3]]
+        assert plan.list_counts(records).dtype.name == "int32"
+
+    def test_earlier_lists_vary_slowest(self):
+        record = {"items": [{"q": 1}, {"q": 2}], "tags": [7, 8, 9]}
+        rows = flatten_record(record, NESTED)
+        assert [(row["items.q"], row["tags"]) for row in rows] == [
+            (1, 7), (1, 8), (1, 9), (2, 7), (2, 8), (2, 9),
+        ]
+
+    def test_index_rule(self):
+        # record 0: lists of 2 and 3 elements; record 1: 1 and 2
+        counts = np.array([[2, 1], [3, 2]], dtype=np.int32)
+        assert row_indexes(counts, None).tolist() == [0] * 6 + [1] * 2
+        assert row_indexes(counts, 0).tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
+        assert row_indexes(counts, 1).tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
+        # one list: the identity
+        assert row_indexes(counts[1:], 0).tolist() == list(range(5))
+
+    def test_list_in_a_list_reads_its_first_element(self):
+        schema = RecordType(
+            [Field("k", INT), Field("l", ListType(RecordType([Field("x", ListType(INT))])))]
+        )
+        plan = FlattenPlan(schema)
+        assert plan.lists == [("l",)]
+        rows = flatten_record({"k": 1, "l": [{"x": [5, 6]}, {"x": []}, {}]}, schema)
+        assert rows == [{"k": 1, "l.x": 5}, {"k": 1, "l.x": None}, {"k": 1, "l.x": None}]
+
+    def test_field_outside_the_schema_reads_none(self):
+        columns, counts = FlattenPlan(NESTED).columns(
+            [{"a": 1, "tags": [1, 2]}], ["a", "nope"]
+        )
+        assert columns == {"a": [1, 1], "nope": [None, None]} and counts == [2]
+
+    def test_plan_is_memoised_per_schema(self):
+        same = RecordType(list(NESTED.fields))
+        assert flatten_plan(same) is flatten_plan(NESTED)

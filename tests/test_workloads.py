@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.expressions import RangePredicate
-from repro.engine.types import flatten_record
+from repro.engine.flatten import FlattenPlan
 from repro.workloads import (
     AttributeSchedule,
     SYMANTEC_CSV_SCHEMA,
@@ -55,8 +55,8 @@ class TestTPCHGenerator:
         records = list(generator.order_lineitems_records())
         total_lineitems = sum(len(record["lineitems"]) for record in records)
         assert total_lineitems == generator.cardinality("lineitem")
-        for record in records[:20]:
-            flatten_record(record, ORDER_LINEITEMS_SCHEMA)  # must not raise
+        plan = FlattenPlan(ORDER_LINEITEMS_SCHEMA)
+        plan.columns(records[:20], ORDER_LINEITEMS_SCHEMA.leaf_paths())  # must not raise
 
 
 class TestSyntheticDatasets:
@@ -77,8 +77,8 @@ class TestSyntheticDatasets:
         with_subject = [r for r in records if "subject_length" in r]
         assert 0 < len(with_subject) < len(records)
         assert all("urls" in record and "origin" in record for record in records)
-        for record in records[:50]:
-            flatten_record(record, SYMANTEC_JSON_SCHEMA)
+        plan = FlattenPlan(SYMANTEC_JSON_SCHEMA)
+        plan.columns(records[:50], SYMANTEC_JSON_SCHEMA.leaf_paths())  # must not raise
         assert set(SYMANTEC_CSV_SCHEMA.field_names()) == {
             "email_id", "class_id", "confidence", "summary_length", "cluster",
         }
