@@ -12,10 +12,12 @@ def test_fig07_cost_model_error(run_experiment):
         f"within 30%={result['fraction_within_30pct']:.0%} "
         f"within 50%={result['fraction_within_50pct']:.0%}"
     )
-    # The paper reports 90% of predictions within 10% of the measured cost; our
-    # D/C split is estimated via calibration rather than measured inside
-    # generated code, so the reproduced accuracy is looser (see EXPERIMENTS.md)
-    # but the errors must still be centred: at least half the predictions land
-    # within 50% of the measured cost.
+    # The paper reports 90% of predictions within 10% of the measured cost.
+    # Here the data cost D is the scanned value count times one per-value
+    # constant calibrated once (engine/calibration.py), not a timing of the
+    # scan itself, and C is the rest of the measured total (ROADMAP item 6),
+    # so the reproduced accuracy is looser; but the errors must still be
+    # centred: at least half the predictions land within 50% of the measured
+    # cost.
     assert result["fraction_within_50pct"] >= 0.5
     assert len(result["errors"]) == 120

@@ -18,8 +18,11 @@ def test_fig12a_admission_overhead_cdf(run_experiment):
         f"(recache vs eager reduction {result['recache_vs_eager_reduction_pct']:.1f}%)"
     )
     # Paper shape: lazy caching is by far the cheapest per query and eager the
-    # most expensive; ReCache sits in between (59% below eager in the paper —
-    # see EXPERIMENTS.md for why the gap is smaller on this substrate).
+    # most expensive; ReCache sits in between (59% below eager in the paper).
+    # The gap is smaller here because most misses read a source whose cached
+    # item was already reused: such a miss skips the sample and is admitted
+    # eagerly, so the threshold bounds only a minority of misses (ROADMAP
+    # item 8).
     assert means["lazy"] < means["recache"]
     assert means["lazy"] < means["eager"]
     assert means["recache"] <= means["eager"] * 1.05

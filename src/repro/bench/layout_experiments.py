@@ -14,7 +14,6 @@ from typing import Sequence
 from repro.core.cache_entry import LayoutObservation
 from repro.core.cost_model import LayoutCostModel, closest_compute_cost, percentage_error
 from repro.engine.calibration import split_scan_cost
-from repro.engine.compiler import compile_predicate
 from repro.engine.expressions import RangePredicate
 from repro.layouts import ColumnarLayout, ParquetLayout, build_layout
 from repro.utils.rng import make_rng
@@ -63,14 +62,15 @@ def _order_lineitems_layout_queries(
 
 
 def _timed_scan(layout, fields: Sequence[str], predicate) -> tuple[float, int]:
-    """Scan a layout applying a compiled predicate; returns (seconds, rows scanned)."""
-    compiled = compile_predicate(predicate)
+    """Scan a layout applying a predicate (``None``: every row matches);
+    returns (seconds, rows scanned)."""
+    matches = predicate.evaluate if predicate is not None else lambda row: True
     started = time.perf_counter()
     scanned = 0
     matched = 0
     for row in layout.scan(fields=fields):
         scanned += 1
-        if compiled(row):
+        if matches(row):
             matched += 1
     return time.perf_counter() - started, scanned
 

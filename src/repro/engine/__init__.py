@@ -4,10 +4,11 @@ This subpackage implements the query engine that ReCache plugs into: a nested
 data model (:mod:`repro.engine.types`), an expression language
 (:mod:`repro.engine.expressions`), a logical query algebra
 (:mod:`repro.engine.algebra`), pull-based physical operators
-(:mod:`repro.engine.operators`), a plan "compiler" that specializes plans into
-Python closures (:mod:`repro.engine.compiler` — the stand-in for Proteus' LLVM
-code generation), an optimizer that injects materializers and rewrites plans
-against the cache (:mod:`repro.engine.optimizer`), and a high-level
+(:mod:`repro.engine.operators`), predicate and aggregate-input evaluation over
+batches (:mod:`repro.engine.compiler`: NumPy masks, else
+:meth:`~repro.engine.expressions.Expression.evaluate` per row), an optimizer
+that injects materializers and rewrites plans against the cache
+(:mod:`repro.engine.optimizer`), and a high-level
 :class:`~repro.engine.session.QueryEngine` session object.
 
 Only the leaf modules are imported here to keep import order free of cycles

@@ -5,7 +5,7 @@ one Python list per column plus optional record-level side information.  Scans
 (format plugins and cache layouts) produce batches of a configurable size, the
 batched operators consume and produce them, and per-column ``float64`` NumPy
 views are built lazily so numeric predicates evaluate as vectorized masks
-instead of per-row closure calls.
+instead of per-row ``Expression.evaluate`` calls.
 
 The record-level side information exists because ReCache's semantics are
 record-granular even though execution is row-granular:
@@ -147,7 +147,7 @@ class RecordBatch:
         """A cached float64 view of one column (see :func:`numeric_column_array`).
 
         Returns ``None`` when the column holds non-numeric values; vectorized
-        predicates then fall back to the compiled per-row closure.
+        predicates then fall back to ``Expression.evaluate`` per row.
         """
         if name not in self._numeric:
             self._numeric[name] = numeric_column_array(self.column(name))

@@ -49,7 +49,7 @@ from repro.engine.algebra import (
 )
 from repro.engine.batch import RecordBatch
 from repro.engine.calibration import split_scan_cost
-from repro.engine.compiler import compile_aggregates, compile_batch_predicate
+from repro.engine.compiler import compile_batch_predicate
 from repro.engine.operators import (
     aggregate_batches,
     filter_batches,
@@ -677,8 +677,7 @@ def _execute_batches(plan: PlanNode, ctx: ExecutionContext) -> list[RecordBatch]
         return list(source.scan_batches(plan.fields or None, batch_size=ctx.config.batch_size))
     if isinstance(plan, AggregateNode):
         batches = _execute_batches(plan.child, ctx)
-        aggregates = compile_aggregates(plan.aggregates)
-        return [aggregate_batches(batches, aggregates, plan.group_by)]
+        return [aggregate_batches(batches, plan.aggregates, plan.group_by)]
     raise TypeError(f"cannot execute plan node of type {type(plan).__name__}")
 
 

@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.engine.batch import RecordBatch, concat_batches, object_validity_mask
-from repro.engine.compiler import CompiledAggregate
+from repro.engine.compiler import aggregate_values
+from repro.engine.expressions import AggregateSpec
 
 
 def _check_join_columns(
@@ -275,7 +276,7 @@ def _expand_matches(
 
 def aggregate_batches(
     batches: Sequence[RecordBatch],
-    aggregates: Sequence[CompiledAggregate],
+    aggregates: Sequence[AggregateSpec],
     group_by: Sequence[str] = (),
 ) -> RecordBatch:
     """Compute aggregates over a batch stream, optionally grouped.
@@ -300,10 +301,9 @@ def aggregate_batches(
     else:
         codes, group_keys = _factorize_keys(merged, keys)
     columns: dict[str, list] = dict(zip(keys, map(list, zip(*group_keys))))
-    for aggregate in aggregates:
-        values = aggregate.batch_values(merged)
-        columns[aggregate.spec.output_name] = _grouped_reduce(
-            aggregate.spec.func, values, codes, len(group_keys)
+    for spec in aggregates:
+        columns[spec.output_name] = _grouped_reduce(
+            spec.func, aggregate_values(spec, merged), codes, len(group_keys)
         )
     return RecordBatch(columns, row_count=len(group_keys))
 

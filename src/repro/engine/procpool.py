@@ -124,7 +124,6 @@ def _attach_layout(
 
 def _run_task(task: ScanTask, cache: dict) -> ScanTaskResult:
     """Execute one task against mapped shared memory (worker process)."""
-    from repro.engine.compiler import compile_aggregates
     from repro.engine.operators import aggregate_batches
     from repro.engine.batch import rows_from_batches
 
@@ -137,9 +136,7 @@ def _run_task(task: ScanTask, cache: dict) -> ScanTaskResult:
     operator_started = time.perf_counter()
     if task.aggregates or task.group_by:
         batches = [
-            aggregate_batches(
-                batches, compile_aggregates(list(task.aggregates)), list(task.group_by)
-            )
+            aggregate_batches(batches, list(task.aggregates), list(task.group_by))
         ]
     rows = rows_from_batches(batches)
     operator_seconds = time.perf_counter() - operator_started

@@ -6,7 +6,8 @@ records=)`` flattens through it, and the Parquet layout keeps its list counts
 and gathers its rows by its index rule.  So the two layouts hold the same
 rows, and conversion, which the layout selector triggers when a cached item
 should switch representation (Section 4.2), goes column to column: Parquet
-becomes columnar by concatenating the batches the engine's own scan yields,
+becomes columnar by concatenating the batches the engine's own scan yields
+(repeating a flat-only scan's record rows over each record's flattened rows),
 and columnar becomes Parquet by striping the flattened columns by their
 per-record row counts; no row dictionary or nested record is built.  Its
 wall-clock time is the transformation cost ``T`` that the cost model bounds
@@ -27,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.flatten import flatten_plan
+from repro.engine.batch import RecordBatch
+from repro.engine.flatten import flatten_plan, row_indexes
 from repro.engine.types import RecordType
 from repro.layouts.assembly import list_definition_threshold
 from repro.layouts.base import CacheLayout
@@ -90,6 +92,11 @@ def convert_layout(
         for batch in layout.scan_batches():
             for name, values in batch.columns.items():
                 columns[name].extend(values)
+        if not any(schema.is_nested_path(name) for name in layout.fields):
+            # A flat-only scan yields one row per record; a columnar item
+            # holds each record's flattened rows, as build_layout(records=) does.
+            owners = row_indexes(layout.list_counts, None)
+            columns = RecordBatch(columns, row_count=layout.record_count).take(owners).columns
         converted: CacheLayout = ColumnarLayout(
             schema, layout.fields, columns, layout.record_row_counts
         )

@@ -94,6 +94,11 @@ class ParquetLayout(CacheLayout):
         return self._record_count
 
     @property
+    def list_counts(self) -> np.ndarray:
+        """The int32 (lists x records) matrix of ``max(1, len(list))``."""
+        return self._list_counts
+
+    @property
     def record_row_counts(self) -> list[int]:
         """Rows each record flattens into: the product of its list counts."""
         return self._record_row_counts.tolist()

@@ -30,7 +30,7 @@ from repro import (
     TableRef,
 )
 from repro.engine.batch import concat_batches
-from repro.engine.compiler import compile_batch_predicate, compile_predicate
+from repro.engine.compiler import compile_batch_predicate
 from repro.engine.expressions import Arithmetic
 from repro.engine.types import FLOAT, INT, Field, RecordType
 from repro.formats import write_csv, write_json_lines
@@ -297,11 +297,22 @@ class TestEdgeCaseParity:
 # ---------------------------------------------------------------------------
 # Batch predicate compiler
 # ---------------------------------------------------------------------------
+def _bound_rows(expr, columns: dict[str, list], row_count: int) -> list[dict]:
+    """Each row as the engine's per-row fallback sees it: every field ``expr``
+    references is bound, and a column the batch lacks reads as ``None``."""
+    fields = sorted(expr.referenced_fields())
+    return [
+        {name: columns[name][i] if name in columns else None for name in fields}
+        for i in range(row_count)
+    ]
+
+
 def _mask_matches_rows(expr, rows: list[dict]) -> None:
-    batch = RecordBatch.from_rows(rows, sorted({key for row in rows for key in row}))
+    names = sorted({key for row in rows for key in row})
+    batch = RecordBatch.from_rows(rows, names)
     mask = compile_batch_predicate(expr)(batch)
-    row_predicate = compile_predicate(expr)
-    expected = np.array([bool(row_predicate(row)) for row in rows], dtype=bool)
+    bound = _bound_rows(expr, {name: batch.column(name) for name in names}, len(rows))
+    expected = np.array([bool(expr.evaluate(row)) for row in bound], dtype=bool)
     assert mask.dtype == np.bool_
     np.testing.assert_array_equal(mask, expected, err_msg=expr.signature())
 
@@ -375,20 +386,117 @@ class TestBatchPredicates:
         batch = RecordBatch.from_rows(self.ROWS, ["a", "b", "s"])
         assert compile_batch_predicate(None)(batch).all()
 
-    def test_closure_cache_is_order_faithful(self):
-        # And children sort identically in the *signature*, so these two
-        # predicates would collide on a signature-keyed cache — but their
+    def test_conjunction_keeps_its_order(self):
+        # And children sort identically in the *signature*, but their
         # short-circuit order differs: only `ordered` guards the division.
         division = Comparison(">", Arithmetic("/", Literal(1.0), FieldRef("a")), Literal(0.5))
         positive = Comparison(">", FieldRef("a"), Literal(0))
         unordered = And([division, positive])
         ordered = And([positive, division])
         assert unordered.signature() == ordered.signature()
-        unguarded = compile_predicate(unordered)
-        guarded = compile_predicate(ordered)
-        assert guarded({"a": 0}) is False  # guard short-circuits the division
+        batch = RecordBatch({"a": [0]}, row_count=1)
+        assert not compile_batch_predicate(ordered)(batch).any()
         with pytest.raises(ZeroDivisionError):
-            unguarded({"a": 0})
+            compile_batch_predicate(unordered)(batch)
+
+
+# ---------------------------------------------------------------------------
+# Batch predicate property: the mask (or its per-row fallback) is evaluate
+# ---------------------------------------------------------------------------
+_NUMBERS = st.one_of(
+    st.none(), st.just(math.nan), st.just(0), st.integers(-4, 4), st.floats(-4, 4, allow_nan=False)
+)
+_STRINGS = st.one_of(st.none(), st.sampled_from(["", "x", "y", "xy"]))
+#: "a" and "b" hold numbers, "c" numbers or strings, "s" strings; "m" is
+#: referenced but absent from every batch.
+_COLUMN_VALUES = {"a": _NUMBERS, "b": _NUMBERS, "c": st.one_of(_NUMBERS, _STRINGS), "s": _STRINGS}
+_NUMERIC_FIELDS = ("a", "b", "c", "m")
+
+
+def _numeric_operands():
+    leaves = st.one_of(
+        st.sampled_from(_NUMERIC_FIELDS).map(FieldRef),
+        st.one_of(
+            st.just(0), st.integers(-3, 3), st.floats(-3, 3, allow_nan=False), st.just(math.nan)
+        ).map(Literal),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(Arithmetic, st.sampled_from("+-*/"), inner, inner),
+        max_leaves=4,
+    )
+
+
+_OPERANDS = st.one_of(
+    _numeric_operands(),
+    st.just(FieldRef("s")),
+    st.sampled_from(["", "x", "y"]).map(Literal),
+)
+
+
+@st.composite
+def _ranges(draw):
+    low, high = sorted(draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=2)))
+    return RangePredicate(
+        draw(st.sampled_from(("a", "b", "c", "s", "m"))),
+        low,
+        high,
+        low_inclusive=draw(st.booleans()),
+        high_inclusive=draw(st.booleans()),
+    )
+
+
+_PREDICATES = st.recursive(
+    st.one_of(
+        _ranges(),
+        st.builds(
+            Comparison, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), _OPERANDS, _OPERANDS
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(And),
+        st.lists(inner, min_size=1, max_size=3).map(Or),
+        inner.map(Not),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _batch_columns(draw):
+    row_count = draw(st.integers(0, 8))
+    columns = {
+        name: draw(st.lists(values, min_size=row_count, max_size=row_count))
+        for name, values in _COLUMN_VALUES.items()
+    }
+    return columns, row_count
+
+
+def _outcome(function):
+    try:
+        return function(), None
+    except Exception as error:  # the property compares exception types
+        return None, type(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr=_PREDICATES, drawn=_batch_columns())
+def test_batch_predicate_is_evaluate_per_row(expr, drawn):
+    """Over random predicate trees and batches holding ``None``, NaN, 0,
+    strings and absent columns, the batch mask equals ``evaluate`` on every
+    row with each referenced field bound, or both raise the same exception
+    type — whichever of the vectorized mask and the per-row fallback runs."""
+    columns, row_count = drawn
+    batch = RecordBatch(dict(columns), row_count=row_count)
+    mask, mask_error = _outcome(lambda: compile_batch_predicate(expr)(batch))
+    rows = _bound_rows(expr, columns, row_count)
+    expected, expected_error = _outcome(
+        lambda: np.array([bool(expr.evaluate(row)) for row in rows], dtype=bool)
+    )
+    assert mask_error is expected_error, expr.signature()
+    if expected_error is None:
+        assert mask.dtype == np.bool_
+        np.testing.assert_array_equal(mask, expected, err_msg=expr.signature())
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +518,11 @@ class TestNumpyGroupBy:
         ]
 
     def _assert_parity(self, rows, group_by):
-        from repro.engine.compiler import compile_aggregates
         from repro.engine.operators import aggregate_batches
 
         expected = group_rows(rows, self._specs(), group_by)
         batches = [RecordBatch.from_rows(rows[i : i + 3]) for i in range(0, len(rows), 3)]
-        got = aggregate_batches(batches, compile_aggregates(self._specs()), group_by).to_rows()
+        got = aggregate_batches(batches, self._specs(), group_by).to_rows()
         assert same_rows(got, expected)
         return got
 
@@ -449,10 +556,9 @@ class TestNumpyGroupBy:
         assert len(results) == 2
 
     def test_empty_input_yields_no_groups(self):
-        from repro.engine.compiler import compile_aggregates
         from repro.engine.operators import aggregate_batches
 
-        assert aggregate_batches([], compile_aggregates(self._specs()), ["g"]).row_count == 0
+        assert aggregate_batches([], self._specs(), ["g"]).row_count == 0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -473,7 +579,6 @@ class TestNumpyGroupBy:
         ints, floats and bools in arbitrary batches it equals the oracle's
         fold, ``min``/``max`` keep the value's own type, and no input at all
         still yields one row."""
-        from repro.engine.compiler import compile_aggregates
         from repro.engine.operators import aggregate_batches
 
         rows = [{"v": value} for value in values]
@@ -483,7 +588,7 @@ class TestNumpyGroupBy:
             for start, stop in zip(bounds, bounds[1:])
             if stop > start
         ]
-        got = aggregate_batches(batches, compile_aggregates(self._specs()), ()).to_rows()
+        got = aggregate_batches(batches, self._specs(), ()).to_rows()
         expected = group_rows(rows, self._specs())
         assert same_rows(got, expected)
         (row,) = got

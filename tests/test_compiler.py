@@ -1,11 +1,11 @@
-"""Tests for the expression compiler (generated closures match interpretation)."""
+"""Batch predicates and aggregate inputs agree with ``Expression.evaluate``."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import QueryEngine, ReCacheConfig
 from repro.engine.batch import RecordBatch
-from repro.engine.compiler import compile_aggregates, compile_predicate, compile_value
+from repro.engine.compiler import aggregate_values, compile_batch_predicate
 from repro.engine.expressions import (
     AggregateSpec,
     And,
@@ -33,14 +33,17 @@ def _row_strategy():
     )
 
 
-class TestCompiledPredicates:
-    def test_none_predicate_accepts_everything(self):
-        assert compile_predicate(None)({"anything": 1})
+def _row_mask(expr, row: dict) -> bool:
+    """The batch predicate's verdict on a one-row batch of ``row``."""
+    (verdict,) = compile_batch_predicate(expr)(RecordBatch.from_rows([row], ["a", "b", "c"]))
+    return bool(verdict)
 
+
+class TestCompiledPredicates:
     @given(_row_strategy())
     def test_range_predicate_matches_interpreter(self, row):
         expr = RangePredicate("a", -50, 50)
-        assert compile_predicate(expr)(row) == bool(expr.evaluate(row))
+        assert _row_mask(expr, row) == bool(expr.evaluate(row))
 
     @given(_row_strategy(), st.integers(-100, 100), st.integers(-100, 100))
     def test_conjunction_matches_interpreter(self, row, low, high):
@@ -50,12 +53,13 @@ class TestCompiledPredicates:
                 Or([RangePredicate("a", low, max(low, high)), Not(Comparison("==", FieldRef("c"), Literal(0)))]),
             ]
         )
-        assert compile_predicate(expr)(row) == bool(expr.evaluate(row))
+        assert _row_mask(expr, row) == bool(expr.evaluate(row))
 
     def test_arithmetic_value(self):
+        # A compound aggregate input evaluates per row; None propagates.
         expr = Arithmetic("+", Arithmetic("*", FieldRef("a"), Literal(2)), Literal(1))
-        assert compile_value(expr)({"a": 3}) == 7
-        assert compile_value(expr)({"a": None}) is None
+        batch = RecordBatch.from_rows([{"a": 3}, {"a": None}])
+        assert aggregate_values(AggregateSpec("sum", expr), batch) == [7, None]
 
 
 class TestCompiledAggregates:
@@ -63,7 +67,7 @@ class TestCompiledAggregates:
 
     def _global(self, batches, expr=None):
         specs = [AggregateSpec(func, expr or FieldRef("x")) for func in self.FUNCS]
-        (row,) = aggregate_batches(batches, compile_aggregates(specs)).to_rows()
+        (row,) = aggregate_batches(batches, specs).to_rows()
         return dict(zip(self.FUNCS, row.values()))
 
     def test_all_functions(self):

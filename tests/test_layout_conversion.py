@@ -151,6 +151,24 @@ def test_two_list_parquet_converts_to_all_rows():
     assert converted.record_row_counts == [6, 1, 1]
 
 
+def test_flat_only_parquet_converts_to_the_columnar_rows():
+    """A Parquet item caching only the flat leaves of a two-list schema
+    scans one row per record; converted, it holds each record's flattened
+    rows, as the columnar item built from the records does, and a
+    record-level scan of it reads one row per record."""
+    fields = ["id", "fans"]
+    parquet = build_layout("parquet", TWO_LISTS, fields, records=TWO_LIST_RECORDS)
+    columnar = build_layout("columnar", TWO_LISTS, fields, records=TWO_LIST_RECORDS)
+    converted, _ = convert_layout(parquet, "columnar")
+    assert converted.record_row_counts == columnar.record_row_counts == [6, 1, 1]
+    assert scanned_rows(converted) == scanned_rows(columnar)
+    assert len(scanned_rows(converted)) == 8
+    deduped = [
+        row for batch in converted.scan_batches(dedupe_records=True) for row in batch.iter_rows()
+    ]
+    assert deduped == [{"id": 1, "fans": 3}, {"id": 2, "fans": 5}, {"id": 3, "fans": 8}]
+
+
 # ---------------------------------------------------------------------------
 # Pins: the two-list columnar item stays columnar
 # ---------------------------------------------------------------------------
